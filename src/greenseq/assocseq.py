@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .directsum import Decomposition, decompose, concat_mgs
+from .directsum import Decomposition, concat_mgs_report, decompose
 from .embedding import (
     EmbeddedQuiver,
     EmbeddingError,
@@ -25,7 +25,7 @@ from .embedding import (
     descent_path,
     embed,
 )
-from .green import acyclic_mgs
+from .green import MgsReport, acyclic_mgs
 from .quiver import Quiver, QuiverError
 from .typea import NotTypeAError, is_type_a, oriented_triangles
 
@@ -73,6 +73,7 @@ class PipelineResult:
     decomposition: Decomposition
     summand_sequences: tuple[tuple[int, ...], ...]  # local numbering per summand
     embeddings: tuple[EmbeddedQuiver | None, ...]  # None for acyclic summands
+    report: MgsReport  # the whole quiver's, from the walk that verified ``sequence``
 
 
 def mgs_for_type_a(q: Quiver) -> PipelineResult:
@@ -102,5 +103,5 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
             except QuiverError as exc:
                 raise NotTypeAError(f"summand {p + 1}: {exc}") from exc
             embeddings.append(None)
-    seq = concat_mgs(dec, parts)
-    return PipelineResult(seq, dec, tuple(parts), tuple(embeddings))
+    seq, report = concat_mgs_report(dec, parts)
+    return PipelineResult(seq, dec, tuple(parts), tuple(embeddings), report)

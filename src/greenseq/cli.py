@@ -80,12 +80,13 @@ def cmd_embed(args) -> int:
 def cmd_mgs(args) -> int:
     q = _load(args.quiver)
     if args.root:
-        e = embedding.embed(q, _parse_root(args.root))
-        seq = assocseq.associated_sequence(e)
+        seq = assocseq.associated_sequence(embedding.embed(q, _parse_root(args.root)))
+        report = green.is_maximal_green(q, seq)
     else:
-        seq = assocseq.mgs_for_type_a(q).sequence
-    report = green.is_maximal_green(q, seq)
-    assert report.is_maximal and report.induced is not None
+        result = assocseq.mgs_for_type_a(q)
+        seq, report = result.sequence, result.report
+    if not report.is_maximal:
+        raise green.NotMaximalGreenError("constructed sequence is not a maximal green sequence")
     order = " order=paper" if args.paper_order else ""
     sys.stdout.write(f"mgs length={len(seq)}{order}\n")
     sys.stdout.write(_seq_line(seq, args.paper_order) + "\n")
@@ -107,7 +108,7 @@ def cmd_verify(args) -> int:
         )
         return 1
     sys.stdout.write("verdict: all-green\n")
-    report = green.is_maximal_green(q, seq)
+    report = green.trace_report(q, trace)
     sys.stdout.write(f"maximal: {'true' if report.is_maximal else 'false'}\n")
     if report.is_maximal:
         sys.stdout.write(f"permutation: {report.induced.cycle_string()}\n")

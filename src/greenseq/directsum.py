@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .green import is_maximal_green
+from .green import MgsReport, is_maximal_green
 from .quiver import ExtendedQuiver, Quiver, QuiverError, subquiver
 
 
@@ -272,20 +272,33 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> tupl
     subquiver's local numbering.  The result (first summand's steps first) is
     verified as a maximal green sequence of the full quiver before returning.
     """
+    return concat_mgs_report(dec, per_summand)[0]
+
+
+def concat_mgs_report(
+    dec: Decomposition, per_summand: Sequence[Sequence[int]]
+) -> tuple[tuple[int, ...], MgsReport]:
+    """``concat_mgs`` plus the whole quiver's report from its verifying walk."""
     if len(per_summand) != len(dec.summands):
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"
         )
-    out: list[int] = []
-    for p, seq in enumerate(per_summand):
-        part, globals_ = dec.part(p)
-        report = is_maximal_green(part, seq)
-        if not report.is_maximal:
-            raise SummandNotGreenError(
-                f"sequence for summand {p + 1} is not a maximal green sequence"
-            )
-        out.extend(globals_[k - 1] for k in seq)
+    failure = "concatenation failed to verify on the full quiver"
+    if len(dec.summands) == 1:
+        # the one summand is the whole quiver in its own numbering, so the
+        # whole-quiver walk is the per-summand walk
+        out = list(per_summand[0])
+        failure = "sequence for summand 1 is not a maximal green sequence"
+    else:
+        out = []
+        for p, seq in enumerate(per_summand):
+            part, globals_ = dec.part(p)
+            if not is_maximal_green(part, seq).is_maximal:
+                raise SummandNotGreenError(
+                    f"sequence for summand {p + 1} is not a maximal green sequence"
+                )
+            out.extend(globals_[k - 1] for k in seq)
     whole = is_maximal_green(dec.quiver, out)
     if not whole.is_maximal:
-        raise SummandNotGreenError("concatenation failed to verify on the full quiver")
-    return tuple(out)
+        raise SummandNotGreenError(failure)
+    return tuple(out), whole

@@ -9,8 +9,9 @@ mutable vertices, which we extract and cross-check here.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations
+from itertools import chain, permutations as _all_permutations
 from typing import Sequence
 
 import numpy as np
@@ -20,10 +21,11 @@ from .quiver import (
     Permutation,
     Quiver,
     QuiverError,
+    all_colors,
+    format_extended,
     frame,
     green_vertices,
     matrix_mutate,
-    permute_b_matrix,
     vertex_color,
 )
 
@@ -83,7 +85,8 @@ class MgsReport:
     induced: Permutation | None
 
     def __post_init__(self) -> None:
-        assert (self.induced is not None) == self.is_maximal
+        if (self.induced is not None) != self.is_maximal:
+            raise QuiverError("a report carries a permutation exactly when it is maximal")
 
 
 def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
@@ -94,38 +97,41 @@ def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
         color = vertex_color(eq, k)
         steps.append(GreenStep(index, k, color))
         if color != "green":
-            return GreenTrace(
-                tuple(steps), "violation", index,
-                tuple(vertex_color(eq, i) for i in range(1, eq.n + 1)), eq,
-            )
+            return GreenTrace(tuple(steps), "violation", index, all_colors(eq), eq)
         eq = matrix_mutate(eq, k)
-    return GreenTrace(
-        tuple(steps), "all-green", None,
-        tuple(vertex_color(eq, i) for i in range(1, eq.n + 1)), eq,
-    )
+    return GreenTrace(tuple(steps), "all-green", None, all_colors(eq), eq)
 
 
 def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None:
     """If eq = [B_{Q sigma} | -M(sigma)], return sigma; else None."""
-    ext = eq.mat[:, eq.n :]
-    images = [0] * eq.n
-    for i in range(eq.n):
-        cols = np.nonzero(ext[i])[0]
-        if len(cols) != 1 or ext[i, cols[0]] != -1:
+    images = []
+    for row in eq.rows:
+        frozen = row[eq.n :]
+        if frozen.count(0) != len(frozen) - 1 or -1 not in frozen:
             return None
-        images[i] = int(cols[0]) + 1
+        images.append(frozen.index(-1) + 1)
     try:
         sigma = Permutation(tuple(images))
     except QuiverError:
         return None
-    if not np.array_equal(eq.mat[:, : eq.n], permute_b_matrix(q.b_matrix(), sigma)):
+    # (B_{Q sigma})_{ij} = (B_Q)_{i sigma, j sigma}: each arrow s -> d of Q
+    # sits at (s, d) sigma^-1, and no other mutable entry is nonzero
+    inv = sigma.inverse().images
+    nonzero = sum(eq.n - row[: eq.n].count(0) for row in eq.rows)
+    if nonzero != 2 * len(q.arrows) or any(
+        eq.rows[inv[s - 1] - 1][inv[d - 1] - 1] != m for s, d, m in q.arrows
+    ):
         return None
     return sigma
 
 
 def is_maximal_green(q: Quiver, seq: Sequence[int]) -> MgsReport:
     """Check greenness and maximality; extract the induced permutation."""
-    trace = verify_green(q, seq)
+    return trace_report(q, verify_green(q, seq))
+
+
+def trace_report(q: Quiver, trace: GreenTrace) -> MgsReport:
+    """Maximality and induced permutation of a walk ``verify_green`` made."""
     if not trace.is_green:
         return MgsReport(False, False, None)
     if any(c != "red" for c in trace.final_colors):
@@ -143,7 +149,6 @@ def induced_permutation(q: Quiver, seq: Sequence[int]) -> Permutation:
     report = is_maximal_green(q, seq)
     if not report.is_maximal:
         raise NotMaximalGreenError(f"{tuple(seq)} is not a maximal green sequence")
-    assert report.induced is not None
     return report.induced
 
 
@@ -338,9 +343,17 @@ def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
 
 
 def matrix_hash(eq: ExtendedQuiver) -> str:
-    """Stable 16-hex-digit content hash of an extended matrix."""
-    payload = f"extb {eq.n} {eq.m}\n".encode() + eq.mat.tobytes()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    """Stable 16-hex-digit content hash of an extended matrix.
+
+    The payload is the ``extb`` header plus the row-major entries as native
+    int64 bytes.  A matrix with an entry outside int64 hashes its
+    ``format_extended`` text after a ``big`` tag instead.
+    """
+    try:
+        body = struct.pack(f"{eq.n * (eq.n + eq.m)}q", *chain.from_iterable(eq.rows))
+    except struct.error:
+        body = b"big\n" + format_extended(eq).encode()
+    return hashlib.sha256(f"extb {eq.n} {eq.m}\n".encode() + body).hexdigest()[:16]
 
 
 def exchange_graph_dot(slice_: ExchangeGraphSlice) -> str:

@@ -272,7 +272,7 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     for k in range(e.n_cycles + 1):
         eq = apply_sequence(eq, stage_parts(e, k).sequence())
         predicted = predicted_matrix(e, k).matrix
-        if np.array_equal(predicted, eq.mat):
+        if predicted.tolist() == list(map(list, eq.rows)):
             checks.append(StageCheck(k, True, None))
         else:
             rows, cols = np.nonzero(predicted != eq.mat)
@@ -281,7 +281,7 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
             checks.append(
                 StageCheck(
                     k, False,
-                    (str(r + 1), col_name, int(predicted[r, c]), int(eq.mat[r, c])),
+                    (str(r + 1), col_name, int(predicted[r, c]), eq.rows[r][c]),
                 )
             )
     return ModelReport(tuple(checks))

@@ -12,14 +12,12 @@ threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-
-# Mutation adds products of entries; keeping inputs below 2^31 guarantees
-# the int64 intermediate |b_ik|*b_kj cannot overflow.
-_ENTRY_LIMIT = 2**31
 
 
 class QuiverError(Exception):
@@ -32,10 +30,6 @@ class QuiverParseError(QuiverError):
 
 class SignCoherenceError(QuiverError):
     """A frozen row is mixed-sign or all zero (state not reachable from a framing)."""
-
-
-class EntryOverflowError(QuiverError):
-    """Matrix entries grew beyond the supported exact range."""
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +111,6 @@ class Quiver:
         return iter(self.arrows)
 
 
-def quiver_from_b_matrix(mat: np.ndarray) -> Quiver:
-    """Read a quiver off a skew-symmetric integer matrix."""
-    n = mat.shape[0]
-    arrows = []
-    for i in range(n):
-        for j in range(n):
-            if mat[i, j] > 0:
-                arrows.append((i + 1, j + 1, int(mat[i, j])))
-    return Quiver(n, tuple(arrows))
-
-
 def mutate(q: Quiver, k: int) -> Quiver:
     """Mutate ``q`` at mutable vertex ``k`` by the three-step arrow rule.
 
@@ -185,104 +168,123 @@ class ExtendedQuiver:
     """Integer exchange matrix with n mutable rows and n+m columns.
 
     Columns 1..n are mutable, columns n+1..n+m are frozen.  The mutable
-    block is skew-symmetric.  The backing array is read-only.
+    block is skew-symmetric.  ``rows`` holds exact Python ints, so entries
+    have no size limit; states made by mutation share unchanged rows.
     """
 
     n: int
     m: int
-    mat: np.ndarray
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=np.int64)
-        if mat.shape != (self.n, self.n + self.m):
-            raise QuiverError(f"matrix shape {mat.shape} != ({self.n}, {self.n + self.m})")
-        if not np.array_equal(mat[:, : self.n], -mat[:, : self.n].T):
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        if len(rows) != self.n or any(len(row) != self.n + self.m for row in rows):
+            raise QuiverError(f"matrix is not {self.n} x {self.n + self.m}")
+        if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i + 1)):
             raise QuiverError("mutable block is not skew-symmetric")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "rows", rows)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedQuiver):
-            return NotImplemented
-        return self.n == other.n and self.m == other.m and np.array_equal(self.mat, other.mat)
+    @classmethod
+    def _trusted(cls, n: int, m: int, rows: tuple[tuple[int, ...], ...]) -> "ExtendedQuiver":
+        """State built by framing or mutation, which keep the mutable block
+        skew-symmetric: skip the constructor's checks."""
+        eq = object.__new__(cls)
+        eq.__dict__.update(n=n, m=m, rows=rows)
+        return eq
 
-    def __hash__(self) -> int:
-        return hash((self.n, self.m, self.mat.tobytes()))
+    @property
+    def mat(self) -> np.ndarray:
+        """int64 array copy of ``rows`` for tests and small-case tools; raises
+        OverflowError when an entry does not fit in int64."""
+        return np.array(self.rows, dtype=np.int64)
 
     def entry(self, i: int, j: int, *, frozen: bool = False) -> int:
         """Entry for mutable row i and column j (frozen column j' if asked)."""
-        col = self.n + j - 1 if frozen else j - 1
-        return int(self.mat[i - 1, col])
-
-    def exchangeable(self) -> np.ndarray:
-        return self.mat[:, : self.n].copy()
+        return self.rows[i - 1][self.n + j - 1 if frozen else j - 1]
 
     def extended_part(self) -> np.ndarray:
-        return self.mat[:, self.n :].copy()
+        return self.mat[:, self.n :]
 
     def quiver(self) -> Quiver:
         """Quiver of the mutable block."""
-        return quiver_from_b_matrix(self.mat[:, : self.n])
+        return Quiver(self.n, tuple(
+            (i, j, v) for i, row in enumerate(self.rows, 1)
+            for j, v in enumerate(row[: self.n], 1) if v > 0
+        ))
+
+
+def _framed(q: Quiver, sign: int) -> ExtendedQuiver:
+    rows = [[0] * (2 * q.n) for _ in range(q.n)]
+    for src, dst, mult in q.arrows:
+        rows[src - 1][dst - 1] = mult
+        rows[dst - 1][src - 1] = -mult
+    for i, row in enumerate(rows):
+        row[q.n + i] = sign
+    return ExtendedQuiver._trusted(q.n, q.n, tuple(map(tuple, rows)))
 
 
 def frame(q: Quiver) -> ExtendedQuiver:
     """Adjoin frozen vertices with arrows i -> i': extended part = identity."""
-    mat = np.hstack([q.b_matrix(), np.eye(q.n, dtype=np.int64)])
-    return ExtendedQuiver(q.n, q.n, mat)
+    return _framed(q, 1)
 
 
 def coframe(q: Quiver) -> ExtendedQuiver:
     """Adjoin frozen vertices with arrows i' -> i: extended part = -identity."""
-    mat = np.hstack([q.b_matrix(), -np.eye(q.n, dtype=np.int64)])
-    return ExtendedQuiver(q.n, q.n, mat)
+    return _framed(q, -1)
 
 
-def mutate_matrix_inplace(mat: np.ndarray, k0: int) -> np.ndarray:
-    """Matrix mutation at 0-based mutable index ``k0``; returns a new array.
+def _mutate_rows(rows: tuple[tuple[int, ...], ...], n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix mutation at mutable vertex ``k``, copy-on-write.
 
     b'_ij = -b_ij when i = k or j = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|)/2.
+    The bump is nonzero only when b_ik and b_kj share a sign.  As b_ik = -b_ki,
+    row i changes only when b_ki != 0, and then by |b_ki| times each pivot
+    entry b_kj of the sign opposite to b_ki.  Every other row is shared.
     """
-    if int(np.abs(mat).max(initial=0)) >= _ENTRY_LIMIT:
-        raise EntryOverflowError("entries exceed the exact 64-bit safe range")
-    col = mat[:, k0]
-    row = mat[k0, :]
-    bump = (np.abs(col)[:, None] * row[None, :] + col[:, None] * np.abs(row)[None, :]) // 2
-    out = mat + bump
-    out[k0, :] = -mat[k0, :]
-    out[:, k0] = -mat[:, k0]
-    return out
+    if not (1 <= k <= n):
+        raise QuiverError(f"mutation vertex {k} is frozen or out of range 1..{n}")
+    pivot = rows[k - 1]
+    nonzero = list(compress(enumerate(pivot), pivot))
+    pos = [(j, v) for j, v in nonzero if v > 0]
+    neg = [(j, v) for j, v in nonzero if v < 0]
+    out = list(rows)
+    for touched, other in ((pos, neg), (neg, pos)):
+        for i, u in touched:
+            if i >= n:
+                break
+            row = list(rows[i])
+            for j, v in other:
+                row[j] += abs(u) * v
+            row[k - 1] = u
+            out[i] = tuple(row)
+    out[k - 1] = tuple(map(operator.neg, pivot))
+    return tuple(out)
 
 
 def matrix_mutate(eq: ExtendedQuiver, k: int) -> ExtendedQuiver:
     """Mutate the extended matrix at mutable vertex ``k``."""
-    if not (1 <= k <= eq.n):
-        raise QuiverError(f"mutation vertex {k} is frozen or out of range 1..{eq.n}")
-    return ExtendedQuiver(eq.n, eq.m, mutate_matrix_inplace(eq.mat.copy(), k - 1))
+    return ExtendedQuiver._trusted(eq.n, eq.m, _mutate_rows(eq.rows, eq.n, k))
 
 
 def apply_sequence(eq: ExtendedQuiver, seq: Sequence[int]) -> ExtendedQuiver:
     """Left fold of matrix mutation over ``seq`` (first entry applied first)."""
-    mat = eq.mat.copy()
+    rows = eq.rows
     for k in seq:
-        if not (1 <= k <= eq.n):
-            raise QuiverError(f"mutation vertex {k} is frozen or out of range 1..{eq.n}")
-        mat = mutate_matrix_inplace(mat, k - 1)
-    return ExtendedQuiver(eq.n, eq.m, mat)
+        rows = _mutate_rows(rows, eq.n, k)
+    return ExtendedQuiver._trusted(eq.n, eq.m, rows)
 
 
 def vertex_color(eq: ExtendedQuiver, i: int) -> str:
     """'green' or 'red' for mutable vertex i, from the sign of its frozen row."""
     if not (1 <= i <= eq.n):
         raise QuiverError(f"vertex {i} out of range 1..{eq.n}")
-    row = eq.mat[i - 1, eq.n :]
-    has_pos = bool((row > 0).any())
-    has_neg = bool((row < 0).any())
-    if has_pos and not has_neg:
+    frozen = eq.rows[i - 1][eq.n :]
+    lo, hi = min(frozen, default=0), max(frozen, default=0)
+    if lo >= 0 and hi > 0:
         return "green"
-    if has_neg and not has_pos:
+    if hi <= 0 and lo < 0:
         return "red"
-    if not has_pos and not has_neg:
+    if hi == lo == 0:
         raise SignCoherenceError(f"frozen row of vertex {i} is all zero")
     raise SignCoherenceError(f"frozen row of vertex {i} has mixed signs")
 
@@ -445,6 +447,6 @@ def serialize_quiver(q: Quiver) -> str:
 def format_extended(eq: ExtendedQuiver) -> str:
     """`extb <n> <m>` header plus tab-separated integer rows."""
     lines = [f"extb {eq.n} {eq.m}"]
-    for row in eq.mat:
-        lines.append("\t".join(str(int(v)) for v in row))
+    for row in eq.rows:
+        lines.append("\t".join(map(str, row)))
     return "\n".join(lines) + "\n"

@@ -222,8 +222,8 @@ def test_criterion_11_three_part_pipeline():
 def test_criterion_12_sign_coherence():
     t0 = time.perf_counter()
     rng = random.Random(20243)
-    # finite-type fixtures: green walks terminate and entries stay small;
-    # on the wild sum fixtures entries outgrow the exact 64-bit policy
+    # finite-type fixtures, where every green walk terminates; entries are
+    # exact Python ints with no size limit (see test_entries_exact_past_int64)
     fixtures = [load(n) for n in
                 ("a3cycle", "zig5", "zigzag7", "chain10", "tree15", "tree16")]
     mutations = 0

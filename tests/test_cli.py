@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import contextlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +50,17 @@ def test_golden_outputs(golden):
     code, out, err = run(*GOLDEN_CASES[golden])
     assert code == 0 and err == ""
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden", ["mgs_sum26.txt", "verify_a3cycle_mgs.txt"])
+def test_golden_outputs_without_asserts(golden):
+    # python -O strips asserts: the walk's checks must not rely on them
+    src = Path(gs.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-O", "-m", "greenseq", *map(str, GOLDEN_CASES[golden])]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=120, check=False)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
 
 
 class TestExitCodes:

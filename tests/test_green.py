@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 import greenseq as gs
@@ -209,6 +211,19 @@ class TestDot:
         assert len(h1) == 16 and int(h1, 16) >= 0
         assert h1 == gs.matrix_hash(gs.frame(a3cycle))
         assert h1 != gs.matrix_hash(gs.coframe(a3cycle))
+
+    def test_hash_bytes_match_int64_layout(self):
+        # rows hash to the same bytes as the int64 array of the matrix
+        for node in gs.exchange_graph(load("zig5")).nodes:
+            payload = f"extb {node.n} {node.m}\n".encode()
+            payload += np.asarray(node.rows, np.int64).tobytes()
+            assert gs.matrix_hash(node) == hashlib.sha256(payload).hexdigest()[:16]
+
+    def test_hash_of_entries_past_int64(self):
+        eq = gs.apply_sequence(gs.frame(gs.Quiver(2, ((1, 2, 2**40),))), (2, 1))
+        assert max(max(row) for row in eq.rows) >= 2**63
+        payload = b"extb 2 2\nbig\n" + gs.format_extended(eq).encode()
+        assert gs.matrix_hash(eq) == hashlib.sha256(payload).hexdigest()[:16]
 
     def test_dot_structure(self, a3cycle):
         slice_ = gs.exchange_graph(a3cycle)

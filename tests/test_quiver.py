@@ -14,6 +14,19 @@ from conftest import load
 from helpers import random_quiver
 
 
+def dense_mutate(rows, k):
+    """Reference matrix mutation: the dense formula on plain Python ints."""
+    k0 = k - 1
+    return [
+        [
+            -b[j] if k0 in (i, j)
+            else b[j] + (abs(b[k0]) * rows[k0][j] + b[k0] * abs(rows[k0][j])) // 2
+            for j in range(len(b))
+        ]
+        for i, b in enumerate(rows)
+    ]
+
+
 def quivers(max_n=8):
     @st.composite
     def build(draw):
@@ -74,6 +87,20 @@ class TestMutate:
             k = rng.randint(1, q.n)
             via_matrix = gs.matrix_mutate(gs.frame(q), k).quiver()
             assert via_matrix == gs.mutate(q, k)
+
+    @given(quivers(), st.lists(st.integers(1, 8), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_arrow_rule_along_sequences(self, q, ks):
+        # random quivers with multiplicities, mostly not type A: mutation
+        # keeps the mutable block skew-symmetric, which is why mutated
+        # states skip the constructor's check
+        eq = gs.frame(q)
+        for k in ks:
+            k = (k - 1) % q.n + 1
+            q, eq = gs.mutate(q, k), gs.matrix_mutate(eq, k)
+            b = [row[: q.n] for row in eq.rows]
+            assert all(b[i][j] == -b[j][i] for i in range(q.n) for j in range(q.n))
+            assert eq.quiver() == q
 
     def test_degree_bound_in_type_a_class(self, zigzag7):
         # within a type-A mutation class every vertex keeps at most two
@@ -148,11 +175,21 @@ class TestExtended:
         with pytest.raises(gs.SignCoherenceError, match="zero"):
             gs.vertex_color(zero, 1)
 
-    def test_overflow_guard(self):
+    def test_entries_exact_past_int64(self):
         big = 2**32
         mat = np.array([[0, big, 1, 0], [-big, 0, 0, 1]], dtype=np.int64)
-        with pytest.raises(gs.EntryOverflowError):
-            gs.matrix_mutate(gs.ExtendedQuiver(2, 2, mat), 1)
+        for k in (1, 2):
+            got = gs.matrix_mutate(gs.ExtendedQuiver(2, 2, mat), k).rows
+            assert got == tuple(map(tuple, dense_mutate(mat.tolist(), k)))
+        # a wild quiver with 2^32 arrows: entries pass 2^63 within a few steps
+        q = gs.Quiver(3, ((1, 2, 3), (2, 3, big), (3, 1, 2)))
+        eq = gs.frame(q)
+        dense = [list(row) for row in eq.rows]
+        for k in (1, 2, 3) * 4:
+            q, eq, dense = gs.mutate(q, k), gs.matrix_mutate(eq, k), dense_mutate(dense, k)
+            assert eq.quiver() == q
+            assert [row[3:] for row in eq.rows] == [tuple(row[3:]) for row in dense]
+        assert max(abs(v) for row in eq.rows for v in row) > 2**63
 
 
 class TestPermutation:
