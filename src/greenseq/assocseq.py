@@ -25,8 +25,8 @@ from .embedding import (
     descent_path,
     embed,
 )
-from .green import MgsReport, acyclic_mgs
-from .quiver import Quiver, QuiverError
+from .green import MgsReport, NotAcyclicError, acyclic_mgs
+from .quiver import Quiver
 from .typea import NotTypeAError, is_type_a, oriented_triangles
 
 
@@ -79,29 +79,29 @@ class PipelineResult:
 def mgs_for_type_a(q: Quiver) -> PipelineResult:
     """Maximal green sequence of any quiver whose summands are type A.
 
-    Every irreducible summand must be type A (tree of 3-cycles) or acyclic.
-    The concatenation is verified before returning.
+    Every irreducible summand must be type A (tree of 3-cycles) or acyclic;
+    acyclic summands get their source order.  A summand that is neither is
+    reported by its first failing type-A condition.  The concatenation is
+    verified before returning.
     """
     dec = decompose(q)
     parts: list[tuple[int, ...]] = []
     embeddings: list[EmbeddedQuiver | None] = []
     for p in range(len(dec.summands)):
         part, _ = dec.part(p)
-        if oriented_triangles(part):
-            report = is_type_a(part)
-            if not report.verdict:
-                bad = next(c for c in report.conditions if not c.passed)
-                raise NotTypeAError(
-                    f"summand {p + 1} fails condition {bad.name}: {bad.witness}"
-                )
-            emb = embed(part)
-            parts.append(associated_sequence(emb))
-            embeddings.append(emb)
-        else:
+        if not oriented_triangles(part):
             try:
                 parts.append(acyclic_mgs(part))
-            except QuiverError as exc:
-                raise NotTypeAError(f"summand {p + 1}: {exc}") from exc
-            embeddings.append(None)
+                embeddings.append(None)
+                continue
+            except NotAcyclicError:
+                pass  # a directed cycle but no 3-cycle: condition (i) fails below
+        report = is_type_a(part)
+        if not report.verdict:
+            bad = next(c for c in report.conditions if not c.passed)
+            raise NotTypeAError(f"summand {p + 1} fails condition {bad.name}: {bad.witness}")
+        emb = embed(part)
+        parts.append(associated_sequence(emb))
+        embeddings.append(emb)
     seq, report = concat_mgs_report(dec, parts)
     return PipelineResult(seq, dec, tuple(parts), tuple(embeddings), report)

@@ -117,12 +117,11 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     q = _load(args.quiver)
-    max_len = args.max_len
-    if max_len is None and not typea.is_type_a(q).verdict:
+    try:
+        census = green.enumerate_mgs(q, args.max_len)
+    except typea.NotTypeAError:
         sys.stderr.write("input is not type A: pass --max-len to bound the search\n")
         return 2
-    try:
-        census = green.enumerate_mgs(q, max_len)
     except green.DepthGuardExceeded as exc:
         sys.stdout.write(f"mgs count>={len(exc.partial)} (depth guard {exc.max_len} hit)\n")
         for seq in exc.partial:

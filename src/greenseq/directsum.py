@@ -233,15 +233,14 @@ def decompose(q: Quiver) -> Decomposition:
             indeg[h] -= 1
             if indeg[h] == 0:
                 heapq.heappush(heap, (members[h][0], h))
-    assert len(order) == len(members)
+    if len(order) != len(members):
+        raise DirectSumError("merged summands have no order with forward junctions")
 
     summands = tuple(tuple(members[g]) for g in order)
     position = {v: p for p, verts in enumerate(summands) for v in verts}
     cross = tuple(
         sorted((s, d, m) for s, d, m in q.arrows if position[s] != position[d])
     )
-    for s, d, _ in cross:
-        assert position[s] < position[d]
 
     junctions = sorted({(position[s], s) for s, _, _ in cross})
     color_index = {key: i + 1 for i, key in enumerate(junctions)}

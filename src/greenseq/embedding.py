@@ -129,26 +129,14 @@ class EmbeddedQuiver:
 # Construction
 
 
-def _roles_given_x(q: Quiver, tri: tuple[int, int, int], x: int) -> tuple[int, int]:
-    """(y, z) of an oriented triangle once x is fixed: arrows x->y->z->x."""
-    mult = q.arrow_dict()
-    rest = [v for v in tri if v != x]
-    for y in rest:
-        z = rest[0] if rest[1] == y else rest[1]
-        if (x, y) in mult and (y, z) in mult and (z, x) in mult:
-            return y, z
-    raise EmbeddingError(f"triangle {tri} is not oriented through {x}")
-
-
-def _roles_given_z(q: Quiver, tri: tuple[int, int, int], z: int) -> tuple[int, int]:
-    """(x, y) of an oriented triangle once z is fixed."""
-    mult = q.arrow_dict()
-    rest = [v for v in tri if v != z]
-    for x in rest:
-        y = rest[0] if rest[1] == x else rest[1]
-        if (x, y) in mult and (y, z) in mult and (z, x) in mult:
-            return x, y
-    raise EmbeddingError(f"triangle {tri} is not oriented into {z}")
+def _arrow_order(q: Quiver, tri: tuple[int, int, int], v: int) -> tuple[int, int, int]:
+    """The oriented triangle's vertices along its arrows, starting at v:
+    (x, y, z) when v is x, (z, x, y) when v is z."""
+    a, b = (u for u in tri if u != v)
+    for second, third in ((a, b), (b, a)):
+        if q.multiplicity(v, second) and q.multiplicity(second, third) and q.multiplicity(third, v):
+            return v, second, third
+    raise EmbeddingError(f"triangle {tri} is not oriented through {v}")
 
 
 def default_root(tree: CycleTree) -> tuple[int, int, int]:
@@ -176,19 +164,19 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
 
     if tree.degree(root_idx) == 0:
         x1 = min(root_tri)
-        y1, z1 = _roles_given_x(q, root_tri, x1)
+        _, y1, z1 = _arrow_order(q, root_tri, x1)
         e = EmbeddedQuiver(q, [EmbeddedCycle(1, True, x1, y1, z1, None, None)])
         validate_embedding(e)
         return e
 
     ((neighbor_idx, shared),) = tree.neighbors_of(root_idx)
-    x1, y1 = _roles_given_z(q, root_tri, shared)
+    _, x1, y1 = _arrow_order(q, root_tri, shared)
     cycles: list[EmbeddedCycle] = [EmbeddedCycle(1, True, x1, y1, shared, None, None)]
 
     def place_subtree(tri_idx: int, attach_vertex: int, parent_label: int, parent_role: str) -> None:
         tri = tree.nodes[tri_idx]
         label = len(cycles) + 1
-        y, z = _roles_given_x(q, tri, attach_vertex)
+        _, y, z = _arrow_order(q, tri, attach_vertex)
         cycles.append(
             EmbeddedCycle(label, parent_role == "y", attach_vertex, y, z, parent_label, parent_role)
         )
@@ -220,22 +208,21 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
     return e
 
 
-def validate_embedding(e: EmbeddedQuiver) -> None:
+def validate_embedding(e: EmbeddedQuiver) -> tuple[int, ...]:
     """Replay the construction, checking every attachment hits a live outlet.
 
     This is the northeast-kill legality check: once a new branch is created
     at an outlet, everything northeast of it is gone, so any labelling that
-    attaches there later fails the membership test below.
+    attaches there later fails the membership test below.  Returns the
+    final outlet list, northeast to southwest.
     """
-    mult = e.quiver.arrow_dict()
+    q = e.quiver
     for c in e.cycles:
-        if (c.x, c.y) not in mult or (c.y, c.z) not in mult or (c.z, c.x) not in mult:
+        if not (q.multiplicity(c.x, c.y) and q.multiplicity(c.y, c.z) and q.multiplicity(c.z, c.x)):
             raise EmbeddingError(f"T{c.label} roles do not follow the arrows")
     first = e.cycle(1)
     if not first.up or first.parent is not None:
         raise EmbeddingError("T1 must be upward-pointing and unattached")
-    if e.n_cycles == 1:
-        return
     outlets = [first.z, first.y]
     for k in range(2, e.n_cycles + 1):
         c = e.cycle(k)
@@ -259,24 +246,12 @@ def validate_embedding(e: EmbeddedQuiver) -> None:
             outlets = [c.z, c.y, prev.z] + outlets[2:]
         else:
             outlets = [c.y, c.z] + outlets[max(j + 1, 2):]
+    return tuple(outlets)
 
 
 def outlets(e: EmbeddedQuiver) -> tuple[int, ...]:
     """Final outlet list, northeast to southwest."""
-    first = e.cycle(1)
-    if e.n_cycles == 1:
-        return (first.z, first.y)
-    current = [first.z, first.y]
-    for k in range(2, e.n_cycles + 1):
-        c = e.cycle(k)
-        parent = e.cycle(c.parent)
-        attach = parent.y if c.parent_role == "y" else parent.z
-        j = current.index(attach)
-        if c.up:
-            current = [c.z, c.y, e.cycle(k - 1).z] + current[2:]
-        else:
-            current = [c.y, c.z] + current[max(j + 1, 2):]
-    return tuple(current)
+    return validate_embedding(e)
 
 
 def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
@@ -316,7 +291,8 @@ def descent_path(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     cur = k
     while True:
         parent = e.cycle(cur).parent
-        assert parent is not None
+        if parent is None:
+            raise EmbeddingError(f"downward T{cur} has no parent")
         if e.cycle(parent).up:
             return tuple(path)
         path.append(parent)
@@ -387,10 +363,6 @@ def northeast_region(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
             s += 1
         reach.update(range(a, s + 1))
     return tuple(sorted(reach - starts))
-
-
-def vertex_degree(e: EmbeddedQuiver, v: int) -> int:
-    return e.quiver.degree(v)
 
 
 def embedding_report(e: EmbeddedQuiver) -> str:

@@ -12,9 +12,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from itertools import chain, permutations as _all_permutations
-from typing import Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .quiver import (
     ExtendedQuiver,
@@ -28,6 +26,7 @@ from .quiver import (
     matrix_mutate,
     vertex_color,
 )
+from .typea import NotTypeAError, is_type_a
 
 
 class NotMaximalGreenError(QuiverError):
@@ -178,22 +177,15 @@ def acyclic_mgs(q: Quiver) -> tuple[int, ...]:
     return tuple(order)
 
 
-def enumerate_mgs(q: Quiver, max_len: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """All maximal green sequences of ``q``, sorted lexicographically.
+def _green_search(q: Quiver, max_len: int | None) -> Iterator[tuple[int, ...]]:
+    """Maximal green sequences of ``q`` in lexicographic order.
 
-    Depth-first search over green moves from the framing.  Type-A input is
-    of finite mutation type, so the search terminates unbounded; anything
-    else must pass ``max_len`` explicitly.  Hitting the bound on a branch
+    Depth-first search over green moves from the framing, trying green
+    vertices in ascending order; no maximal sequence extends another, so
+    this meets them in lexicographic order.  Hitting ``max_len`` on a branch
     that still has a green vertex raises DepthGuardExceeded carrying the
-    census found so far.
+    sequences yielded so far.
     """
-    if max_len is None:
-        from .typea import is_type_a
-
-        if not is_type_a(q).verdict:
-            raise QuiverError(
-                "input is not recognized as type A: pass max_len to bound the search"
-            )
     found: list[tuple[int, ...]] = []
     root = frame(q)
     stack: list[list] = [[root, green_vertices(root), 0]]
@@ -203,19 +195,34 @@ def enumerate_mgs(q: Quiver, max_len: int | None = None) -> tuple[tuple[int, ...
         eq, greens, idx = top
         if not greens:
             found.append(tuple(prefix))
+            yield found[-1]
         if not greens or idx >= len(greens):
             stack.pop()
             if prefix:
                 prefix.pop()
             continue
         if max_len is not None and len(prefix) >= max_len:
-            raise DepthGuardExceeded(max_len, tuple(sorted(found)))
+            raise DepthGuardExceeded(max_len, tuple(found))
         top[2] += 1
         k = greens[idx]
         prefix.append(k)
         nxt = matrix_mutate(eq, k)
         stack.append([nxt, green_vertices(nxt), 0])
-    return tuple(sorted(found))
+
+
+def enumerate_mgs(q: Quiver, max_len: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """All maximal green sequences of ``q``, sorted lexicographically.
+
+    Type-A input is of finite mutation type, so the search terminates
+    unbounded; anything else must pass ``max_len`` explicitly.  Hitting the
+    bound on a branch that still has a green vertex raises DepthGuardExceeded
+    carrying the census found so far.
+    """
+    if max_len is None and not is_type_a(q).verdict:
+        raise NotTypeAError(
+            "input is not recognized as type A: pass max_len to bound the search"
+        )
+    return tuple(_green_search(q, max_len))
 
 
 def first_mgs(q: Quiver, max_len: int | None = None) -> tuple[int, ...]:
@@ -224,26 +231,8 @@ def first_mgs(q: Quiver, max_len: int | None = None) -> tuple[int, ...]:
     Same walk as enumerate_mgs, stopping at the first all-red state; useful
     as a cheap independent oracle when the full census is not needed.
     """
-    root = frame(q)
-    stack: list[list] = [[root, green_vertices(root), 0]]
-    prefix: list[int] = []
-    while stack:
-        top = stack[-1]
-        eq, greens, idx = top
-        if not greens:
-            return tuple(prefix)
-        if idx >= len(greens):
-            stack.pop()
-            if prefix:
-                prefix.pop()
-            continue
-        if max_len is not None and len(prefix) >= max_len:
-            raise DepthGuardExceeded(max_len, ())
-        top[2] += 1
-        k = greens[idx]
-        prefix.append(k)
-        nxt = matrix_mutate(eq, k)
-        stack.append([nxt, green_vertices(nxt), 0])
+    for seq in _green_search(q, max_len):
+        return seq
     raise NotMaximalGreenError("search exhausted without an all-red state")
 
 
@@ -300,16 +289,13 @@ class ExchangeGraphSlice:
         n = self.quiver.n
         if n > 8:
             raise QuiverError("iso classes are only computed for n <= 8")
-        perms = [np.array(p) for p in _all_permutations(range(n))]
-        keys = set()
-        for node in self.nodes:
-            best: bytes | None = None
-            for p in perms:
-                cand = node.mat[p][:, np.concatenate([p, np.arange(n, n + node.m)])]
-                b = cand.tobytes()
-                if best is None or b < best:
-                    best = b
-            keys.add(best)
+        keys = {
+            min(
+                tuple(tuple(node.rows[i][j] for j in p) + node.rows[i][n:] for i in p)
+                for p in _all_permutations(range(n))
+            )
+            for node in self.nodes
+        }
         return len(keys)
 
 

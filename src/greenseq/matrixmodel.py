@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
@@ -65,15 +63,16 @@ def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
     entries = []
     for m in pending_set(e):
         anchor = e.cycle(m).parent
-        assert anchor is not None
         if not anchor <= k < m:
             continue
         chain = hanging_chain(e, m)
-        assert chain and chain[0] == anchor + 1
+        if not chain or chain[0] != anchor + 1:
+            raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
         done = [s for s in chain if s <= k]
         progress = max(done) if done else None
         if progress is None:
-            assert anchor == k
+            if anchor != k:
+                raise EmbeddingError(f"pending T{m} has an unprocessed chain at stage {k}")
             case = 3
         elif progress == chain[-1]:
             case = 2
@@ -88,19 +87,11 @@ class FrontierMatrix:
     """The stage-k composite arrows incident to frontier vertices.
 
     ``entries`` lists only the defining directed entries; the skew mirror is
-    implied.  ``dense`` expands to the full n x 2n matrix (frozen columns
-    stay zero).
+    implied.
     """
 
     n: int
     entries: tuple[tuple[int, int, int], ...]  # (row vertex, col vertex, value)
-
-    def dense(self) -> np.ndarray:
-        mat = np.zeros((self.n, 2 * self.n), dtype=np.int64)
-        for i, j, val in self.entries:
-            mat[i - 1, j - 1] = val
-            mat[j - 1, i - 1] = -val
-        return mat
 
 
 def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
@@ -114,7 +105,6 @@ def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
         entries.append((cm.y, closing_vertex(e, pc.label, upto=k), 1))
         entries.append((cm.z, cm.x, -1))
         if pc.case == 1:
-            assert pc.progress is not None
             nxt = pc.chain[pc.chain.index(pc.progress) + 1]
             entries.append((cm.y, e.cycle(nxt).z, -1))
         elif pc.case == 3:
@@ -132,22 +122,20 @@ def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
     return FrontierMatrix(e.quiver.n, tuple(sorted(entries)))
 
 
-def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> np.ndarray:
+def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> tuple[int, ...]:
     """Frozen coordinates of a frontier vertex, without its own unit entry.
 
     Zero for a y vertex.  For z of cycle i: a unit at x' of the base cycle,
     one at z' of the cycle just below it when the base cycle is not T1, and
     one per descent-path x vertex of stage i.
     """
-    frontier = {c.label for c in _frontier_cycles(e, k)}
-    vec = np.zeros(e.quiver.n, dtype=np.int64)
+    vec = [0] * e.quiver.n
     owner = None
-    for i in frontier:
-        cyc = e.cycle(i)
+    for cyc in _frontier_cycles(e, k):
         if v == cyc.y:
-            return vec
+            return tuple(vec)
         if v == cyc.z:
-            owner = i
+            owner = cyc.label
             break
     if owner is None:
         raise EmbeddingError(f"vertex {v} is not a frontier y or z vertex at stage {k}")
@@ -157,7 +145,7 @@ def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> np.ndarray:
         vec[e.cycle(r - 1).z - 1] += 1
     for j in descent_path(e, owner):
         vec[e.cycle(j).x - 1] += 1
-    return vec
+    return tuple(vec)
 
 
 def _frontier_cycles(e: EmbeddedQuiver, k: int):
@@ -180,13 +168,12 @@ class PredictedMatrix:
     processed: tuple[int, ...]
     frontier: tuple[int, ...]
     rest: tuple[int, ...]
-    matrix: np.ndarray
+    matrix: tuple[tuple[int, ...], ...]
 
-    def block_matrix(self) -> np.ndarray:
+    def block_matrix(self) -> tuple[tuple[int, ...], ...]:
         order = [v - 1 for v in self.processed + self.frontier + self.rest]
-        n = self.matrix.shape[0]
-        cols = order + [n + i for i in order]
-        return self.matrix[np.ix_(order, cols)]
+        cols = order + [len(self.matrix) + i for i in order]
+        return tuple(tuple(self.matrix[i][j] for j in cols) for i in order)
 
 
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
@@ -206,34 +193,37 @@ def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     front = tuple(v for v in std if owner[v] in frontier_cycles)
     rest = tuple(v for v in std if owner[v] > k and owner[v] not in frontier_cycles)
 
-    mat = np.zeros((n, 2 * n), dtype=np.int64)
+    mat = [[0] * (2 * n) for _ in range(n)]
     sigma = stage_permutation(e, k)
 
     for i in processed:
+        row, b_row = mat[i - 1], b0[sigma.apply(i) - 1]
         for j in processed:
-            mat[i - 1, j - 1] = b0[sigma.apply(i) - 1, sigma.apply(j) - 1]
-        mat[i - 1, n + sigma.apply(i) - 1] = -1
+            row[j - 1] = b_row[sigma.apply(j) - 1]
+        row[n + sigma.apply(i) - 1] = -1
 
     untouched = front + rest
     for u in untouched:
+        row, b_row = mat[u - 1], b0[u - 1]
         for w in untouched:
-            mat[u - 1, w - 1] = b0[u - 1, w - 1]
+            row[w - 1] = b_row[w - 1]
     for i in frontier_cycles:
         cyc = e.cycle(i)
         # the y-z arrow of a frontier cycle was cancelled when x was mutated
-        mat[cyc.y - 1, cyc.z - 1] = 0
-        mat[cyc.z - 1, cyc.y - 1] = 0
+        mat[cyc.y - 1][cyc.z - 1] = 0
+        mat[cyc.z - 1][cyc.y - 1] = 0
 
     for i, j, val in frontier_matrix(e, k).entries:
-        mat[i - 1, j - 1] = val
-        mat[j - 1, i - 1] = -val
+        mat[i - 1][j - 1] = val
+        mat[j - 1][i - 1] = -val
 
     for v in untouched:
-        mat[v - 1, n + v - 1] = 1
+        mat[v - 1][n + v - 1] = 1
         if owner[v] in frontier_cycles:
-            mat[v - 1, n:] += base_c_vector(e, k, v)
+            for j, c in enumerate(base_c_vector(e, k, v), start=n):
+                mat[v - 1][j] += c
 
-    return PredictedMatrix(k, processed, front, rest, mat)
+    return PredictedMatrix(k, processed, front, rest, tuple(map(tuple, mat)))
 
 
 @dataclass(frozen=True)
@@ -272,16 +262,15 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     for k in range(e.n_cycles + 1):
         eq = apply_sequence(eq, stage_parts(e, k).sequence())
         predicted = predicted_matrix(e, k).matrix
-        if predicted.tolist() == list(map(list, eq.rows)):
+        if predicted == eq.rows:
             checks.append(StageCheck(k, True, None))
         else:
-            rows, cols = np.nonzero(predicted != eq.mat)
-            r, c = int(rows[0]), int(cols[0])
+            r, c = next(
+                (r, c) for r, (p_row, row) in enumerate(zip(predicted, eq.rows))
+                for c, (p, v) in enumerate(zip(p_row, row)) if p != v
+            )
             col_name = str(c + 1) if c < n else f"{c - n + 1}'"
             checks.append(
-                StageCheck(
-                    k, False,
-                    (str(r + 1), col_name, int(predicted[r, c]), eq.rows[r][c]),
-                )
+                StageCheck(k, False, (str(r + 1), col_name, predicted[r][c], eq.rows[r][c]))
             )
     return ModelReport(tuple(checks))

@@ -15,6 +15,7 @@ reports any violation with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .assocseq import stage_parts
 from .embedding import (
@@ -36,25 +37,26 @@ def stage_rotation(e: EmbeddedQuiver, k: int) -> Permutation:
     return Permutation.from_cycle(n, seq[1:])
 
 
+def _rotations(e: EmbeddedQuiver, k: int) -> Iterator[tuple[Permutation, Permutation]]:
+    """(tau_j, sigma_j) for j = 0..k; sigma_j applies tau_j, then sigma_{j-1}."""
+    sigma = Permutation.identity(e.quiver.n)
+    for j in range(k + 1):
+        tau = stage_rotation(e, j)
+        sigma = tau.then(sigma)
+        yield tau, sigma
+
+
 def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
     """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
     sigma = Permutation.identity(e.quiver.n)
-    for j in range(1, k + 1):
-        sigma = stage_rotation(e, j).then(sigma)
+    for _, sigma in _rotations(e, k):
+        pass
     return sigma
 
 
 def rotation_table(e: EmbeddedQuiver) -> tuple[tuple[Permutation, Permutation], ...]:
     """(tau_k, sigma_k) for k = 0..n."""
-    n = e.quiver.n
-    sigma = Permutation.identity(n)
-    out = [(Permutation.identity(n), sigma)]
-    for k in range(1, e.n_cycles + 1):
-        tau = stage_rotation(e, k)
-        # sigma_k acts by tau_k first, then the previous cumulative map
-        sigma = tau.then(out[-1][1])
-        out.append((tau, sigma))
-    return tuple(out)
+    return tuple(_rotations(e, e.n_cycles))
 
 
 @dataclass(frozen=True)

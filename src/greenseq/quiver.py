@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 
 class QuiverError(Exception):
     """Base class for errors raised by this package."""
@@ -41,7 +39,8 @@ class Quiver:
     """Loop-free, 2-cycle-free integer multidigraph on vertices 1..n.
 
     ``arrows`` holds (src, dst, multiplicity) triples, sorted, with
-    multiplicity >= 1 and at most one direction per vertex pair.
+    multiplicity >= 1 and at most one direction per vertex pair.  The arrow
+    dict and the neighbor adjacency are built once, here.
     """
 
     n: int
@@ -50,20 +49,25 @@ class Quiver:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise QuiverError(f"vertex count must be positive, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for src, dst, mult in self.arrows:
+        mult: dict[tuple[int, int], int] = {}
+        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for src, dst, m in self.arrows:
             if src == dst:
                 raise QuiverError(f"loop at vertex {src}")
             if not (1 <= src <= self.n and 1 <= dst <= self.n):
                 raise QuiverError(f"arrow {src} -> {dst} out of range 1..{self.n}")
-            if mult < 1:
-                raise QuiverError(f"arrow {src} -> {dst} has multiplicity {mult}")
-            if (src, dst) in seen:
+            if m < 1:
+                raise QuiverError(f"arrow {src} -> {dst} has multiplicity {m}")
+            if (src, dst) in mult:
                 raise QuiverError(f"duplicate arrow entry {src} -> {dst}")
-            if (dst, src) in seen:
+            if (dst, src) in mult:
                 raise QuiverError(f"2-cycle between {src} and {dst}")
-            seen.add((src, dst))
+            mult[(src, dst)] = m
+            adj[src].add(dst)
+            adj[dst].add(src)
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
+        object.__setattr__(self, "_mult", dict(sorted(mult.items())))
+        object.__setattr__(self, "_adj", tuple(tuple(sorted(vs)) for vs in adj))
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
@@ -82,30 +86,26 @@ class Quiver:
         return cls(n, tuple((s, d, m) for (s, d), m in counts.items()))
 
     def arrow_dict(self) -> dict[tuple[int, int], int]:
-        return {(s, d): m for s, d, m in self.arrows}
+        return dict(self._mult)
 
     def multiplicity(self, src: int, dst: int) -> int:
-        for s, d, m in self.arrows:
-            if s == src and d == dst:
-                return m
-        return 0
+        return self._mult.get((src, dst), 0)
 
-    def b_matrix(self) -> np.ndarray:
-        """Signed n x n exchange matrix: entry (i,j) = #(i->j) - #(j->i)."""
-        mat = np.zeros((self.n, self.n), dtype=np.int64)
+    def b_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Signed n x n exchange matrix as int rows: entry (i,j) = #(i->j) - #(j->i)."""
+        rows = [[0] * self.n for _ in range(self.n)]
         for src, dst, mult in self.arrows:
-            mat[src - 1, dst - 1] = mult
-            mat[dst - 1, src - 1] = -mult
-        return mat
+            rows[src - 1][dst - 1] = mult
+            rows[dst - 1][src - 1] = -mult
+        return tuple(map(tuple, rows))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = {d for s, d, _ in self.arrows if s == v}
-        out |= {s for s, d, _ in self.arrows if d == v}
-        return tuple(sorted(out))
+        """Sorted neighbors of vertex v in the underlying graph."""
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         """Number of distinct neighbors in the underlying graph."""
-        return len(self.neighbors(v))
+        return len(self._adj[v])
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.arrows)
@@ -192,18 +192,13 @@ class ExtendedQuiver:
         eq.__dict__.update(n=n, m=m, rows=rows)
         return eq
 
-    @property
-    def mat(self) -> np.ndarray:
-        """int64 array copy of ``rows`` for tests and small-case tools; raises
-        OverflowError when an entry does not fit in int64."""
-        return np.array(self.rows, dtype=np.int64)
-
     def entry(self, i: int, j: int, *, frozen: bool = False) -> int:
         """Entry for mutable row i and column j (frozen column j' if asked)."""
         return self.rows[i - 1][self.n + j - 1 if frozen else j - 1]
 
-    def extended_part(self) -> np.ndarray:
-        return self.mat[:, self.n :]
+    def extended_part(self) -> tuple[tuple[int, ...], ...]:
+        """The frozen columns, one int row per mutable vertex."""
+        return tuple(row[self.n :] for row in self.rows)
 
     def quiver(self) -> Quiver:
         """Quiver of the mutable block."""
@@ -214,13 +209,11 @@ class ExtendedQuiver:
 
 
 def _framed(q: Quiver, sign: int) -> ExtendedQuiver:
-    rows = [[0] * (2 * q.n) for _ in range(q.n)]
-    for src, dst, mult in q.arrows:
-        rows[src - 1][dst - 1] = mult
-        rows[dst - 1][src - 1] = -mult
-    for i, row in enumerate(rows):
-        row[q.n + i] = sign
-    return ExtendedQuiver._trusted(q.n, q.n, tuple(map(tuple, rows)))
+    zeros = (0,) * q.n
+    rows = tuple(
+        row + zeros[:i] + (sign,) + zeros[i + 1 :] for i, row in enumerate(q.b_matrix())
+    )
+    return ExtendedQuiver._trusted(q.n, q.n, rows)
 
 
 def frame(q: Quiver) -> ExtendedQuiver:
@@ -344,12 +337,9 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
-    def matrix(self) -> np.ndarray:
-        """0/1 matrix with entry (i, j) = 1 iff i maps to j."""
-        mat = np.zeros((self.n, self.n), dtype=np.int64)
-        for i, v in enumerate(self.images):
-            mat[i, v - 1] = 1
-        return mat
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """0/1 int rows with entry (i, j) = 1 iff i maps to j."""
+        return tuple(tuple(int(j == v) for j in range(1, self.n + 1)) for v in self.images)
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its minimum, sorted by minimum."""
@@ -375,10 +365,12 @@ class Permutation:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
 
-def permute_b_matrix(mat: np.ndarray, perm: Permutation) -> np.ndarray:
-    """(B sigma)_{i,j} = B_{i*sigma, j*sigma} on an n x n matrix."""
-    idx = np.array([perm.apply(i + 1) - 1 for i in range(perm.n)])
-    return mat[np.ix_(idx, idx)]
+def permute_b_matrix(
+    mat: Sequence[Sequence[int]], perm: Permutation
+) -> tuple[tuple[int, ...], ...]:
+    """(B sigma)_{i,j} = B_{i*sigma, j*sigma} on n x n int rows."""
+    idx = [v - 1 for v in perm.images]
+    return tuple(tuple(mat[i][j] for j in idx) for i in idx)
 
 
 # ---------------------------------------------------------------------------

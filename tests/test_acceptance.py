@@ -12,6 +12,7 @@ import time
 
 import greenseq as gs
 from conftest import load
+from greenseq.green import trace_report
 from helpers import random_tree_quiver
 
 
@@ -166,7 +167,9 @@ def test_criterion_09_construction_at_scale():
             trace = gs.verify_green(q, seq)
             assert trace.verdict == "all-green"
             assert set(trace.final_colors) == {"red"}
-            assert gs.stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
+            report = trace_report(q, trace)
+            assert report.is_maximal
+            assert gs.stage_permutation(e, e.n_cycles) == report.induced
             runs += 1
     assert runs >= 500
     _report(9, f"{runs} root choices: constructed sequence is maximal green", t0, budget=120.0)

@@ -52,12 +52,20 @@ def test_golden_outputs(golden):
     assert out == (GOLDEN / golden).read_text()
 
 
-@pytest.mark.parametrize("golden", ["mgs_sum26.txt", "verify_a3cycle_mgs.txt"])
+# numpy and networkx made unimportable before greenseq loads
+_BARE_MAIN = (
+    "import sys; sys.modules['numpy'] = sys.modules['networkx'] = None; "
+    "from greenseq.cli import main; raise SystemExit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_CASES))
 def test_golden_outputs_without_asserts(golden):
-    # python -O strips asserts: the walk's checks must not rely on them
+    # python -O strips asserts, so no check may rely on them; the engine
+    # needs nothing outside the standard library
     src = Path(gs.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-O", "-m", "greenseq", *map(str, GOLDEN_CASES[golden])]
+    argv = [sys.executable, "-O", "-c", _BARE_MAIN, *map(str, GOLDEN_CASES[golden])]
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=120, check=False)
     assert proc.returncode == 0 and proc.stderr == b""
     assert proc.stdout == (GOLDEN / golden).read_bytes()
@@ -98,6 +106,20 @@ class TestExitCodes:
         f.write_text("quiver 2\narrow 1 2 2\n")
         code, _, err = run("enumerate", f)
         assert code == 2 and "--max-len" in err
+
+    def test_mgs_names_failing_condition_of_cyclic_summand(self, tmp_path):
+        # a directed 4-cycle has no oriented 3-cycle, so condition (i) fails
+        f = tmp_path / "square.quiver"
+        f.write_text("quiver 4\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 1\n")
+        code, out, err = run("mgs", f)
+        assert code == 2 and out == ""
+        assert err == "error: summand 1 fails condition i: non-oriented cycle through [1, 2, 3, 4]\n"
+
+    def test_mgs_acyclic_summand_not_type_a_gets_source_order(self, tmp_path):
+        f = tmp_path / "kronecker.quiver"
+        f.write_text("quiver 2\narrow 1 2 2\n")
+        code, out, _ = run("mgs", f)
+        assert code == 0 and out.splitlines()[:2] == ["mgs length=2", "1 2"]
 
     def test_enumerate_guard_exits_one(self, tmp_path):
         f = tmp_path / "double.quiver"

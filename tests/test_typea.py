@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
 
 import greenseq as gs
 from conftest import load
-from helpers import canonical_form, mutation_class, random_tree_quiver
+from helpers import canonical_form, mutation_class, random_quiver, random_tree_quiver
 
 
 class TestIsTypeA:
@@ -111,6 +112,92 @@ class TestIsTypeA:
                 bad = gs.Quiver.from_arrows(q.n, list(q.arrows) + [(u, v)])
             assert not gs.is_type_a(bad).verdict, bad
             rejected += 1
+
+
+def _simple_cycles(q: gs.Quiver) -> list[tuple[int, ...]]:
+    """Every simple cycle of the underlying graph, once, by brute force:
+    paths from their least vertex through larger ones, kept in one of the
+    two directions."""
+    adj = {v: set() for v in range(1, q.n + 1)}
+    for s, d, _ in q.arrows:
+        adj[s].add(d)
+        adj[d].add(s)
+    out = []
+
+    def extend(path: list[int]) -> None:
+        for w in adj[path[-1]]:
+            if w == path[0] and len(path) >= 3 and path[1] < path[-1]:
+                out.append(tuple(path))
+            elif w > path[0] and w not in path:
+                extend(path + [w])
+
+    for start in range(1, q.n + 1):
+        extend([start])
+    return out
+
+
+def _is_oriented_triangle(q: gs.Quiver, cycle: tuple[int, ...]) -> bool:
+    if len(cycle) != 3:
+        return False
+    a, b, c = cycle
+    mult = q.arrow_dict()
+    return {(a, b), (b, c), (c, a)} <= mult.keys() or {(b, a), (c, b), (a, c)} <= mult.keys()
+
+
+class TestConditionOneOracle:
+    def test_matches_brute_force_cycles(self):
+        rng = random.Random(4417)
+        verdicts = {True: 0, False: 0}
+        for _ in range(3000):
+            q = random_quiver(rng, max_n=7, max_mult=rng.choice((1, 2)))
+            cycles = _simple_cycles(q)
+            bad = [c for c in cycles if not _is_oriented_triangle(q, c)]
+            expected = all(m == 1 for _, _, m in q.arrows) and not bad
+            cond = gs.is_type_a(q).condition("i")
+            assert cond.passed == expected, (q, cond)
+            verdicts[expected] += 1
+            prefix = "non-oriented cycle through "
+            if cond.witness is not None and cond.witness.startswith(prefix):
+                named = set(ast.literal_eval(cond.witness[len(prefix):]))
+                assert any(set(c) == named for c in bad), (q, cond)
+        assert min(verdicts.values()) >= 300
+
+    def test_tree_shape_implies_type_a(self):
+        # cycle_tree skips the full recognition when the shape check passes:
+        # it must refuse exactly the quivers that are not type A
+        rng = random.Random(4418)
+        quivers = [random_quiver(rng, max_n=7, max_mult=1) for _ in range(500)]
+        for _ in range(600):
+            q, _ = random_tree_quiver(rng, 5)
+            arrows = list(q.arrows)
+            i = rng.randrange(len(arrows))
+            s, d, _ = arrows[i]
+            u, v = rng.sample(range(1, q.n + 1), 2)
+            n = q.n
+            roll = rng.randrange(5)
+            if roll == 1:
+                arrows[i] = (s, d, 2)
+            elif roll == 2:
+                arrows[i] = (d, s, 1)
+            elif roll == 3 and v not in q.neighbors(u):
+                arrows.append((u, v, 1))  # may close a new oriented 3-cycle
+            elif roll == 4 and v not in q.neighbors(u):
+                # a 3-cycle through two old vertices closes a ring of 3-cycles
+                n += 1
+                arrows += [(u, v, 1), (v, n, 1), (n, u, 1)]
+            quivers.append(gs.Quiver(n, tuple(arrows)))
+        shapes = 0
+        for q in quivers:
+            try:
+                gs.cycle_tree(q)
+                shapes += 1
+                refused = False
+            except gs.NotTypeAError:
+                refused = True
+            except (gs.NotIrreducibleError, gs.NoCyclesError):
+                refused = False
+            assert refused == (not gs.is_type_a(q).verdict), q
+        assert shapes >= 100
 
 
 def _distance(q: gs.Quiver, u: int, v: int) -> int:
