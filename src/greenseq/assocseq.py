@@ -27,7 +27,7 @@ from .embedding import (
 )
 from .green import MgsReport, NotAcyclicError, acyclic_mgs
 from .quiver import Quiver
-from .typea import NotTypeAError, is_type_a, oriented_triangles
+from .typea import NotTypeAError
 
 
 @dataclass(frozen=True)
@@ -81,26 +81,29 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
 
     Every irreducible summand must be type A (tree of 3-cycles) or acyclic;
     acyclic summands get their source order.  A summand that is neither is
-    reported by its first failing type-A condition.  The concatenation is
-    verified before returning.
+    reported by its first failing type-A condition, which is recognised only
+    on that failure path.  The concatenation is verified before returning.
     """
     dec = decompose(q)
     parts: list[tuple[int, ...]] = []
     embeddings: list[EmbeddedQuiver | None] = []
     for p in range(len(dec.summands)):
         part, _ = dec.part(p)
-        if not oriented_triangles(part):
-            try:
-                parts.append(acyclic_mgs(part))
-                embeddings.append(None)
-                continue
-            except NotAcyclicError:
-                pass  # a directed cycle but no 3-cycle: condition (i) fails below
-        report = is_type_a(part)
-        if not report.verdict:
-            bad = next(c for c in report.conditions if not c.passed)
-            raise NotTypeAError(f"summand {p + 1} fails condition {bad.name}: {bad.witness}")
-        emb = embed(part)
+        try:
+            parts.append(acyclic_mgs(part))
+            embeddings.append(None)
+            continue
+        except NotAcyclicError:
+            pass  # a directed cycle: a tree of 3-cycles, or not type A
+        try:
+            emb = embed(part)
+        except NotTypeAError as exc:
+            bad = exc.condition
+            if bad is None:
+                raise
+            raise NotTypeAError(
+                f"summand {p + 1} fails condition {bad.name}: {bad.witness}", bad
+            ) from None
         parts.append(associated_sequence(emb))
         embeddings.append(emb)
     seq, report = concat_mgs_report(dec, parts)

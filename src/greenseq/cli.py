@@ -217,9 +217,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except QuiverParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except QuiverError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -118,18 +118,22 @@ class Decomposition:
         return tuple(len(s) for s in sources)
 
 
-def _strongly_connected_components(q: Quiver) -> list[list[int]]:
-    """Iterative Tarjan on vertices 1..n."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
+def _successors(q: Quiver) -> dict[int, list[int]]:
+    succ: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
     for s, d, _ in q.arrows:
-        adj[s].append(d)
+        succ[s].append(d)
+    return succ
+
+
+def _strongly_connected_components(adj: dict[int, list[int]]) -> list[list[int]]:
+    """Iterative Tarjan on the graph with successor lists ``adj``."""
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     on_stack: set[int] = set()
     stack: list[int] = []
     comps: list[list[int]] = []
     counter = 0
-    for root in range(1, q.n + 1):
+    for root in adj:
         if root in index:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -172,58 +176,29 @@ def _strongly_connected_components(q: Quiver) -> list[list[int]]:
 def decompose(q: Quiver) -> Decomposition:
     """Finest ordered decomposition with t-colored junctions.
 
-    Starts from the strongly connected components and merges any two groups
-    whose junction carries a double arrow (such a junction cannot be part of
-    a t-colored sum), iterating until the quotient is a DAG with simple
-    forward junctions.  Summand order is the topological order of that DAG
+    A junction carrying a double arrow cannot be part of a t-colored sum,
+    so its ends share a summand, and so must all groups on a cycle of the
+    group quotient, until the quotient is a DAG.  That fixpoint is the
+    strongly connected components of the quiver with each double arrow also
+    read backwards.  Summand order is the topological order of the quotient
     with smallest-minimum-vertex tie-break.
     """
-    comps = _strongly_connected_components(q)
-    group_of = {}
-    for gi, comp in enumerate(comps):
-        for v in comp:
-            group_of[v] = gi
-    parent = list(range(len(comps)))
+    adj = _successors(q)
+    for s, d, m in q.arrows:
+        if m >= 2:
+            adj[d].append(s)
+    comps = _strongly_connected_components(adj)
+    group_of = {v: g for g, comp in enumerate(comps) for v in comp}
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    changed = True
-    while changed:
-        changed = False
-        pair_mult: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-        direction: dict[tuple[int, int], set[str]] = {}
-        for s, d, m in q.arrows:
-            gs, gd = find(group_of[s]), find(group_of[d])
-            if gs == gd:
-                continue
-            key = (min(gs, gd), max(gs, gd))
-            direction.setdefault(key, set()).add("fwd" if gs == key[0] else "rev")
-            pair_mult.setdefault(key, {})[(s, d)] = m
-        for key, dirs in direction.items():
-            double = any(m >= 2 for m in pair_mult[key].values())
-            if len(dirs) > 1 or double:
-                parent[find(key[0])] = find(key[1])
-                changed = True
-                break
-
-    groups: dict[int, list[int]] = {}
-    for v in range(1, q.n + 1):
-        groups.setdefault(find(group_of[v]), []).append(v)
-    members = {g: sorted(vs) for g, vs in groups.items()}
-
-    # Topological order of the merged condensation, smallest minimum vertex first.
-    succ: dict[int, set[int]] = {g: set() for g in members}
-    indeg: dict[int, int] = {g: 0 for g in members}
+    # Topological order of the quotient, smallest minimum vertex first.
+    succ: list[set[int]] = [set() for _ in comps]
+    indeg = [0] * len(comps)
     for s, d, _ in q.arrows:
-        gs, gd = find(group_of[s]), find(group_of[d])
+        gs, gd = group_of[s], group_of[d]
         if gs != gd and gd not in succ[gs]:
             succ[gs].add(gd)
             indeg[gd] += 1
-    heap = [(members[g][0], g) for g in members if indeg[g] == 0]
+    heap = [(comp[0], g) for g, comp in enumerate(comps) if indeg[g] == 0]
     heapq.heapify(heap)
     order: list[int] = []
     while heap:
@@ -232,11 +207,9 @@ def decompose(q: Quiver) -> Decomposition:
         for h in succ[g]:
             indeg[h] -= 1
             if indeg[h] == 0:
-                heapq.heappush(heap, (members[h][0], h))
-    if len(order) != len(members):
-        raise DirectSumError("merged summands have no order with forward junctions")
+                heapq.heappush(heap, (comps[h][0], h))
 
-    summands = tuple(tuple(members[g]) for g in order)
+    summands = tuple(tuple(comps[g]) for g in order)
     position = {v: p for p, verts in enumerate(summands) for v in verts}
     cross = tuple(
         sorted((s, d, m) for s, d, m in q.arrows if position[s] != position[d])
@@ -256,7 +229,8 @@ def decomposition_report(dec: Decomposition) -> str:
         part, _ = dec.part(p - 1)
         # a summand fused over a double-arrow junction is reducible but
         # cannot be split without losing the color condition
-        kind = "irreducible" if len(_strongly_connected_components(part)) == 1 else "fused"
+        strong = len(_strongly_connected_components(_successors(part))) == 1
+        kind = "irreducible" if strong else "fused"
         lines.append(f"summand {p}: vertices {{{vs}}} {kind}")
     for (src, dst, mult), color in zip(dec.cross_arrows, dec.colors):
         for _ in range(mult):

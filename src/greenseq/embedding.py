@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .quiver import Quiver, QuiverError
-from .typea import CycleTree, cycle_tree, leaf_cycles
+from .typea import cycle_tree, leaf_cycles
 
 
 class EmbeddingError(QuiverError):
@@ -139,11 +139,6 @@ def _arrow_order(q: Quiver, tri: tuple[int, int, int], v: int) -> tuple[int, int
     raise EmbeddingError(f"triangle {tri} is not oriented through {v}")
 
 
-def default_root(tree: CycleTree) -> tuple[int, int, int]:
-    """The leaf 3-cycle with the smallest minimum vertex id."""
-    return leaf_cycles(tree)[0]
-
-
 def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
     """Embed an irreducible type-A quiver with respect to a root leaf 3-cycle.
 
@@ -151,13 +146,13 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
     leaf 3-cycle with the smallest vertex id.
     """
     tree = cycle_tree(q)
+    leaves = leaf_cycles(tree)
     if root is None:
-        root_tri = default_root(tree)
+        root_tri = leaves[0]
     else:
         root_tri = tuple(sorted(root))
         if len(root_tri) != 3:
             raise EmbeddingError(f"root must be a vertex triple, got {root_tri}")
-    leaves = set(leaf_cycles(tree))
     if root_tri not in leaves:
         raise EmbeddingError(f"root {root_tri} is not a leaf 3-cycle")
     root_idx = tree.nodes.index(root_tri)
@@ -247,11 +242,6 @@ def validate_embedding(e: EmbeddedQuiver) -> tuple[int, ...]:
         else:
             outlets = [c.y, c.z] + outlets[max(j + 1, 2):]
     return tuple(outlets)
-
-
-def outlets(e: EmbeddedQuiver) -> tuple[int, ...]:
-    """Final outlet list, northeast to southwest."""
-    return validate_embedding(e)
 
 
 def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
@@ -372,7 +362,7 @@ def embedding_report(e: EmbeddedQuiver) -> str:
         orient = "up" if c.up else "down"
         parent = "-" if c.parent is None else f"T{c.parent}@{c.parent_role}"
         lines.append(f"T{c.label} {orient} x={c.x} y={c.y} z={c.z} parent={parent}")
-    lines.append("outlets: " + " ".join(str(v) for v in outlets(e)))
+    lines.append("outlets: " + " ".join(str(v) for v in validate_embedding(e)))
     for i, br in enumerate(branches(e), start=1):
         lo, hi = br.labels[0], br.labels[-1]
         span = f"T{lo}" if lo == hi else f"T{lo}..T{hi}"

@@ -24,8 +24,8 @@ from .embedding import (
     descent_path,
     hanging_chain,
 )
-from .permmodel import stage_permutation
-from .quiver import apply_sequence, frame
+from .permmodel import rotation_table, stage_permutation
+from .quiver import Permutation, apply_sequence, frame
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,14 @@ class FrontierMatrix:
 
 def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
     """Composite entries for stage k, per pending-cycle case and next cycle."""
+    return _frontier_matrix(e, k, pending_cycles(e, k))
+
+
+def _frontier_matrix(
+    e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]
+) -> FrontierMatrix:
     entries: list[tuple[int, int, int]] = []
-    for pc in pending_cycles(e, k):
+    for pc in pending:
         cm = e.cycle(pc.label)
         # the y arrow tracks the pending cycle's closing vertex as seen in
         # the processed subquiver: the anchor's x side before its chain
@@ -122,6 +128,14 @@ def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
     return FrontierMatrix(e.quiver.n, tuple(sorted(entries)))
 
 
+def _frontier_labels(e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]) -> set[int]:
+    """Labels of the stage-k frontier cycles: the pending ones and T_{k+1}."""
+    labels = {pc.label for pc in pending}
+    if k < e.n_cycles:
+        labels.add(k + 1)
+    return labels
+
+
 def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> tuple[int, ...]:
     """Frozen coordinates of a frontier vertex, without its own unit entry.
 
@@ -130,29 +144,27 @@ def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> tuple[int, ...]:
     one per descent-path x vertex of stage i.
     """
     vec = [0] * e.quiver.n
-    owner = None
-    for cyc in _frontier_cycles(e, k):
+    for i in _frontier_labels(e, k, pending_cycles(e, k)):
+        cyc = e.cycle(i)
         if v == cyc.y:
             return tuple(vec)
         if v == cyc.z:
-            owner = cyc.label
-            break
-    if owner is None:
-        raise EmbeddingError(f"vertex {v} is not a frontier y or z vertex at stage {k}")
-    r = base_cycle(e, owner)
-    vec[e.cycle(r).x - 1] += 1
+            for u in _z_c_support(e, i):
+                vec[u - 1] += 1
+            return tuple(vec)
+    raise EmbeddingError(f"vertex {v} is not a frontier y or z vertex at stage {k}")
+
+
+def _z_c_support(e: EmbeddedQuiver, i: int) -> list[int]:
+    """The frozen coordinates counted in the base c-vector of z_i, one each
+    (repeats add up): x of the base cycle, z of the cycle just below it
+    unless the base cycle is T1, and x of each descent-path cycle."""
+    r = base_cycle(e, i)
+    support = [e.cycle(r).x]
     if r > 1:
-        vec[e.cycle(r - 1).z - 1] += 1
-    for j in descent_path(e, owner):
-        vec[e.cycle(j).x - 1] += 1
-    return tuple(vec)
-
-
-def _frontier_cycles(e: EmbeddedQuiver, k: int):
-    labels = {pc.label for pc in pending_cycles(e, k)}
-    if k < e.n_cycles:
-        labels.add(k + 1)
-    return [e.cycle(i) for i in sorted(labels)]
+        support.append(e.cycle(r - 1).z)
+    support.extend(e.cycle(j).x for j in descent_path(e, i))
+    return support
 
 
 @dataclass(frozen=True)
@@ -178,52 +190,62 @@ class PredictedMatrix:
 
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
-    if not 0 <= k <= e.n_cycles:
-        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
+    sigma = stage_permutation(e, k)  # raises for k outside 0..n
+    return _stage_assembler(e)(k, sigma)
+
+
+def _stage_assembler(e: EmbeddedQuiver):
+    """The assembly of stage k from sigma_k, with the data that no stage
+    changes (vertex owners, standard order, b0) built once."""
     n = e.quiver.n
     b0 = e.quiver.b_matrix()
-
-    frontier_cycles = {c.label for c in _frontier_cycles(e, k)}
     owner: dict[int, int] = {e.cycle(1).x: 0}
     for c in e.cycles:
         owner.setdefault(c.y, c.label)
         owner.setdefault(c.z, c.label)
     std = e.standard_order()
-    processed = tuple(v for v in std if owner[v] <= k)
-    front = tuple(v for v in std if owner[v] in frontier_cycles)
-    rest = tuple(v for v in std if owner[v] > k and owner[v] not in frontier_cycles)
 
-    mat = [[0] * (2 * n) for _ in range(n)]
-    sigma = stage_permutation(e, k)
+    def assemble(k: int, sigma: Permutation) -> PredictedMatrix:
+        pending = pending_cycles(e, k)
+        frontier_cycles = _frontier_labels(e, k, pending)
+        processed = tuple(v for v in std if owner[v] <= k)
+        front = tuple(v for v in std if owner[v] in frontier_cycles)
+        rest = tuple(v for v in std if owner[v] > k and owner[v] not in frontier_cycles)
 
-    for i in processed:
-        row, b_row = mat[i - 1], b0[sigma.apply(i) - 1]
-        for j in processed:
-            row[j - 1] = b_row[sigma.apply(j) - 1]
-        row[n + sigma.apply(i) - 1] = -1
+        mat = [[0] * (2 * n) for _ in range(n)]
+        image = sigma.images
+        for i in processed:
+            row, b_row = mat[i - 1], b0[image[i - 1] - 1]
+            for j in processed:
+                row[j - 1] = b_row[image[j - 1] - 1]
+            row[n + image[i - 1] - 1] = -1
 
-    untouched = front + rest
-    for u in untouched:
-        row, b_row = mat[u - 1], b0[u - 1]
-        for w in untouched:
-            row[w - 1] = b_row[w - 1]
-    for i in frontier_cycles:
-        cyc = e.cycle(i)
-        # the y-z arrow of a frontier cycle was cancelled when x was mutated
-        mat[cyc.y - 1][cyc.z - 1] = 0
-        mat[cyc.z - 1][cyc.y - 1] = 0
+        untouched = front + rest
+        for u in untouched:
+            row, b_row = mat[u - 1], b0[u - 1]
+            for w in untouched:
+                row[w - 1] = b_row[w - 1]
+        for i in frontier_cycles:
+            cyc = e.cycle(i)
+            # the y-z arrow of a frontier cycle was cancelled when x was mutated
+            mat[cyc.y - 1][cyc.z - 1] = 0
+            mat[cyc.z - 1][cyc.y - 1] = 0
 
-    for i, j, val in frontier_matrix(e, k).entries:
-        mat[i - 1][j - 1] = val
-        mat[j - 1][i - 1] = -val
+        for i, j, val in _frontier_matrix(e, k, pending).entries:
+            mat[i - 1][j - 1] = val
+            mat[j - 1][i - 1] = -val
 
-    for v in untouched:
-        mat[v - 1][n + v - 1] = 1
-        if owner[v] in frontier_cycles:
-            for j, c in enumerate(base_c_vector(e, k, v), start=n):
-                mat[v - 1][j] += c
+        for v in untouched:
+            row = mat[v - 1]
+            row[n + v - 1] = 1
+            # a frontier y vertex has a zero base c-vector
+            if owner[v] in frontier_cycles and v == e.cycle(owner[v]).z:
+                for u in _z_c_support(e, owner[v]):
+                    row[n + u - 1] += 1
 
-    return PredictedMatrix(k, processed, front, rest, tuple(map(tuple, mat)))
+        return PredictedMatrix(k, processed, front, rest, tuple(map(tuple, mat)))
+
+    return assemble
 
 
 @dataclass(frozen=True)
@@ -258,10 +280,11 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     """Compare predicted and directly mutated matrices for every stage."""
     n = e.quiver.n
     eq = frame(e.quiver)
+    assemble = _stage_assembler(e)
     checks = []
-    for k in range(e.n_cycles + 1):
+    for k, (_, sigma) in enumerate(rotation_table(e)):
         eq = apply_sequence(eq, stage_parts(e, k).sequence())
-        predicted = predicted_matrix(e, k).matrix
+        predicted = assemble(k, sigma).matrix
         if predicted == eq.rows:
             checks.append(StageCheck(k, True, None))
         else:

@@ -15,11 +15,11 @@ reports any violation with a witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
+    EmbeddingError,
     base_cycle,
     closing_vertex,
     descent_path,
@@ -37,26 +37,23 @@ def stage_rotation(e: EmbeddedQuiver, k: int) -> Permutation:
     return Permutation.from_cycle(n, seq[1:])
 
 
-def _rotations(e: EmbeddedQuiver, k: int) -> Iterator[tuple[Permutation, Permutation]]:
-    """(tau_j, sigma_j) for j = 0..k; sigma_j applies tau_j, then sigma_{j-1}."""
+def rotation_table(e: EmbeddedQuiver) -> tuple[tuple[Permutation, Permutation], ...]:
+    """(tau_k, sigma_k) for k = 0..n, in one fold: sigma_k applies tau_k,
+    then sigma_{k-1}."""
     sigma = Permutation.identity(e.quiver.n)
-    for j in range(k + 1):
-        tau = stage_rotation(e, j)
+    table = []
+    for k in range(e.n_cycles + 1):
+        tau = stage_rotation(e, k)
         sigma = tau.then(sigma)
-        yield tau, sigma
+        table.append((tau, sigma))
+    return tuple(table)
 
 
 def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
     """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
-    sigma = Permutation.identity(e.quiver.n)
-    for _, sigma in _rotations(e, k):
-        pass
-    return sigma
-
-
-def rotation_table(e: EmbeddedQuiver) -> tuple[tuple[Permutation, Permutation], ...]:
-    """(tau_k, sigma_k) for k = 0..n."""
-    return tuple(_rotations(e, e.n_cycles))
+    if not 0 <= k <= e.n_cycles:
+        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
+    return rotation_table(e)[k][1]
 
 
 @dataclass(frozen=True)

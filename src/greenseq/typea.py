@@ -16,7 +16,11 @@ from .quiver import Quiver, QuiverError
 
 
 class NotTypeAError(QuiverError):
-    pass
+    """Not type A; ``condition`` is the first failing condition when known."""
+
+    def __init__(self, message: str, condition: ConditionResult | None = None):
+        super().__init__(message)
+        self.condition = condition
 
 
 class NotIrreducibleError(QuiverError):
@@ -181,26 +185,23 @@ def type_a_report_text(report: TypeAReport) -> str:
 class CycleTree:
     """The 3-cycles of an irreducible type-A quiver and their sharing tree.
 
-    ``edges`` connect triangles that share a vertex, labelled by it.  Every
-    vertex lies in at most two triangles and every arrow in exactly one.
+    ``edges`` connect triangles that share a vertex, labelled by it, and
+    ``adjacency[i]`` lists node i's (other node index, shared vertex) pairs,
+    sorted.  Every vertex lies in at most two triangles and every arrow in
+    exactly one.
     """
 
     quiver: Quiver
     nodes: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]  # (node index, node index, shared vertex)
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
 
     def degree(self, i: int) -> int:
-        return sum(1 for a, b, _ in self.edges if i in (a, b))
+        return len(self.adjacency[i])
 
     def neighbors_of(self, i: int) -> tuple[tuple[int, int], ...]:
         """(other node index, shared vertex) pairs."""
-        out = []
-        for a, b, v in self.edges:
-            if a == i:
-                out.append((b, v))
-            elif b == i:
-                out.append((a, v))
-        return tuple(sorted(out))
+        return self.adjacency[i]
 
 
 def cycle_tree(q: Quiver) -> CycleTree:
@@ -209,7 +210,8 @@ def cycle_tree(q: Quiver) -> CycleTree:
     Raises NotTypeAError / NotIrreducibleError / NoCyclesError when the
     input is outside this shape; acyclic summands are the caller's job.
     A tree of 3-cycles meets all four type-A conditions, so ``is_type_a``
-    runs only when the shape check fails, to name the failing condition.
+    runs only when the shape check fails, to name the failing condition,
+    which the NotTypeAError carries.
     """
     try:
         return _tree_shape(q)
@@ -218,7 +220,7 @@ def cycle_tree(q: Quiver) -> CycleTree:
         if report.verdict:
             raise
         bad = next(c for c in report.conditions if not c.passed)
-        raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}") from None
+        raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}", bad) from None
 
 
 def _tree_shape(q: Quiver) -> CycleTree:
@@ -243,35 +245,35 @@ def _tree_shape(q: Quiver) -> CycleTree:
         for v in tri:
             in_tris.setdefault(v, []).append(i)
     edges = []
+    adj: list[list[tuple[int, int]]] = [[] for _ in tris]
     for v, owners in sorted(in_tris.items()):
         if len(owners) > 2:
             raise NotTypeAError(f"vertex {v} lies in {len(owners)} 3-cycles")
         if len(owners) == 2:
-            edges.append((owners[0], owners[1], v))
+            a, b = owners
+            edges.append((a, b, v))
+            adj[a].append((b, v))
+            adj[b].append((a, v))
     covered = {v for tri in tris for v in tri}
     if covered != set(range(1, q.n + 1)):
         raise NotIrreducibleError("isolated vertices present")
     # connected + |edges| = |nodes| - 1 makes the sharing graph a tree
     if len(edges) != len(tris) - 1:
         raise NotIrreducibleError("3-cycle sharing graph is not a tree")
-    adj: dict[int, list[int]] = {i: [] for i in range(len(tris))}
-    for a, b, _ in edges:
-        adj[a].append(b)
-        adj[b].append(a)
     seen = {0}
     frontier = [0]
     while frontier:
         i = frontier.pop()
-        for j in adj[i]:
+        for j, _ in adj[i]:
             if j not in seen:
                 seen.add(j)
                 frontier.append(j)
     if len(seen) != len(tris):
         raise NotIrreducibleError("3-cycle sharing graph is disconnected")
-    return CycleTree(q, tris, tuple(edges))
+    return CycleTree(q, tris, tuple(edges), tuple(tuple(sorted(nb)) for nb in adj))
 
 
 def leaf_cycles(tree: CycleTree) -> tuple[tuple[int, int, int], ...]:
     """Triangles of tree degree <= 1, sorted by smallest contained vertex."""
-    leaves = [tree.nodes[i] for i in range(len(tree.nodes)) if tree.degree(i) <= 1]
+    leaves = [tri for tri, nb in zip(tree.nodes, tree.adjacency) if len(nb) <= 1]
     return tuple(sorted(leaves, key=min))

@@ -84,8 +84,8 @@ def test_criterion_03_stage_table(t15):
 
 def test_criterion_04_outlets():
     t0 = time.perf_counter()
-    assert gs.outlets(gs.embed(load("chain10"), (1, 2, 3))) == (20, 21, 13, 9, 7, 5)
-    assert gs.outlets(gs.embed(load("chain11"), (1, 2, 3))) == (22, 23, 5)
+    assert gs.validate_embedding(gs.embed(load("chain10"), (1, 2, 3))) == (20, 21, 13, 9, 7, 5)
+    assert gs.validate_embedding(gs.embed(load("chain11"), (1, 2, 3))) == (22, 23, 5)
     _report(4, "outlet lists before and after the eleventh cycle", t0)
 
 

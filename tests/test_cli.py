@@ -115,6 +115,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "error: summand 1 fails condition i: non-oriented cycle through [1, 2, 3, 4]\n"
 
+    def test_mgs_names_failing_condition_of_second_summand(self, tmp_path):
+        # the 3-cycle 1 -> 2 -> 3 glued by 3 -> 4 to three 3-cycles at vertex
+        # 4; the second summand numbers vertex 4 as 1
+        arrows = [(1, 2), (2, 3), (3, 1), (3, 4)]
+        for a, b in ((5, 6), (7, 8), (9, 10)):
+            arrows += [(4, a), (a, b), (b, 4)]
+        f = tmp_path / "sum.quiver"
+        f.write_text("quiver 10\n" + "".join(f"arrow {s} {d}\n" for s, d in arrows))
+        code, out, err = run("mgs", f)
+        assert code == 2 and out == ""
+        assert err == "error: summand 2 fails condition ii: vertex 1 has 6 neighbors\n"
+
+    def test_fused_cycle_of_groups(self, tmp_path):
+        # 1 => 2 fuses with the path 1 -> 3 -> 4 -> 2 into one acyclic
+        # summand, which gets its source order like the Kronecker quiver;
+        # the type-A check names the double arrow
+        f = tmp_path / "fused.quiver"
+        f.write_text("quiver 4\narrow 1 2 2\narrow 1 3\narrow 3 4\narrow 4 2\n")
+        assert run("decompose", f) == (0, "summand 1: vertices {1,2,3,4} fused\n", "")
+        code, out, err = run("mgs", f)
+        assert code == 0 and err == ""
+        assert out.splitlines() == ["mgs length=4", "1 3 4 2", "permutation: ()", "verified: true"]
+        code, out, _ = run("check-type-a", f)
+        assert code == 1 and "condition i: FAIL witness: double arrow 1 -> 2" in out
+
     def test_mgs_acyclic_summand_not_type_a_gets_source_order(self, tmp_path):
         f = tmp_path / "kronecker.quiver"
         f.write_text("quiver 2\narrow 1 2 2\n")

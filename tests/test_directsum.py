@@ -143,12 +143,13 @@ class TestDecompose:
         q = gs.Quiver.from_arrows(3, [(1, 2, 2), (1, 3), (3, 2)])
         assert gs.decompose(q).summands == ((1, 2, 3),)
 
-    def test_fusion_closing_a_longer_cycle_is_a_typed_error(self):
+    def test_fusion_closing_a_longer_cycle_fuses_the_cycle(self):
         # fusing 1 => 2 leaves the path 1 -> 3 -> 4 -> 2 running out of and
-        # back into one summand; the refusal must not rely on an assert
+        # back into one summand, so the whole cycle of groups fuses
         q = gs.Quiver.from_arrows(4, [(1, 2, 2), (1, 3), (3, 4), (4, 2)])
-        with pytest.raises(gs.DirectSumError, match="no order"):
-            gs.decompose(q)
+        dec = gs.decompose(q)
+        assert dec.summands == ((1, 2, 3, 4),) and dec.cross_arrows == ()
+        assert gs.decomposition_report(dec) == "summand 1: vertices {1,2,3,4} fused\n"
 
 
 class TestJunctionInvariants:

@@ -165,23 +165,23 @@ class TestEmbed:
 
 class TestOutlets:
     def test_chain10(self, echain10):
-        assert gs.outlets(echain10) == (20, 21, 13, 9, 7, 5)
+        assert gs.validate_embedding(echain10) == (20, 21, 13, 9, 7, 5)
 
     def test_chain10_extended(self, echain11):
-        assert gs.outlets(echain11) == (22, 23, 5)
+        assert gs.validate_embedding(echain11) == (22, 23, 5)
 
     def test_single_cycle(self, a3cycle):
-        assert gs.outlets(gs.embed(a3cycle)) == (3, 2)
+        assert gs.validate_embedding(gs.embed(a3cycle)) == (3, 2)
 
     def test_tree15(self, t15):
-        assert gs.outlets(t15) == (30, 31, 19, 5)
+        assert gs.validate_embedding(t15) == (30, 31, 19, 5)
 
     def test_outlets_have_degree_two(self):
         rng = random.Random(26)
         for _ in range(40):
             q, root = random_tree_quiver(rng, 9)
             e = gs.embed(q, root)
-            for v in gs.outlets(e):
+            for v in gs.validate_embedding(e):
                 assert q.degree(v) == 2
 
 

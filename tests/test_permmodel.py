@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 import greenseq as gs
 from helpers import random_tree_quiver
 
@@ -69,9 +71,18 @@ class TestStagePermutation:
     def test_rotation_table_consistent(self, t16):
         table = gs.rotation_table(t16)
         assert len(table) == 17
+        sigma = gs.Permutation.identity(t16.quiver.n)
         for k in range(17):
-            assert table[k][0] == gs.stage_rotation(t16, k)
-            assert table[k][1] == gs.stage_permutation(t16, k)
+            tau = gs.stage_rotation(t16, k)
+            sigma = tau.then(sigma)
+            assert table[k] == (tau, sigma)
+            assert gs.stage_permutation(t16, k) == sigma
+
+    def test_out_of_range_stage_rejected(self, t15):
+        # sigma_k exists for k = 0..n only; -1 must not read as the last stage
+        for k in (-1, t15.n_cycles + 1):
+            with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
+                gs.stage_permutation(t15, k)
 
 
 class TestIdentityReport:

@@ -263,6 +263,26 @@ class TestCycleTree:
                 assert q.degree(v) in (2, 4)
 
 
+    def test_adjacency_matches_edge_scan(self):
+        # oracle: degree, neighbors and leaves read off the edge list
+        rng = random.Random(15)
+        for _ in range(60):
+            q, _ = random_tree_quiver(rng, 30)
+            tree = gs.cycle_tree(q)
+            for a, b, v in tree.edges:
+                assert v in tree.nodes[a] and v in tree.nodes[b]
+            for i in range(len(tree.nodes)):
+                scan = [(b, v) for a, b, v in tree.edges if a == i]
+                scan += [(a, v) for a, b, v in tree.edges if b == i]
+                assert tree.neighbors_of(i) == tuple(sorted(scan))
+                assert tree.degree(i) == len(scan)
+            leaves = [
+                tri for i, tri in enumerate(tree.nodes)
+                if sum(i in (a, b) for a, b, _ in tree.edges) <= 1
+            ]
+            assert gs.leaf_cycles(tree) == tuple(sorted(leaves, key=min))
+
+
 class TestLeafCycles:
     def test_single(self, a3cycle):
         assert gs.leaf_cycles(gs.cycle_tree(a3cycle)) == ((1, 2, 3),)
