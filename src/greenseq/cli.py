@@ -159,7 +159,7 @@ def cmd_model_check(args) -> int:
     return 0 if report.ok else 1
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="greenseq",
         description="Quiver mutation and maximal green sequences for type-A quivers.",
@@ -213,8 +213,15 @@ def main(argv=None) -> int:
     p.add_argument("--root", help="root leaf 3-cycle")
     p.add_argument("--permutations", action="store_true", help="also check permutation identities")
     p.set_defaults(func=cmd_model_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once: parse_args leaves the parser unchanged
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except QuiverError as exc:

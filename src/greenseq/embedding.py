@@ -45,15 +45,6 @@ class EmbeddedCycle:
     def triple(self) -> tuple[int, int, int]:
         return tuple(sorted((self.x, self.y, self.z)))
 
-    def role_of(self, v: int) -> str:
-        if v == self.x:
-            return "x"
-        if v == self.y:
-            return "y"
-        if v == self.z:
-            return "z"
-        raise EmbeddingError(f"vertex {v} not in cycle T{self.label}")
-
 
 @dataclass(frozen=True)
 class Branch:
@@ -99,12 +90,12 @@ class EmbeddedQuiver:
             return None
         return c
 
-    def is_branching(self, k: int, upto: int | None = None) -> bool:
+    def is_branching(self, k: int) -> bool:
         c = self.cycle(k)
         return (
             c.parent is not None
-            and self.child_at_y(k, upto) is not None
-            and self.child_at_z(k, upto) is not None
+            and self.child_at_y(k) is not None
+            and self.child_at_z(k) is not None
         )
 
     def __eq__(self, other: object) -> bool:
@@ -168,7 +159,11 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
     _, x1, y1 = _arrow_order(q, root_tri, shared)
     cycles: list[EmbeddedCycle] = [EmbeddedCycle(1, True, x1, y1, shared, None, None)]
 
-    def place_subtree(tri_idx: int, attach_vertex: int, parent_label: int, parent_role: str) -> None:
+    # depth-first on an explicit stack, since a chain of 3-cycles may be
+    # longer than the recursion limit; a cycle is labelled when it is popped
+    stack = [(neighbor_idx, shared, 1, "z", root_idx)]
+    while stack:
+        tri_idx, attach_vertex, parent_label, parent_role, parent_idx = stack.pop()
         tri = tree.nodes[tri_idx]
         label = len(cycles) + 1
         _, y, z = _arrow_order(q, tri, attach_vertex)
@@ -177,7 +172,7 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
         )
         children = {}
         for other_idx, v in tree.neighbors_of(tri_idx):
-            if other_idx == parent_idx_of[tri_idx]:
+            if other_idx == parent_idx:
                 continue
             if v == y:
                 children["y"] = other_idx
@@ -187,17 +182,11 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
                 raise EmbeddingError(
                     f"cycle {tree.nodes[other_idx]} attaches at the entry vertex of {tri}"
                 )
-        # y-side subtree first: building it keeps the z outlet alive, while
-        # the reverse order would kill the y attachment point.
-        if "y" in children:
-            parent_idx_of[children["y"]] = tri_idx
-            place_subtree(children["y"], y, label, "y")
-        if "z" in children:
-            parent_idx_of[children["z"]] = tri_idx
-            place_subtree(children["z"], z, label, "z")
-
-    parent_idx_of: dict[int, int | None] = {root_idx: None, neighbor_idx: root_idx}
-    place_subtree(neighbor_idx, shared, 1, "z")
+        # y-side subtree first (pushed last): building it keeps the z outlet
+        # alive, while the reverse order would kill the y attachment point.
+        for role, vertex in (("z", z), ("y", y)):
+            if role in children:
+                stack.append((children[role], vertex, label, role, tri_idx))
     e = EmbeddedQuiver(q, cycles)
     validate_embedding(e)
     return e
@@ -296,32 +285,28 @@ def base_cycle(e: EmbeddedQuiver, k: int) -> int:
     return e.cycle(descent_path(e, k)[-1]).parent
 
 
-def hanging_chain(e: EmbeddedQuiver, k: int, upto: int | None = None) -> tuple[int, ...]:
+def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     """The chain of cycles hanging over T_k's descent path (its twig).
 
     Looks for the highest-labelled cycle on the path (the base cycle or any
     interior one, never T_k itself) whose y vertex has a cycle attached,
     takes that y-child, and follows z-children as far as they go.  Empty for
-    upward T_k and when no such y vertex exists.  ``upto`` restricts to the
-    subquiver on cycles T1..T_upto.
+    upward T_k and when no such y vertex exists.
     """
     if e.cycle(k).up:
         return ()
     path = descent_path(e, k)
     candidates = [base_cycle(e, k)] + list(path[1:])
-    anchor = None
-    for j in candidates:
-        if e.child_at_y(j, upto) is not None and (anchor is None or j > anchor):
-            anchor = j
+    anchor = max((j for j in candidates if e.child_at_y(j) is not None), default=None)
     if anchor is None:
         return ()
-    chain = [e.child_at_y(anchor, upto)]
-    while (nxt := e.child_at_z(chain[-1], upto)) is not None:
+    chain = [e.child_at_y(anchor)]
+    while (nxt := e.child_at_z(chain[-1])) is not None:
         chain.append(nxt)
     return tuple(chain)
 
 
-def closing_vertex(e: EmbeddedQuiver, k: int, upto: int | None = None) -> int:
+def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
     """The vertex mutated last in stage k.
 
     x_k for an upward cycle; for a downward cycle, x of the base cycle when
@@ -330,7 +315,7 @@ def closing_vertex(e: EmbeddedQuiver, k: int, upto: int | None = None) -> int:
     c = e.cycle(k)
     if c.up:
         return c.x
-    chain = hanging_chain(e, k, upto)
+    chain = hanging_chain(e, k)
     if not chain:
         return e.cycle(base_cycle(e, k)).x
     return e.cycle(chain[-1]).z

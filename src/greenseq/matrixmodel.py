@@ -60,26 +60,29 @@ def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
     """Pending cycles at stage k: anchor processed, own y and z not."""
     if not 0 <= k <= e.n_cycles:
         raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    entries = []
-    for m in pending_set(e):
-        anchor = e.cycle(m).parent
-        if not anchor <= k < m:
-            continue
-        chain = hanging_chain(e, m)
-        if not chain or chain[0] != anchor + 1:
-            raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
-        done = [s for s in chain if s <= k]
-        progress = max(done) if done else None
-        if progress is None:
-            if anchor != k:
+    return _pending_stages(e)(k)
+
+
+def _pending_stages(e: EmbeddedQuiver):
+    """``pending_cycles`` of each stage, with the pending set and every
+    pending cycle's chain built once."""
+    hung = [(m, e.cycle(m).parent, hanging_chain(e, m)) for m in pending_set(e)]
+
+    def at(k: int) -> tuple[PendingCycle, ...]:
+        entries = []
+        for m, anchor, chain in hung:
+            if not anchor <= k < m:
+                continue
+            if not chain or chain[0] != anchor + 1:
+                raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
+            progress = max((s for s in chain if s <= k), default=None)
+            if progress is None and anchor != k:
                 raise EmbeddingError(f"pending T{m} has an unprocessed chain at stage {k}")
-            case = 3
-        elif progress == chain[-1]:
-            case = 2
-        else:
-            case = 1
-        entries.append(PendingCycle(m, anchor, chain, progress, case))
-    return tuple(entries)
+            case = 3 if progress is None else (2 if progress == chain[-1] else 1)
+            entries.append(PendingCycle(m, anchor, chain, progress, case))
+        return tuple(entries)
+
+    return at
 
 
 @dataclass(frozen=True)
@@ -106,9 +109,10 @@ def _frontier_matrix(
     for pc in pending:
         cm = e.cycle(pc.label)
         # the y arrow tracks the pending cycle's closing vertex as seen in
-        # the processed subquiver: the anchor's x side before its chain
-        # starts, then z of the last processed chain cycle
-        entries.append((cm.y, closing_vertex(e, pc.label, upto=k), 1))
+        # the processed subquiver: the anchor's closing vertex before its
+        # chain starts, then z of the last processed chain cycle
+        closing = closing_vertex(e, pc.anchor) if pc.progress is None else e.cycle(pc.progress).z
+        entries.append((cm.y, closing, 1))
         entries.append((cm.z, cm.x, -1))
         if pc.case == 1:
             nxt = pc.chain[pc.chain.index(pc.progress) + 1]
@@ -117,11 +121,11 @@ def _frontier_matrix(
             entries.append((cm.y, e.cycle(pc.chain[0]).z, -1))
     if k < e.n_cycles:
         nc = e.cycle(k + 1)
-        entries.append((nc.y, closing_vertex(e, k + 1, upto=k), 1))
+        entries.append((nc.y, closing_vertex(e, k + 1), 1))
         if not nc.up:
             entries.append((nc.z, nc.x, -1))
         elif k >= 1:
-            entries.append((nc.z, closing_vertex(e, k, upto=k), -1))
+            entries.append((nc.z, closing_vertex(e, k), -1))
         else:
             # the only mutation so far is the one at x1
             entries.append((nc.z, e.cycle(1).x, -1))
@@ -196,46 +200,48 @@ def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
 
 def _stage_assembler(e: EmbeddedQuiver):
     """The assembly of stage k from sigma_k, with the data that no stage
-    changes (vertex owners, standard order, b0) built once."""
+    changes (vertex owners, standard order, pending chains) built once."""
     n = e.quiver.n
-    b0 = e.quiver.b_matrix()
     owner: dict[int, int] = {e.cycle(1).x: 0}
     for c in e.cycles:
         owner.setdefault(c.y, c.label)
         owner.setdefault(c.z, c.label)
     std = e.standard_order()
+    pending_at = _pending_stages(e)
 
     def assemble(k: int, sigma: Permutation) -> PredictedMatrix:
-        pending = pending_cycles(e, k)
+        pending = pending_at(k)
         frontier_cycles = _frontier_labels(e, k, pending)
-        processed = tuple(v for v in std if owner[v] <= k)
-        front = tuple(v for v in std if owner[v] in frontier_cycles)
-        rest = tuple(v for v in std if owner[v] > k and owner[v] not in frontier_cycles)
+        # lists, not generators: CPython builds tuple(generator) by resizing,
+        # and once freed such tuples pile up in its tuple free lists
+        processed = tuple([v for v in std if owner[v] <= k])
+        front = tuple([v for v in std if owner[v] in frontier_cycles])
+        rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
 
+        # Q's arrows, relabelled by sigma_k (which permutes the processed
+        # vertices) within the processed block, as they are among the untouched
+        # vertices bar a frontier cycle's y-z arrow, cancelled when its x was
+        # mutated; only the frontier entries join the two blocks
         mat = [[0] * (2 * n) for _ in range(n)]
+        preimage = sigma.inverse().images
+        for s, d, m in e.quiver.arrows:
+            if owner[s] <= k and owner[d] <= k:
+                i, j = preimage[s - 1], preimage[d - 1]
+            elif owner[s] > k and owner[d] > k and not owner[s] == owner[d] in frontier_cycles:
+                i, j = s, d
+            else:
+                continue
+            mat[i - 1][j - 1] = m
+            mat[j - 1][i - 1] = -m
         image = sigma.images
         for i in processed:
-            row, b_row = mat[i - 1], b0[image[i - 1] - 1]
-            for j in processed:
-                row[j - 1] = b_row[image[j - 1] - 1]
-            row[n + image[i - 1] - 1] = -1
-
-        untouched = front + rest
-        for u in untouched:
-            row, b_row = mat[u - 1], b0[u - 1]
-            for w in untouched:
-                row[w - 1] = b_row[w - 1]
-        for i in frontier_cycles:
-            cyc = e.cycle(i)
-            # the y-z arrow of a frontier cycle was cancelled when x was mutated
-            mat[cyc.y - 1][cyc.z - 1] = 0
-            mat[cyc.z - 1][cyc.y - 1] = 0
+            mat[i - 1][n + image[i - 1] - 1] = -1
 
         for i, j, val in _frontier_matrix(e, k, pending).entries:
             mat[i - 1][j - 1] = val
             mat[j - 1][i - 1] = -val
 
-        for v in untouched:
+        for v in front + rest:
             row = mat[v - 1]
             row[n + v - 1] = 1
             # a frontier y vertex has a zero base c-vector

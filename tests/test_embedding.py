@@ -8,6 +8,7 @@ import pytest
 
 import greenseq as gs
 from conftest import load
+from greenseq.cli import main
 from helpers import consecutive_run_region, random_tree_quiver
 
 
@@ -75,6 +76,26 @@ class TestEmbed:
             e = gs.embed(q, root)
             assert gs.embed(q, root) == e
             gs.validate_embedding(e)
+
+    def test_long_chain_past_recursion_limit(self, tmp_path, capsys):
+        # 1,200 3-cycles, each hung on the newest vertex of the one before:
+        # the depth-first labelling must not recurse once per cycle
+        arrows = []
+        for k in range(1, 1201):
+            x, y, z = 2 * k - 1, 2 * k, 2 * k + 1
+            arrows += [(x, y), (y, z), (z, x)]
+        q = gs.Quiver.from_arrows(2401, arrows)
+        e = gs.embed(q)
+        assert [c.label for c in e.cycles] == list(range(1, 1201))
+        for c in e.cycles:
+            k = c.label
+            assert c.triple == (2 * k - 1, 2 * k, 2 * k + 1)
+            assert c.parent == (None if k == 1 else k - 1)
+        path = tmp_path / "chain1200.quiver"
+        path.write_text(gs.serialize_quiver(q))
+        assert main(["embed", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("T1 up ")
 
     def test_all_roots_valid(self):
         rng = random.Random(24)

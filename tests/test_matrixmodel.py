@@ -86,7 +86,7 @@ class TestFrontierMatrix:
         fm = dict(((i, j), v) for i, j, v in gs.frontier_matrix(t15, 1).entries)
         c2 = t15.cycle(2)
         assert fm[(c2.z, c2.x)] == -1
-        assert fm[(c2.y, gs.closing_vertex(t15, 2, upto=1))] == 1
+        assert fm[(c2.y, gs.closing_vertex(t15, 2))] == 1
 
 
 class TestCVectors:
@@ -203,6 +203,34 @@ class TestVerifyModel:
             q, root = random_tree_quiver(rng, 12)
             report = gs.verify_model(gs.embed(q, root))
             assert report.ok, report.text()
+
+    def test_randomized_larger_trees(self):
+        # both stage models on trees of 20-40 cycles, past the fixtures'
+        # 16 and the 12-cycle bound above
+        rng = random.Random(102)
+        done = 0
+        while done < 10:
+            q, root = random_tree_quiver(rng, 40)
+            e = gs.embed(q, root)
+            if e.n_cycles < 20:
+                continue
+            report = gs.verify_model(e)
+            assert report.ok, report.text()
+            perms = gs.check_permutation_identities(e)
+            assert perms.ok, perms.text()
+            done += 1
+
+    def test_pending_set_built_once(self, t16, monkeypatch):
+        calls = []
+        original = gs.matrixmodel.pending_set
+
+        def counted(e):
+            calls.append(e)
+            return original(e)
+
+        monkeypatch.setattr(gs.matrixmodel, "pending_set", counted)
+        assert gs.verify_model(t16).ok
+        assert len(calls) == 1
 
     def test_detects_wrong_prediction(self, t15):
         # breaking one orientation flips frontier entries: the comparison
