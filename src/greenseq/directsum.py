@@ -69,11 +69,7 @@ def color_count(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> int:
 def net_arrows(state: Quiver | ExtendedQuiver, x: int, y: int, *, frozen: bool = False) -> int:
     """Signed arrow count from x to y; y may address a frozen vertex."""
     if isinstance(state, ExtendedQuiver):
-        if frozen:
-            if not 1 <= y <= state.m:
-                raise QuiverError(f"frozen vertex {y} out of range 1..{state.m}")
-            return state.entry(x, y, frozen=True)
-        return state.entry(x, y)
+        return state.entry(x, y, frozen=frozen)
     if frozen:
         raise QuiverError("plain quivers have no frozen vertices")
     if not (1 <= x <= state.n and 1 <= y <= state.n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import chain, permutations as _all_permutations
+from itertools import permutations as _all_permutations
 from typing import Iterator, Sequence
 
 from .quiver import (
@@ -103,12 +103,13 @@ def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
 
 def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None:
     """If eq = [B_{Q sigma} | -M(sigma)], return sigma; else None."""
+    n, rows = eq.n, eq.sparse_rows
     images = []
-    for row in eq.rows:
-        frozen = row[eq.n :]
-        if frozen.count(0) != len(frozen) - 1 or -1 not in frozen:
+    for row in rows:
+        frozen = [(j, v) for j, v in row.items() if j >= n]
+        if len(frozen) != 1 or frozen[0][1] != -1:
             return None
-        images.append(frozen.index(-1) + 1)
+        images.append(frozen[0][0] - n + 1)
     try:
         sigma = Permutation(tuple(images))
     except QuiverError:
@@ -116,9 +117,8 @@ def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None
     # (B_{Q sigma})_{ij} = (B_Q)_{i sigma, j sigma}: each arrow s -> d of Q
     # sits at (s, d) sigma^-1, and no other mutable entry is nonzero
     inv = sigma.inverse().images
-    nonzero = sum(eq.n - row[: eq.n].count(0) for row in eq.rows)
-    if nonzero != 2 * len(q.arrows) or any(
-        eq.rows[inv[s - 1] - 1][inv[d - 1] - 1] != m for s, d, m in q.arrows
+    if sum(map(len, rows)) - n != 2 * len(q.arrows) or any(
+        rows[inv[s - 1] - 1].get(inv[d - 1] - 1) != m for s, d, m in q.arrows
     ):
         return None
     return sigma
@@ -289,13 +289,13 @@ class ExchangeGraphSlice:
         n = self.quiver.n
         if n > 8:
             raise QuiverError("iso classes are only computed for n <= 8")
-        keys = {
-            min(
-                tuple(tuple(node.rows[i][j] for j in p) + node.rows[i][n:] for i in p)
+        keys = set()
+        for node in self.nodes:
+            rows = node.rows
+            keys.add(min(
+                tuple(tuple(rows[i][j] for j in p) + rows[i][n:] for i in p)
                 for p in _all_permutations(range(n))
-            )
-            for node in self.nodes
-        }
+            ))
         return len(keys)
 
 
@@ -332,11 +332,16 @@ def matrix_hash(eq: ExtendedQuiver) -> str:
     """Stable 16-hex-digit content hash of an extended matrix.
 
     The payload is the ``extb`` header plus the row-major entries as native
-    int64 bytes.  A matrix with an entry outside int64 hashes its
-    ``format_extended`` text after a ``big`` tag instead.
+    int64 bytes, zeros included.  A matrix with an entry outside int64
+    hashes its ``format_extended`` text after a ``big`` tag instead.
     """
+    width = eq.n + eq.m
+    flat = [0] * (eq.n * width)
+    for i, row in enumerate(eq.sparse_rows):
+        for j, v in row.items():
+            flat[i * width + j] = v
     try:
-        body = struct.pack(f"{eq.n * (eq.n + eq.m)}q", *chain.from_iterable(eq.rows))
+        body = struct.pack(f"{len(flat)}q", *flat)
     except struct.error:
         body = b"big\n" + format_extended(eq).encode()
     return hashlib.sha256(f"extb {eq.n} {eq.m}\n".encode() + body).hexdigest()[:16]

@@ -8,7 +8,8 @@ not), and the untouched rest.  The frontier's arrows to the rest are the
 original ones; its arrows into the processed part and among itself follow a
 short list of composite entries; its c-vectors have an explicit closed
 form.  ``predicted_matrix`` assembles the whole matrix from these pieces
-and ``verify_model`` compares it entrywise against direct mutation.
+and ``verify_model`` compares it, row by sparse row, against direct
+mutation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .embedding import (
     hanging_chain,
 )
 from .permmodel import rotation_table, stage_permutation
-from .quiver import Permutation, apply_sequence, frame
+from .quiver import Permutation, _dense, apply_sequence, frame
 
 
 @dataclass(frozen=True)
@@ -195,12 +196,17 @@ class PredictedMatrix:
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
     sigma = stage_permutation(e, k)  # raises for k outside 0..n
-    return _stage_assembler(e)(k, sigma)
+    processed, front, rest, rows = _stage_assembler(e)(k, sigma)
+    return PredictedMatrix(k, processed, front, rest, _dense(rows, 2 * e.quiver.n))
 
 
 def _stage_assembler(e: EmbeddedQuiver):
     """The assembly of stage k from sigma_k, with the data that no stage
-    changes (vertex owners, standard order, pending chains) built once."""
+    changes (vertex owners, standard order, pending chains) built once.
+
+    A stage comes out as its processed/frontier/rest split and its sparse
+    ``{column: value}`` rows, in the layout of ``ExtendedQuiver.sparse_rows``.
+    """
     n = e.quiver.n
     owner: dict[int, int] = {e.cycle(1).x: 0}
     for c in e.cycles:
@@ -209,7 +215,7 @@ def _stage_assembler(e: EmbeddedQuiver):
     std = e.standard_order()
     pending_at = _pending_stages(e)
 
-    def assemble(k: int, sigma: Permutation) -> PredictedMatrix:
+    def assemble(k: int, sigma: Permutation):
         pending = pending_at(k)
         frontier_cycles = _frontier_labels(e, k, pending)
         # lists, not generators: CPython builds tuple(generator) by resizing,
@@ -221,8 +227,9 @@ def _stage_assembler(e: EmbeddedQuiver):
         # Q's arrows, relabelled by sigma_k (which permutes the processed
         # vertices) within the processed block, as they are among the untouched
         # vertices bar a frontier cycle's y-z arrow, cancelled when its x was
-        # mutated; only the frontier entries join the two blocks
-        mat = [[0] * (2 * n) for _ in range(n)]
+        # mutated; only the frontier entries join the two blocks.  Every
+        # value written is nonzero, so no zero is stored.
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
         preimage = sigma.inverse().images
         for s, d, m in e.quiver.arrows:
             if owner[s] <= k and owner[d] <= k:
@@ -231,25 +238,25 @@ def _stage_assembler(e: EmbeddedQuiver):
                 i, j = s, d
             else:
                 continue
-            mat[i - 1][j - 1] = m
-            mat[j - 1][i - 1] = -m
+            rows[i - 1][j - 1] = m
+            rows[j - 1][i - 1] = -m
         image = sigma.images
         for i in processed:
-            mat[i - 1][n + image[i - 1] - 1] = -1
+            rows[i - 1][n + image[i - 1] - 1] = -1
 
         for i, j, val in _frontier_matrix(e, k, pending).entries:
-            mat[i - 1][j - 1] = val
-            mat[j - 1][i - 1] = -val
+            rows[i - 1][j - 1] = val
+            rows[j - 1][i - 1] = -val
 
         for v in front + rest:
-            row = mat[v - 1]
+            row = rows[v - 1]
             row[n + v - 1] = 1
             # a frontier y vertex has a zero base c-vector
             if owner[v] in frontier_cycles and v == e.cycle(owner[v]).z:
                 for u in _z_c_support(e, owner[v]):
-                    row[n + u - 1] += 1
+                    row[n + u - 1] = row.get(n + u - 1, 0) + 1
 
-        return PredictedMatrix(k, processed, front, rest, tuple(map(tuple, mat)))
+        return processed, front, rest, tuple(rows)
 
     return assemble
 
@@ -290,16 +297,16 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     checks = []
     for k, (_, sigma) in enumerate(rotation_table(e)):
         eq = apply_sequence(eq, stage_parts(e, k).sequence())
-        predicted = assemble(k, sigma).matrix
-        if predicted == eq.rows:
+        predicted = assemble(k, sigma)[3]
+        if predicted == eq.sparse_rows:
             checks.append(StageCheck(k, True, None))
-        else:
-            r, c = next(
-                (r, c) for r, (p_row, row) in enumerate(zip(predicted, eq.rows))
-                for c, (p, v) in enumerate(zip(p_row, row)) if p != v
-            )
-            col_name = str(c + 1) if c < n else f"{c - n + 1}'"
-            checks.append(
-                StageCheck(k, False, (str(r + 1), col_name, predicted[r][c], eq.rows[r][c]))
-            )
+            continue
+        # the row-major first differing entry; neither side stores a zero
+        r, p_row, row = next(
+            (r, p_row, row) for r, (p_row, row) in enumerate(zip(predicted, eq.sparse_rows))
+            if p_row != row
+        )
+        c = min(j for j in p_row.keys() | row.keys() if p_row.get(j, 0) != row.get(j, 0))
+        col_name = str(c + 1) if c < n else f"{c - n + 1}'"
+        checks.append(StageCheck(k, False, (str(r + 1), col_name, p_row.get(c, 0), row.get(c, 0))))
     return ModelReport(tuple(checks))

@@ -5,6 +5,10 @@ vertices 1..n.  Framing adjoins one frozen vertex i' per mutable vertex i;
 the frozen columns of the extended exchange matrix track c-vector data and
 the green/red state of each mutable vertex.
 
+An extended matrix stores each row as a map from column to nonzero entry,
+so a mutation costs time in the number of nonzeros it touches, not in n:
+on type-A quivers every row stays a handful of entries long.
+
 All values here are immutable: every operation returns a new value and
 leaves its inputs untouched, so instances can be shared freely between
 threads.
@@ -12,9 +16,7 @@ threads.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-from itertools import compress
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -28,6 +30,11 @@ class QuiverParseError(QuiverError):
 
 class SignCoherenceError(QuiverError):
     """A frozen row is mixed-sign or all zero (state not reachable from a framing)."""
+
+
+# Largest vertex count ``parse_quiver`` accepts: the text is outside input,
+# and a quiver allocates per vertex before any arrow is read.
+MAX_VERTICES = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -163,38 +170,85 @@ def subquiver(q: Quiver, vertices: Sequence[int]) -> tuple[Quiver, tuple[int, ..
 # Extended (framed) quivers
 
 
-@dataclass(frozen=True)
 class ExtendedQuiver:
     """Integer exchange matrix with n mutable rows and n+m columns.
 
     Columns 1..n are mutable, columns n+1..n+m are frozen.  The mutable
-    block is skew-symmetric.  ``rows`` holds exact Python ints, so entries
-    have no size limit; states made by mutation share unchanged rows.
+    block is skew-symmetric.  Each row is stored sparse, as a ``{column:
+    value}`` map of its nonzero exact Python ints (columns 0-based, frozen
+    column j' at n+j-1), so entries have no size limit and a zero entry is
+    never stored; states made by mutation share every row they do not
+    change.  ``sparse_rows`` is that shared storage and must not be
+    modified; ``rows`` is the dense view, built on each access.
+
+    ``ExtendedQuiver(n, m, rows)`` takes dense rows and checks their shape
+    and skew-symmetry.  Equality and hashing are exact on the matrix.
     """
 
-    n: int
-    m: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "m", "sparse_rows", "_hash")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
-        if len(rows) != self.n or any(len(row) != self.n + self.m for row in rows):
-            raise QuiverError(f"matrix is not {self.n} x {self.n + self.m}")
-        if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i + 1)):
+    def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]) -> None:
+        dense = tuple(tuple(map(int, row)) for row in rows)
+        if len(dense) != n or any(len(row) != n + m for row in dense):
+            raise QuiverError(f"matrix is not {n} x {n + m}")
+        if any(dense[i][j] != -dense[j][i] for i in range(n) for j in range(i + 1)):
             raise QuiverError("mutable block is not skew-symmetric")
-        object.__setattr__(self, "rows", rows)
+        _set_n(self, n)
+        _set_m(self, m)
+        _set_rows(self, tuple({j: v for j, v in enumerate(row) if v} for row in dense))
 
     @classmethod
-    def _trusted(cls, n: int, m: int, rows: tuple[tuple[int, ...], ...]) -> "ExtendedQuiver":
+    def _trusted(cls, n: int, m: int, rows: tuple[dict[int, int], ...]) -> "ExtendedQuiver":
         """State built by framing or mutation, which keep the mutable block
-        skew-symmetric: skip the constructor's checks."""
+        skew-symmetric and store no zero: skip the constructor's checks."""
         eq = object.__new__(cls)
-        eq.__dict__.update(n=n, m=m, rows=rows)
+        _set_n(eq, n)
+        _set_m(eq, m)
+        _set_rows(eq, rows)
         return eq
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExtendedQuiver):
+            return NotImplemented
+        return (self.n, self.m, self.sparse_rows) == (other.n, other.m, other.sparse_rows)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:  # not hashed yet
+            rows = tuple(map(frozenset, map(dict.items, self.sparse_rows)))
+            _set_hash(self, hash((self.n, self.m, rows)))
+            return self._hash
+
+    def __repr__(self) -> str:
+        return f"ExtendedQuiver(n={self.n}, m={self.m}, rows={self.rows!r})"
+
+    def __reduce__(self):
+        return ExtendedQuiver, (self.n, self.m, self.rows)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view: one tuple of n+m ints per mutable row."""
+        return _dense(self.sparse_rows, self.n + self.m)
+
     def entry(self, i: int, j: int, *, frozen: bool = False) -> int:
-        """Entry for mutable row i and column j (frozen column j' if asked)."""
-        return self.rows[i - 1][self.n + j - 1 if frozen else j - 1]
+        """Entry for mutable row i and column j (frozen column j' if asked).
+
+        Raises QuiverError for i outside 1..n or j outside 1..n (1..m if frozen).
+        """
+        if not 1 <= i <= self.n:
+            raise QuiverError(f"vertex {i} out of range 1..{self.n}")
+        if frozen and not 1 <= j <= self.m:
+            raise QuiverError(f"frozen vertex {j} out of range 1..{self.m}")
+        if not frozen and not 1 <= j <= self.n:
+            raise QuiverError(f"vertex {j} out of range 1..{self.n}")
+        return self.sparse_rows[i - 1].get(self.n + j - 1 if frozen else j - 1, 0)
 
     def extended_part(self) -> tuple[tuple[int, ...], ...]:
         """The frozen columns, one int row per mutable vertex."""
@@ -203,16 +257,35 @@ class ExtendedQuiver:
     def quiver(self) -> Quiver:
         """Quiver of the mutable block."""
         return Quiver(self.n, tuple(
-            (i, j, v) for i, row in enumerate(self.rows, 1)
-            for j, v in enumerate(row[: self.n], 1) if v > 0
+            (i, j + 1, v) for i, row in enumerate(self.sparse_rows, 1)
+            for j, v in row.items() if j < self.n and v > 0
         ))
 
 
+# The class refuses attribute assignment, so its slots are filled through
+# their descriptors (faster than object.__setattr__ on every new state).
+_set_n = ExtendedQuiver.n.__set__
+_set_m = ExtendedQuiver.m.__set__
+_set_rows = ExtendedQuiver.sparse_rows.__set__
+_set_hash = ExtendedQuiver._hash.__set__
+
+
+def _dense(rows: Sequence[dict[int, int]], width: int) -> tuple[tuple[int, ...], ...]:
+    """Dense int rows of the given width from ``{column: value}`` maps."""
+    out = []
+    for row in rows:
+        dense = [0] * width
+        for j, v in row.items():
+            dense[j] = v
+        out.append(tuple(dense))
+    return tuple(out)
+
+
 def _framed(q: Quiver, sign: int) -> ExtendedQuiver:
-    zeros = (0,) * q.n
-    rows = tuple(
-        row + zeros[:i] + (sign,) + zeros[i + 1 :] for i, row in enumerate(q.b_matrix())
-    )
+    rows = tuple({q.n + i: sign} for i in range(q.n))
+    for src, dst, mult in q.arrows:
+        rows[src - 1][dst - 1] = mult
+        rows[dst - 1][src - 1] = -mult
     return ExtendedQuiver._trusted(q.n, q.n, rows)
 
 
@@ -226,42 +299,43 @@ def coframe(q: Quiver) -> ExtendedQuiver:
     return _framed(q, -1)
 
 
-def _mutate_rows(rows: tuple[tuple[int, ...], ...], n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix mutation at mutable vertex ``k``, copy-on-write.
+def _mutate_rows(rows: tuple[dict[int, int], ...], n: int, k: int) -> tuple[dict[int, int], ...]:
+    """Matrix mutation at mutable vertex ``k`` on sparse rows, copy-on-write.
 
     b'_ij = -b_ij when i = k or j = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|)/2.
     The bump is nonzero only when b_ik and b_kj share a sign.  As b_ik = -b_ki,
     row i changes only when b_ki != 0, and then by |b_ki| times each pivot
-    entry b_kj of the sign opposite to b_ki.  Every other row is shared.
+    entry b_kj of the sign opposite to b_ki.  Every other row is shared, and
+    an entry that cancels to zero is deleted.
     """
     if not (1 <= k <= n):
         raise QuiverError(f"mutation vertex {k} is frozen or out of range 1..{n}")
-    pivot = rows[k - 1]
-    nonzero = list(compress(enumerate(pivot), pivot))
-    pos = [(j, v) for j, v in nonzero if v > 0]
-    neg = [(j, v) for j, v in nonzero if v < 0]
+    k0 = k - 1
+    pivot = rows[k0]
     out = list(rows)
-    for touched, other in ((pos, neg), (neg, pos)):
-        for i, u in touched:
-            if i >= n:
-                break
-            row = list(rows[i])
-            for j, v in other:
-                row[j] += abs(u) * v
-            row[k - 1] = u
-            out[i] = tuple(row)
-    out[k - 1] = tuple(map(operator.neg, pivot))
+    for i, u in pivot.items():
+        if i < n:
+            row = out[i] = rows[i].copy()
+            for j, v in pivot.items():
+                if u * v < 0:
+                    w = row.get(j, 0) + abs(u) * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+            row[k0] = u
+    out[k0] = {j: -v for j, v in pivot.items()}
     return tuple(out)
 
 
 def matrix_mutate(eq: ExtendedQuiver, k: int) -> ExtendedQuiver:
     """Mutate the extended matrix at mutable vertex ``k``."""
-    return ExtendedQuiver._trusted(eq.n, eq.m, _mutate_rows(eq.rows, eq.n, k))
+    return ExtendedQuiver._trusted(eq.n, eq.m, _mutate_rows(eq.sparse_rows, eq.n, k))
 
 
 def apply_sequence(eq: ExtendedQuiver, seq: Sequence[int]) -> ExtendedQuiver:
     """Left fold of matrix mutation over ``seq`` (first entry applied first)."""
-    rows = eq.rows
+    rows = eq.sparse_rows
     for k in seq:
         rows = _mutate_rows(rows, eq.n, k)
     return ExtendedQuiver._trusted(eq.n, eq.m, rows)
@@ -271,13 +345,19 @@ def vertex_color(eq: ExtendedQuiver, i: int) -> str:
     """'green' or 'red' for mutable vertex i, from the sign of its frozen row."""
     if not (1 <= i <= eq.n):
         raise QuiverError(f"vertex {i} out of range 1..{eq.n}")
-    frozen = eq.rows[i - 1][eq.n :]
-    lo, hi = min(frozen, default=0), max(frozen, default=0)
-    if lo >= 0 and hi > 0:
+    n = eq.n
+    pos = neg = False
+    for j, v in eq.sparse_rows[i - 1].items():
+        if j >= n:
+            if v > 0:
+                pos = True
+            else:
+                neg = True
+    if pos and not neg:
         return "green"
-    if hi <= 0 and lo < 0:
+    if neg and not pos:
         return "red"
-    if hi == lo == 0:
+    if not pos:
         raise SignCoherenceError(f"frozen row of vertex {i} is all zero")
     raise SignCoherenceError(f"frozen row of vertex {i} has mixed signs")
 
@@ -287,7 +367,7 @@ def all_colors(eq: ExtendedQuiver) -> tuple[str, ...]:
 
 
 def green_vertices(eq: ExtendedQuiver) -> tuple[int, ...]:
-    return tuple(i for i in range(1, eq.n + 1) if vertex_color(eq, i) == "green")
+    return tuple([i for i in range(1, eq.n + 1) if vertex_color(eq, i) == "green"])
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +481,10 @@ def parse_quiver(text: str) -> Quiver:
                 raise QuiverParseError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
             if n < 1:
                 raise QuiverParseError(f"line {lineno}: vertex count must be positive")
+            if n > MAX_VERTICES:
+                raise QuiverParseError(
+                    f"line {lineno}: vertex count {n} exceeds the limit {MAX_VERTICES}"
+                )
         elif fields[0] == "arrow":
             if n is None:
                 raise QuiverParseError(f"line {lineno}: arrow before quiver directive")

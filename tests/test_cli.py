@@ -89,6 +89,13 @@ class TestExitCodes:
         assert code == 2
         assert "2-cycle" in err
 
+    def test_vertex_count_above_limit_exits_two(self, tmp_path):
+        huge = tmp_path / "huge.quiver"
+        huge.write_text("quiver 1000000000\narrow 1 2\n")
+        code, out, err = run("mgs", huge)
+        assert code == 2 and out == ""
+        assert f"exceeds the limit {gs.quiver.MAX_VERTICES}" in err
+
     def test_missing_file_exits_two(self):
         code, _, err = run("mgs", "no-such-file.quiver")
         assert code == 2 and "cannot read" in err

@@ -244,8 +244,18 @@ class TestVerifyModel:
         bad = gs.EmbeddedQuiver(t15.quiver, cycles)
         report = gs.verify_model(bad)
         assert not report.ok
-        first_bad = next(c for c in report.checks if not c.ok)
-        assert first_bad.first_diff is not None
+        # the sparse comparison names the row-major first differing entry
+        # of the dense prediction and the dense mutated state
+        eq = gs.frame(t15.quiver)
+        for check in report.checks:
+            eq = gs.apply_sequence(eq, gs.stage_parts(bad, check.k).sequence())
+            predicted = gs.predicted_matrix(bad, check.k).matrix
+            diffs = [
+                (str(r + 1), str(c + 1) if c < 31 else f"{c - 30}'", p, v)
+                for r, (p_row, row) in enumerate(zip(predicted, eq.rows))
+                for c, (p, v) in enumerate(zip(p_row, row)) if p != v
+            ]
+            assert check.first_diff == (diffs[0] if diffs else None)
 
     def test_red_green_interface_interpretation(self, t16, tree16):
         # frontier rows into the processed block connect a green frontier

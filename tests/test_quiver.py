@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -101,16 +103,22 @@ class TestMutate:
     @given(quivers(), st.lists(st.integers(1, 8), max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_arrow_rule_along_sequences(self, q, ks):
-        # random quivers with multiplicities, mostly not type A: mutation
-        # keeps the mutable block skew-symmetric, which is why mutated
-        # states skip the constructor's check
+        # random quivers with multiplicities, mostly not type A: the sparse
+        # kernel gives the dense formula's whole extended matrix, and the
+        # arrow rule's quiver
         eq = gs.frame(q)
+        dense = [list(row) for row in eq.rows]
         for k in ks:
             k = (k - 1) % q.n + 1
-            q, eq = gs.mutate(q, k), gs.matrix_mutate(eq, k)
-            b = [row[: q.n] for row in eq.rows]
-            assert all(b[i][j] == -b[j][i] for i in range(q.n) for j in range(q.n))
+            q, eq, dense = gs.mutate(q, k), gs.matrix_mutate(eq, k), dense_mutate(dense, k)
+            assert eq.rows == tuple(map(tuple, dense))
             assert eq.quiver() == q
+            # the checked constructor finds the mutable block skew-symmetric
+            # (mutated states skip that check), and the state stores no zero:
+            # a stored zero would break exact equality, and exchange_graph's
+            # dedup with it
+            again = gs.ExtendedQuiver(eq.n, eq.m, eq.rows)
+            assert again == eq and hash(again) == hash(eq)
 
     def test_degree_bound_in_type_a_class(self, zigzag7):
         # within a type-A mutation class every vertex keeps at most two
@@ -185,6 +193,32 @@ class TestExtended:
         with pytest.raises(gs.SignCoherenceError, match="zero"):
             gs.vertex_color(zero, 1)
 
+    def test_entry_range_checked(self):
+        eq = gs.ExtendedQuiver(2, 3, [[0, 1, 1, 0, 2], [-1, 0, 0, 1, 0]])
+        assert eq.entry(1, 2) == 1 and eq.entry(1, 3, frozen=True) == 2
+        assert eq.entry(2, 1, frozen=True) == 0
+        for i, j, frozen in ((0, 1, False), (3, 1, False), (1, 0, False), (1, 3, False),
+                             (1, 0, True), (1, 4, True), (3, 1, True)):
+            with pytest.raises(gs.QuiverError, match="out of range"):
+                eq.entry(i, j, frozen=frozen)
+
+    def test_rows_shared_and_no_zero_stored(self):
+        eq = gs.frame(gs.Quiver.from_arrows(4, [(1, 2), (2, 3), (3, 1)]))
+        # vertex 4 is not joined to 1: its row is shared, not copied
+        assert gs.matrix_mutate(eq, 1).sparse_rows[3] is eq.sparse_rows[3]
+        # 2 -> 3 cancels against the composite 3 -> 1 -> 2
+        after = gs.matrix_mutate(eq, 1)
+        assert 2 not in after.sparse_rows[1] and 1 not in after.sparse_rows[2]
+        assert after.entry(2, 3) == 0
+
+    def test_states_are_immutable(self, a3cycle):
+        eq = gs.frame(a3cycle)
+        with pytest.raises(AttributeError):
+            eq.n = 4
+        with pytest.raises(AttributeError):
+            eq.rows = ()
+        assert pickle.loads(pickle.dumps(eq)) == eq and copy.deepcopy(eq) == eq
+
     def test_entries_exact_past_int64(self):
         big = 2**32
         mat = [[0, big, 1, 0], [-big, 0, 0, 1]]
@@ -198,7 +232,7 @@ class TestExtended:
         for k in (1, 2, 3) * 4:
             q, eq, dense = gs.mutate(q, k), gs.matrix_mutate(eq, k), dense_mutate(dense, k)
             assert eq.quiver() == q
-            assert [row[3:] for row in eq.rows] == [tuple(row[3:]) for row in dense]
+            assert eq.rows == tuple(map(tuple, dense))
         assert max(abs(v) for row in eq.rows for v in row) > 2**63
 
 
@@ -258,6 +292,12 @@ class TestTextFormat:
         for name in ("a3cycle", "zigzag7", "tree15", "tree16", "sum26"):
             q = load(name)
             assert gs.parse_quiver(gs.serialize_quiver(q)) == q
+
+    @pytest.mark.parametrize("count", [gs.quiver.MAX_VERTICES + 1, 10**9])
+    def test_parse_refuses_vertex_count_above_limit(self, count):
+        # refused before anything is allocated per vertex
+        with pytest.raises(gs.QuiverParseError, match=f"exceeds the limit {gs.quiver.MAX_VERTICES}"):
+            gs.parse_quiver(f"quiver {count}\narrow 1 2\n")
 
     def test_extended_format(self):
         text = gs.format_extended(gs.frame(gs.Quiver(1, ())))
