@@ -24,7 +24,6 @@ from .green import (
     DepthGuardExceeded,
     ExchangeGraphSlice,
     GreenTrace,
-    MgsReport,
     NodeBoundExceeded,
     NotAcyclicError,
     NotMaximalGreenError,
@@ -34,7 +33,6 @@ from .green import (
     exchange_graph,
     exchange_graph_dot,
     induced_permutation,
-    is_maximal_green,
     matrix_hash,
     verify_green,
 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .directsum import Decomposition, concat_mgs_report, decompose
+from .directsum import Decomposition, concat_mgs, decompose
 from .embedding import (
     EmbeddedQuiver,
     EmbeddingError,
@@ -25,7 +25,7 @@ from .embedding import (
     descent_path,
     embed,
 )
-from .green import MgsReport, NotAcyclicError, acyclic_mgs
+from .green import GreenTrace, NotAcyclicError, acyclic_mgs
 from .quiver import Quiver
 from .typea import NotTypeAError
 
@@ -69,11 +69,14 @@ def associated_sequence(e: EmbeddedQuiver) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PipelineResult:
-    sequence: tuple[int, ...]
+    trace: GreenTrace  # the whole quiver's walk that verified ``sequence``
     decomposition: Decomposition
     summand_sequences: tuple[tuple[int, ...], ...]  # local numbering per summand
     embeddings: tuple[EmbeddedQuiver | None, ...]  # None for acyclic summands
-    report: MgsReport  # the whole quiver's, from the walk that verified ``sequence``
+
+    @property
+    def sequence(self) -> tuple[int, ...]:
+        return self.trace.sequence
 
 
 def mgs_for_type_a(q: Quiver) -> PipelineResult:
@@ -106,5 +109,4 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
             ) from None
         parts.append(associated_sequence(emb))
         embeddings.append(emb)
-    seq, report = concat_mgs_report(dec, parts)
-    return PipelineResult(seq, dec, tuple(parts), tuple(embeddings), report)
+    return PipelineResult(concat_mgs(dec, parts), dec, tuple(parts), tuple(embeddings))

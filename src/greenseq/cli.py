@@ -20,7 +20,7 @@ from .quiver import QuiverError, QuiverParseError
 def _load(path: str) -> quiver.Quiver:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QuiverParseError(f"cannot read {path}: {exc}") from exc
     return quiver.parse_quiver(text)
 
@@ -37,6 +37,13 @@ def _parse_root(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise QuiverParseError(f"root must be three vertices, got {text!r}")
     return parts  # type: ignore[return-value]
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _seq_line(seq, paper_order: bool) -> str:
@@ -81,37 +88,35 @@ def cmd_mgs(args) -> int:
     q = _load(args.quiver)
     if args.root:
         seq = assocseq.associated_sequence(embedding.embed(q, _parse_root(args.root)))
-        report = green.is_maximal_green(q, seq)
+        trace = green.verify_green(q, seq)
     else:
-        result = assocseq.mgs_for_type_a(q)
-        seq, report = result.sequence, result.report
-    if not report.is_maximal:
+        trace = assocseq.mgs_for_type_a(q).trace
+    if not trace.is_maximal:
         raise green.NotMaximalGreenError("constructed sequence is not a maximal green sequence")
+    seq = trace.sequence
     order = " order=paper" if args.paper_order else ""
     sys.stdout.write(f"mgs length={len(seq)}{order}\n")
     sys.stdout.write(_seq_line(seq, args.paper_order) + "\n")
-    sys.stdout.write(f"permutation: {report.induced.cycle_string()}\n")
+    sys.stdout.write(f"permutation: {trace.induced.cycle_string()}\n")
     sys.stdout.write("verified: true\n")
     return 0
 
 
 def cmd_verify(args) -> int:
     q = _load(args.quiver)
-    seq = _parse_seq(args.seq)
-    trace = green.verify_green(q, seq)
-    for step in trace.steps:
-        sys.stdout.write(f"step {step.index}: vertex {step.vertex} {step.color}\n")
+    trace = green.verify_green(q, _parse_seq(args.seq))
+    bad = trace.violation_step
+    for index, k in enumerate(trace.sequence[:bad], start=1):
+        sys.stdout.write(f"step {index}: vertex {k} {'red' if index == bad else 'green'}\n")
     if not trace.is_green:
-        bad = trace.steps[-1]
         sys.stdout.write(
-            f"verdict: violation at step {bad.index} (vertex {bad.vertex} is {bad.color})\n"
+            f"verdict: violation at step {bad} (vertex {trace.sequence[bad - 1]} is red)\n"
         )
         return 1
     sys.stdout.write("verdict: all-green\n")
-    report = green.trace_report(q, trace)
-    sys.stdout.write(f"maximal: {'true' if report.is_maximal else 'false'}\n")
-    if report.is_maximal:
-        sys.stdout.write(f"permutation: {report.induced.cycle_string()}\n")
+    sys.stdout.write(f"maximal: {'true' if trace.is_maximal else 'false'}\n")
+    if trace.is_maximal:
+        sys.stdout.write(f"permutation: {trace.induced.cycle_string()}\n")
     return 0
 
 
@@ -138,7 +143,11 @@ def cmd_graph(args) -> int:
     slice_ = green.exchange_graph(q, args.max_nodes)
     dot = green.exchange_graph_dot(slice_)
     if args.dot:
-        Path(args.dot).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.dot).write_text(dot, encoding="utf-8")
+        except OSError as exc:
+            sys.stderr.write(f"error: cannot write {args.dot}: {exc}\n")
+            return 2
     else:
         sys.stdout.write(dot)
     sys.stdout.write(
@@ -198,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="census of all maximal green sequences")
     p.add_argument("quiver")
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=non_negative_int, default=None)
     p.add_argument("--paper-order", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 

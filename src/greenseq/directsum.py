@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .green import MgsReport, is_maximal_green
+from .green import GreenTrace, verify_green
 from .quiver import ExtendedQuiver, Quiver, QuiverError, subquiver
 
 
@@ -234,20 +234,14 @@ def decomposition_report(dec: Decomposition) -> str:
     return "\n".join(lines) + "\n"
 
 
-def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> GreenTrace:
     """Concatenate verified per-summand sequences into one for the whole quiver.
 
     ``per_summand[p]`` is a maximal green sequence of ``dec.part(p)`` in that
     subquiver's local numbering.  The result (first summand's steps first) is
-    verified as a maximal green sequence of the full quiver before returning.
+    verified as a maximal green sequence of the full quiver; the walk that
+    verified it is returned, its ``sequence`` the concatenation.
     """
-    return concat_mgs_report(dec, per_summand)[0]
-
-
-def concat_mgs_report(
-    dec: Decomposition, per_summand: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], MgsReport]:
-    """``concat_mgs`` plus the whole quiver's report from its verifying walk."""
     if len(per_summand) != len(dec.summands):
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"
@@ -262,12 +256,12 @@ def concat_mgs_report(
         out = []
         for p, seq in enumerate(per_summand):
             part, globals_ = dec.part(p)
-            if not is_maximal_green(part, seq).is_maximal:
+            if not verify_green(part, seq).is_maximal:
                 raise SummandNotGreenError(
                     f"sequence for summand {p + 1} is not a maximal green sequence"
                 )
             out.extend(globals_[k - 1] for k in seq)
-    whole = is_maximal_green(dec.quiver, out)
+    whole = verify_green(dec.quiver, out)
     if not whole.is_maximal:
         raise SummandNotGreenError(failure)
-    return tuple(out), whole
+    return whole

@@ -78,17 +78,11 @@ class EmbeddedQuiver:
         except KeyError:
             raise EmbeddingError(f"no cycle labelled T{k}") from None
 
-    def child_at_y(self, k: int, upto: int | None = None) -> int | None:
-        c = self._child_y[k]
-        if c is not None and upto is not None and c > upto:
-            return None
-        return c
+    def child_at_y(self, k: int) -> int | None:
+        return self._child_y[k]
 
-    def child_at_z(self, k: int, upto: int | None = None) -> int | None:
-        c = self._child_z[k]
-        if c is not None and upto is not None and c > upto:
-            return None
-        return c
+    def child_at_z(self, k: int) -> int | None:
+        return self._child_z[k]
 
     def is_branching(self, k: int) -> bool:
         c = self.cycle(k)

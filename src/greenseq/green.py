@@ -1,9 +1,11 @@
-"""Green sequences: verification, induced permutations, exhaustive search.
+"""Green sequences: the verifying walk, exhaustive search, the exchange graph.
 
 A green sequence mutates only green vertices of the framed quiver; it is
-maximal when the final state has every mutable vertex red.  A maximal green
-sequence turns the framing into the co-framing up to a permutation of the
-mutable vertices, which we extract and cross-check here.
+maximal when the final state has every mutable vertex red, and that state is
+then the co-framing with the mutable vertices permuted by the induced sigma.
+``verify_green`` makes this one walk for every caller and returns a
+``GreenTrace``: where the walk first met a red vertex, its final state, and
+sigma when the sequence is maximal.
 """
 
 from __future__ import annotations
@@ -51,54 +53,48 @@ class NodeBoundExceeded(QuiverError):
 
 
 @dataclass(frozen=True)
-class GreenStep:
-    index: int
-    vertex: int
-    color: str
-
-
-@dataclass(frozen=True)
 class GreenTrace:
-    """Record of applying a sequence to the framed quiver.
+    """One walk of ``sequence`` from the framing.
 
-    ``steps`` stops at the first mutation of a non-green vertex; in that
-    case ``violation_step`` names it and the final state is the one reached
-    just before the offending mutation.
+    The walk stops at the first mutation of a non-green vertex:
+    ``violation_step`` is its 1-based index and ``final_state`` the state
+    just before it.  ``vertex_color`` answers only green or red, so every
+    vertex mutated before ``violation_step`` was green and the one at it was
+    red.  ``induced`` is the sigma with final state [B_{Q sigma} | -M(sigma)],
+    set exactly when the whole sequence ran green and left every vertex red.
     """
 
-    steps: tuple[GreenStep, ...]
-    verdict: str  # "all-green" or "violation"
+    sequence: tuple[int, ...]
     violation_step: int | None
-    final_colors: tuple[str, ...]
     final_state: ExtendedQuiver
+    induced: Permutation | None
 
     @property
     def is_green(self) -> bool:
-        return self.verdict == "all-green"
+        return self.violation_step is None
 
-
-@dataclass(frozen=True)
-class MgsReport:
-    is_green_sequence: bool
-    is_maximal: bool
-    induced: Permutation | None
-
-    def __post_init__(self) -> None:
-        if (self.induced is not None) != self.is_maximal:
-            raise QuiverError("a report carries a permutation exactly when it is maximal")
+    @property
+    def is_maximal(self) -> bool:
+        return self.induced is not None
 
 
 def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
-    """Apply ``seq`` to frame(q), recording the color of each mutated vertex."""
+    """Apply ``seq`` to frame(q), checking each mutated vertex is green and,
+    at the end, whether every vertex is red with its induced permutation."""
+    seq = tuple(seq)
     eq = frame(q)
-    steps: list[GreenStep] = []
     for index, k in enumerate(seq, start=1):
-        color = vertex_color(eq, k)
-        steps.append(GreenStep(index, k, color))
-        if color != "green":
-            return GreenTrace(tuple(steps), "violation", index, all_colors(eq), eq)
+        if vertex_color(eq, k) != "green":
+            return GreenTrace(seq, index, eq, None)
         eq = matrix_mutate(eq, k)
-    return GreenTrace(tuple(steps), "all-green", None, all_colors(eq), eq)
+    if "green" in all_colors(eq):
+        return GreenTrace(seq, None, eq, None)
+    sigma = _read_final_permutation(q, eq)
+    if sigma is None:
+        # All-red but not co-framed-up-to-permutation: cannot happen for
+        # states reached from a framing; treat as corrupted input.
+        raise QuiverError("all-red state is not a permuted co-framing")
+    return GreenTrace(seq, None, eq, sigma)
 
 
 def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None:
@@ -124,31 +120,12 @@ def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None
     return sigma
 
 
-def is_maximal_green(q: Quiver, seq: Sequence[int]) -> MgsReport:
-    """Check greenness and maximality; extract the induced permutation."""
-    return trace_report(q, verify_green(q, seq))
-
-
-def trace_report(q: Quiver, trace: GreenTrace) -> MgsReport:
-    """Maximality and induced permutation of a walk ``verify_green`` made."""
-    if not trace.is_green:
-        return MgsReport(False, False, None)
-    if any(c != "red" for c in trace.final_colors):
-        return MgsReport(True, False, None)
-    sigma = _read_final_permutation(q, trace.final_state)
-    if sigma is None:
-        # All-red but not co-framed-up-to-permutation: cannot happen for
-        # states reached from a framing; treat as corrupted input.
-        raise QuiverError("all-red state is not a permuted co-framing")
-    return MgsReport(True, True, sigma)
-
-
 def induced_permutation(q: Quiver, seq: Sequence[int]) -> Permutation:
     """Permutation sigma with final matrix [B_{Q sigma} | -M(sigma)]."""
-    report = is_maximal_green(q, seq)
-    if not report.is_maximal:
-        raise NotMaximalGreenError(f"{tuple(seq)} is not a maximal green sequence")
-    return report.induced
+    trace = verify_green(q, seq)
+    if not trace.is_maximal:
+        raise NotMaximalGreenError(f"{trace.sequence} is not a maximal green sequence")
+    return trace.induced
 
 
 def acyclic_mgs(q: Quiver) -> tuple[int, ...]:

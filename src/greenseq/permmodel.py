@@ -87,10 +87,10 @@ class PermIdentityReport:
         return "\n".join(lines) + "\n"
 
 
-def _chain_end_below(e: EmbeddedQuiver, top: int, upto: int | None = None) -> int:
-    """Last cycle of the chain of z-children starting at ``top``."""
+def _chain_end_below(e: EmbeddedQuiver, top: int, upto: int) -> int:
+    """Last cycle labelled at most ``upto`` on the chain of z-children from ``top``."""
     cur = top
-    while (nxt := e.child_at_z(cur, upto)) is not None:
+    while (nxt := e.child_at_z(cur)) is not None and nxt <= upto:
         cur = nxt
     return cur
 
@@ -191,8 +191,8 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     def y_expected(k: int, j_label: int) -> int:
         """Expected image of y_{j_label} under sigma_{k-1}^{-1}."""
         upto = k - 1
-        child = e.child_at_y(j_label, upto)
-        if child is None:
+        child = e.child_at_y(j_label)
+        if child is None or child > upto:
             return e.cycle(j_label).y
         end = _chain_end_below(e, child, upto)
         if end != child:

@@ -12,7 +12,6 @@ import time
 
 import greenseq as gs
 from conftest import load
-from greenseq.green import trace_report
 from helpers import random_tree_quiver
 
 
@@ -42,7 +41,7 @@ def test_criterion_01_a3_cycle_census(a3cycle):
         assert not gs.verify_green(a3cycle, printed).is_green
         assert not gs.verify_green(a3cycle, printed[::-1]).is_green
     for seq in census:
-        assert gs.is_maximal_green(a3cycle, seq).is_maximal
+        assert gs.verify_green(a3cycle, seq).is_maximal
     _report(1, "9-sequence census of the oriented triangle", t0, budget=1.0)
 
 
@@ -53,7 +52,7 @@ def test_criterion_02_zigzag_sequences(zigzag7):
     e2 = gs.embed(zigzag7, (5, 6, 7))
     assert gs.associated_sequence(e2) == (6, 7, 5, 6, 3, 4, 5, 6, 1, 2, 6, 3)
     short = (7, 4, 1, 5, 2, 6, 7, 3, 4, 1, 3)
-    assert gs.is_maximal_green(zigzag7, short).is_maximal
+    assert gs.verify_green(zigzag7, short).is_maximal
     _report(2, "7-vertex zigzag: 13-step, 12-step, 11-step sequences", t0, budget=1.0)
 
 
@@ -165,11 +164,10 @@ def test_criterion_09_construction_at_scale():
             e = gs.embed(q, leaf)
             seq = gs.associated_sequence(e)
             trace = gs.verify_green(q, seq)
-            assert trace.verdict == "all-green"
-            assert set(trace.final_colors) == {"red"}
-            report = trace_report(q, trace)
-            assert report.is_maximal
-            assert gs.stage_permutation(e, e.n_cycles) == report.induced
+            assert trace.is_green
+            assert set(gs.all_colors(trace.final_state)) == {"red"}
+            assert trace.is_maximal
+            assert gs.stage_permutation(e, e.n_cycles) == trace.induced
             runs += 1
     assert runs >= 500
     _report(9, f"{runs} root choices: constructed sequence is maximal green", t0, budget=120.0)
@@ -197,8 +195,8 @@ def test_criterion_10_concatenation_at_scale():
                 seqs.append(census[rng.randrange(len(census))])
             else:
                 seqs.append(gs.first_mgs(sub))
-        seq = gs.concat_mgs(dec, seqs)
-        assert gs.is_maximal_green(q, seq).is_maximal
+        seq = gs.concat_mgs(dec, seqs).sequence
+        assert gs.verify_green(q, seq).is_maximal
     _report(10, "200 random colored sums concatenate to verified sequences", t0, budget=60.0)
 
 
@@ -215,7 +213,7 @@ def test_criterion_11_three_part_pipeline():
     assert gs.mgs_for_type_a(load("spread3")).sequence == (1, 2, 3)
     q = load("sum26")
     result = gs.mgs_for_type_a(q)
-    assert gs.is_maximal_green(q, result.sequence).is_maximal
+    assert gs.verify_green(q, result.sequence).is_maximal
     assert result.sequence == (
         r1.sequence + tuple(v + 10 for v in r2.sequence) + (24, 25, 26)
     )

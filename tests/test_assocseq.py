@@ -66,18 +66,18 @@ class TestAssociatedSequence:
     def test_zigzag_both_roots(self, zigzag7):
         assert gs.associated_sequence(gs.embed(zigzag7, (1, 2, 3))) == ZIG_SEQ_123
         assert gs.associated_sequence(gs.embed(zigzag7, (5, 6, 7))) == ZIG_SEQ_567
-        assert gs.is_maximal_green(zigzag7, ZIG_SEQ_123).is_maximal
-        assert gs.is_maximal_green(zigzag7, ZIG_SEQ_567).is_maximal
+        assert gs.verify_green(zigzag7, ZIG_SEQ_123).is_maximal
+        assert gs.verify_green(zigzag7, ZIG_SEQ_567).is_maximal
 
     def test_tree15_concatenation(self, t15, tree15):
         seq = gs.associated_sequence(t15)
         assert seq == tuple(v for k in range(16) for v in TREE15_STAGES[k])
-        assert gs.is_maximal_green(tree15, seq).is_maximal
+        assert gs.verify_green(tree15, seq).is_maximal
 
     def test_single_cycle_length_four(self, a3cycle):
         seq = gs.associated_sequence(gs.embed(a3cycle))
         assert seq == (1, 2, 3, 1)
-        assert gs.is_maximal_green(a3cycle, seq).is_maximal
+        assert gs.verify_green(a3cycle, seq).is_maximal
 
     def test_random_trees_always_maximal_green(self):
         rng = random.Random(61)
@@ -86,8 +86,8 @@ class TestAssociatedSequence:
             for leaf in gs.leaf_cycles(gs.cycle_tree(q)):
                 e = gs.embed(q, leaf)
                 trace = gs.verify_green(q, gs.associated_sequence(e))
-                assert trace.verdict == "all-green"
-                assert set(trace.final_colors) == {"red"}
+                assert trace.is_green
+                assert set(gs.all_colors(trace.final_state)) == {"red"}
 
     def test_b_part_constant_along_descent_path(self):
         # every cycle on a descent path, and the base cycle itself, shares
@@ -128,18 +128,25 @@ class TestAssociatedSequence:
                 prefix = [
                     local[v] for k in range(i + 1) for v in gs.stage_parts(e, k).sequence()
                 ]
-                assert gs.is_maximal_green(sub, prefix).is_maximal, (root, i)
+                assert gs.verify_green(sub, prefix).is_maximal, (root, i)
 
     def test_first_stage_and_d_parts_hit_green_vertices(self, tree15, t15):
         # positional check: the opening pair of every stage lands on
         # vertices that are still green at that point
-        trace = gs.verify_green(tree15, gs.associated_sequence(t15))
+        seq = gs.associated_sequence(t15)
+        assert gs.verify_green(tree15, seq).is_green
+        d_steps = set()
         pos = 0
         for k in range(16):
             parts = gs.stage_parts(t15, k)
-            for offset in range(len(parts.d)):
-                assert trace.steps[pos + offset].color == "green"
+            d_steps.update(range(pos, pos + len(parts.d)))
             pos += len(parts.sequence())
+        # replay the prefix independently and read each D vertex's colour
+        eq = gs.frame(tree15)
+        for pos, v in enumerate(seq):
+            if pos in d_steps:
+                assert gs.vertex_color(eq, v) == "green", pos
+            eq = gs.matrix_mutate(eq, v)
 
 
 class TestPipeline:
@@ -175,7 +182,7 @@ class TestPipeline:
     def test_three_part_sum_pipeline(self):
         q = load("sum26")
         result = gs.mgs_for_type_a(q)
-        assert gs.is_maximal_green(q, result.sequence).is_maximal
+        assert gs.verify_green(q, result.sequence).is_maximal
         # whole = q1 pipeline, then q2 shifted by 10, then the acyclic tail
         q1_seq = (1, 2, 3, 1, 4, 5, 3, 1, 6, 7, 1, 4, 10, 9, 8)
         q2_seq = tuple(
@@ -209,4 +216,4 @@ class TestPipeline:
                 pairs = sorted({(a, q.n + rng.randint(1, part.n)) for a in sources})
                 q = gs.direct_sum(q, part, pairs)
             result = gs.mgs_for_type_a(q)
-            assert gs.is_maximal_green(q, result.sequence).is_maximal
+            assert gs.verify_green(q, result.sequence).is_maximal

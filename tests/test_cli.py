@@ -7,9 +7,12 @@ import contextlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import greenseq as gs
 from greenseq.cli import main
@@ -99,6 +102,30 @@ class TestExitCodes:
     def test_missing_file_exits_two(self):
         code, _, err = run("mgs", "no-such-file.quiver")
         assert code == 2 and "cannot read" in err
+
+    def test_non_utf8_file_exits_two(self, tmp_path):
+        f = tmp_path / "bytes.quiver"
+        f.write_bytes(b"\xff\xfe")
+        code, out, err = run("check-type-a", f)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {f}: ") and err.count("\n") == 1
+
+    def test_unwritable_dot_path_exits_two(self, tmp_path):
+        dot = tmp_path / "no-such-dir" / "x.dot"
+        code, out, err = run("graph", FIXTURES / "a1.quiver", "--dot", dot)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {dot}: ") and err.count("\n") == 1
+
+    def test_negative_max_len_refused_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", str(FIXTURES / "a1.quiver"), "--max-len", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-len: must be >= 0, got -1" in captured.err
+        # zero is still a bound: the guard trips on the still-green framing
+        code, out, _ = run("enumerate", FIXTURES / "a1.quiver", "--max-len", "0")
+        assert code == 1 and out == "mgs count>=0 (depth guard 0 hit)\n"
 
     def test_bad_root_exits_two(self):
         code, _, err = run("embed", FIXTURES / "zigzag7.quiver", "--root", "1,2")
@@ -204,7 +231,7 @@ class TestBehavior:
         q = gs.parse_quiver((FIXTURES / "zig5.quiver").read_text())
         for line in lines[1:]:
             seq = tuple(int(tok) for tok in line.split())
-            assert gs.is_maximal_green(q, seq).is_maximal
+            assert gs.verify_green(q, seq).is_maximal
 
     def test_model_check_with_permutations_flag(self):
         code, out, _ = run(
@@ -213,3 +240,81 @@ class TestBehavior:
         assert code == 0
         assert "k=16 model==actual: true" in out
         assert "all identities hold" in out
+
+
+# Fuzzing the command line: quiver text on at most four vertices, a small
+# fixture, or raw bytes, under every subcommand with a random choice of its
+# flags.  Most texts are well formed, so the commands get past the parser.
+# Bounds stay small so each call is quick; graph always gets --max-nodes
+# because a wild quiver's green graph is infinite.
+@st.composite
+def _quiver_bytes(draw):
+    if draw(st.integers(0, 3)):  # well formed: no loops, no 2-cycles
+        n = draw(st.integers(1, 4))
+        pairs = draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, n)).filter(
+            lambda p: p[0] < p[1])))
+        arrows = [(i, j) if draw(st.booleans()) else (j, i) for i, j in pairs]
+        mults = ["", "", " 2"]
+    else:  # counts, ends and multiplicities out of range too
+        n = draw(st.integers(-1, 5))
+        arrows = draw(st.lists(st.tuples(st.integers(-1, 5), st.integers(-1, 5)), max_size=6))
+        mults = ["", " 1", " 2", " 0"]
+    lines = [f"quiver {n}"] + [f"arrow {s} {d}{draw(st.sampled_from(mults))}" for s, d in arrows]
+    return "\n".join(lines).encode()
+
+
+_SMALL_FIXTURES = st.sampled_from(
+    [(FIXTURES / f"{name}.quiver").read_bytes()
+     for name in ("a1", "a2linear", "a3cycle", "a3linear", "fork3")]
+)
+
+
+def _flags(*options, always=()):
+    """argv tail holding any subset of ``options`` and every flag of ``always``,
+    each a strategy for the tokens of one flag."""
+    chosen = st.tuples(*(st.one_of(st.just(()), opt) for opt in options), *always)
+    return chosen.map(lambda parts: [tok for part in parts for tok in part])
+
+
+def _flag(name, values=None):
+    return st.just((name,)) if values is None else values.map(lambda v: (name, str(v)))
+
+
+def _vertex_list(min_size, max_size, sep):
+    lists = st.one_of(st.lists(st.integers(1, 4), min_size=min_size, max_size=max_size),
+                      st.lists(st.integers(-1, 5), min_size=min_size, max_size=max_size))
+    return lists.map(lambda vs: sep.join(map(str, vs)))
+
+
+_SEQ = _vertex_list(0, 8, " ")
+_ROOT = _vertex_list(2, 4, ",")
+_COMMANDS = {
+    "mutate": _flags(_flag("--seq", _SEQ), _flag("--framed")),
+    "check-type-a": _flags(),
+    "decompose": _flags(),
+    "embed": _flags(_flag("--root", _ROOT)),
+    "mgs": _flags(_flag("--root", _ROOT), _flag("--paper-order")),
+    "verify": _flags(_flag("--seq", _SEQ)),
+    "enumerate": _flags(_flag("--max-len", st.integers(-2, 6)), _flag("--paper-order")),
+    "graph": _flags(_flag("--dot", st.sampled_from(["{tmp}/g.dot", "{tmp}/missing/g.dot"])),
+                    always=(_flag("--max-nodes", st.integers(-1, 60)),)),
+    "model-check": _flags(_flag("--root", _ROOT), _flag("--permutations")),
+}
+_ARGV = st.sampled_from(sorted(_COMMANDS)).flatmap(
+    lambda cmd: _COMMANDS[cmd].map(lambda tail: [cmd, *tail])
+)
+
+
+@given(data=st.one_of(_quiver_bytes(), _SMALL_FIXTURES, st.binary(max_size=40)), argv=_ARGV)
+@example(data=b"\xff\xfe", argv=["check-type-a"])
+@settings(max_examples=200, deadline=None)
+def test_fuzz_main_exits_with_a_known_code(data, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.quiver"
+        path.write_bytes(data)
+        argv = [argv[0], str(path), *(tok.replace("{tmp}", tmp) for tok in argv[1:])]
+        try:
+            code = run(*argv)[0]
+        except SystemExit as exc:  # argparse refusing a flag value
+            code = exc.code
+    assert code in (0, 1, 2)

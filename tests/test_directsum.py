@@ -215,7 +215,7 @@ class TestConcatMgs:
         q = gs.Quiver.from_arrows(2, [(1, 2)])
         dec = gs.decompose(q)
         assert dec.summands == ((1,), (2,))
-        assert gs.concat_mgs(dec, ((1,), (1,))) == (1, 2)
+        assert gs.concat_mgs(dec, ((1,), (1,))).sequence == (1, 2)
 
     def test_sum11_with_per_part_sequences(self):
         # the first summand is finite type (enumerable); the six-vertex one
@@ -227,9 +227,9 @@ class TestConcatMgs:
         parts = [gs.enumerate_mgs(first, max_len=24)[0], (1, 3, 4, 5, 6, 2, 1, 4), (1,)]
         for p, seq in enumerate(parts):
             sub, _ = dec.part(p)
-            assert gs.is_maximal_green(sub, seq).is_maximal
-        seq = gs.concat_mgs(dec, parts)
-        assert gs.is_maximal_green(q, seq).is_maximal
+            assert gs.verify_green(sub, seq).is_maximal
+        seq = gs.concat_mgs(dec, parts).sequence
+        assert gs.verify_green(q, seq).is_maximal
         assert len(seq) == sum(map(len, parts))
 
     def test_bad_part_rejected(self):
@@ -263,5 +263,5 @@ class TestConcatMgs:
                 q = gs.direct_sum(q, part, pairs)
             dec = gs.decompose(q)
             seqs = [gs.first_mgs(dec.part(p)[0]) for p in range(len(dec.summands))]
-            seq = gs.concat_mgs(dec, seqs)
-            assert gs.is_maximal_green(q, seq).is_maximal
+            seq = gs.concat_mgs(dec, seqs).sequence
+            assert gs.verify_green(q, seq).is_maximal

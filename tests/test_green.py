@@ -13,7 +13,7 @@ import greenseq as gs
 from conftest import load
 
 # Census of the oriented triangle, exhaustively enumerated and verified
-# (every member passes is_maximal_green; the exchange graph's chain count
+# (every member is maximal under verify_green; the exchange graph's chain count
 # agrees).  Six of length 4 and three of length 5.
 A3_CENSUS = (
     (1, 2, 3, 1),
@@ -31,36 +31,40 @@ A3_CENSUS = (
 class TestVerifyGreen:
     def test_zigzag_eleven_step(self, zigzag7):
         trace = gs.verify_green(zigzag7, (7, 4, 1, 5, 2, 6, 7, 3, 4, 1, 3))
-        assert trace.verdict == "all-green"
-        assert set(trace.final_colors) == {"red"}
+        assert trace.is_green
+        assert set(gs.all_colors(trace.final_state)) == {"red"}
 
     def test_full_green_trace(self, a3cycle):
-        trace = gs.verify_green(a3cycle, (1, 3, 2, 1))
-        assert trace.is_green
-        assert [s.color for s in trace.steps] == ["green"] * 4
-        assert trace.final_colors == ("red", "red", "red")
+        seq = (1, 3, 2, 1)
+        trace = gs.verify_green(a3cycle, seq)
+        assert trace.is_green and trace.sequence == seq
+        colors = [gs.vertex_color(gs.apply_sequence(gs.frame(a3cycle), seq[:i]), k)
+                  for i, k in enumerate(seq)]
+        assert colors == ["green"] * 4
+        assert gs.all_colors(trace.final_state) == ("red", "red", "red")
 
     def test_violation_truncates(self, a3cycle):
         trace = gs.verify_green(a3cycle, (1, 1))
-        assert trace.verdict == "violation"
+        assert not trace.is_green and not trace.is_maximal
         assert trace.violation_step == 2
-        assert trace.steps[-1].color == "red"
-        assert len(trace.steps) == 2
+        # the walk stops before the offending mutation
+        assert trace.final_state == gs.matrix_mutate(gs.frame(a3cycle), 1)
+        assert gs.vertex_color(trace.final_state, 1) == "red"
 
 
 class TestMaximality:
     def test_green_but_not_maximal(self, a3cycle):
-        report = gs.is_maximal_green(a3cycle, (1, 3, 2))
-        assert report.is_green_sequence and not report.is_maximal
-        assert report.induced is None
+        trace = gs.verify_green(a3cycle, (1, 3, 2))
+        assert trace.is_green and not trace.is_maximal
+        assert trace.induced is None
 
     def test_a1(self):
-        report = gs.is_maximal_green(gs.Quiver(1, ()), (1,))
-        assert report.is_maximal and report.induced.is_identity()
+        trace = gs.verify_green(gs.Quiver(1, ()), (1,))
+        assert trace.is_maximal and trace.induced.is_identity()
 
     def test_zigzag_thirteen_step(self, zigzag7):
         seq = (1, 2, 3, 1, 4, 5, 3, 1, 6, 7, 5, 3, 1)
-        assert gs.is_maximal_green(zigzag7, seq).is_maximal
+        assert gs.verify_green(zigzag7, seq).is_maximal
 
     def test_induced_permutation_transposition(self):
         # 2 -> 1 orientation: the length-3 sequence swaps the two vertices
@@ -86,7 +90,7 @@ class TestAcyclicMgs:
     def test_linear_a3(self):
         q = load("a3linear")
         assert gs.acyclic_mgs(q) == (1, 2, 3)
-        assert gs.is_maximal_green(q, (1, 2, 3)).is_maximal
+        assert gs.verify_green(q, (1, 2, 3)).is_maximal
 
     def test_single_vertex(self):
         assert gs.acyclic_mgs(gs.Quiver(1, ())) == (1,)
@@ -94,7 +98,7 @@ class TestAcyclicMgs:
     def test_fork_tie_break(self):
         q = load("fork3")
         assert gs.acyclic_mgs(q) == (1, 2, 3)
-        assert gs.is_maximal_green(q, (1, 2, 3)).is_maximal
+        assert gs.verify_green(q, (1, 2, 3)).is_maximal
 
     def test_cycle_rejected(self, a3cycle):
         with pytest.raises(gs.NotAcyclicError):
@@ -106,7 +110,7 @@ class TestAcyclicMgs:
             n = rng.randint(1, 7)
             arrows = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4]
             q = gs.Quiver.from_arrows(n, arrows)
-            assert gs.is_maximal_green(q, gs.acyclic_mgs(q)).is_maximal
+            assert gs.verify_green(q, gs.acyclic_mgs(q)).is_maximal
 
 
 class TestEnumerate:
@@ -116,7 +120,7 @@ class TestEnumerate:
         lengths = sorted(len(s) for s in census)
         assert lengths == [4] * 6 + [5] * 3
         for seq in census:
-            assert gs.is_maximal_green(a3cycle, seq).is_maximal
+            assert gs.verify_green(a3cycle, seq).is_maximal
 
     def test_census_is_lex_sorted(self, a3cycle):
         census = gs.enumerate_mgs(a3cycle)
@@ -136,7 +140,8 @@ class TestEnumerate:
         for seq in gs.enumerate_mgs(a3cycle):
             for cut in range(len(seq)):
                 trace = gs.verify_green(a3cycle, seq[:cut])
-                assert "green" in trace.final_colors
+                assert "green" in gs.all_colors(trace.final_state)
+                assert trace.is_green and not trace.is_maximal
 
     def test_depth_guard(self):
         # the double arrow quiver has no maximal green bound at depth 4
@@ -158,7 +163,7 @@ class TestEnumerate:
         census = gs.enumerate_mgs(q, max_len=40)
         assert census
         for seq in census:
-            assert gs.is_maximal_green(q, seq).is_maximal
+            assert gs.verify_green(q, seq).is_maximal
         slice_ = gs.exchange_graph(q)
         assert slice_.maximal_chain_count() == len(census)
 
