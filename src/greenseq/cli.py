@@ -46,6 +46,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _seq_line(seq, paper_order: bool) -> str:
     shown = tuple(reversed(seq)) if paper_order else tuple(seq)
     return " ".join(str(v) for v in shown)
@@ -214,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="green part of the oriented exchange graph")
     p.add_argument("quiver")
     p.add_argument("--dot", help="write DOT here instead of stdout")
-    p.add_argument("--max-nodes", type=int, default=10000)
+    p.add_argument("--max-nodes", type=positive_int, default=10000)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("model-check", help="compare predicted and actual matrices per stage")

@@ -53,7 +53,13 @@ class Branch:
 
 
 class EmbeddedQuiver:
-    """Embedded irreducible type-A quiver: labelled, oriented 3-cycles."""
+    """Embedded irreducible type-A quiver: labelled, oriented 3-cycles.
+
+    Construction works out, once, the facts every stage reads: each cycle's
+    base cycle, the anchor its hanging chain starts over, the pending set
+    (``pending``), and the stage that first mutates each vertex
+    (``first_stage``, keyed in standard order).
+    """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
         self.quiver = quiver
@@ -67,6 +73,44 @@ class EmbeddedQuiver:
                     self._child_y[c.parent] = c.label
                 else:
                     self._child_z[c.parent] = c.label
+
+        # one pass, parents before children whatever the labels (a
+        # relabelled embedding may put a child first).  A downward cycle's
+        # hanging-chain anchor is the highest label with a y-child among its
+        # base cycle and the interior of its descent path, i.e. among its
+        # parent's candidates and the parent itself.
+        self._base: dict[int, int] = {}
+        self._anchor: dict[int, int | None] = {}
+        pending = []
+        stack = [c.label for c in self.cycles if c.parent is None]
+        while stack:
+            j = stack.pop()
+            c = self._by_label[j]
+            p = c.parent
+            if c.up:
+                self._base[j], self._anchor[j] = j, None
+            elif p is None:
+                raise EmbeddingError(f"downward T{j} has no parent")
+            else:
+                self._base[j] = p if self._by_label[p].up else self._base[p]
+                anchor = self._anchor[p]
+                if self._child_y[p] is not None and (anchor is None or p > anchor):
+                    anchor = p
+                self._anchor[j] = anchor
+                if c.parent_role == "z" and self.is_branching(p):
+                    pending.append(j)
+            for child in (self._child_y[j], self._child_z[j]):
+                if child is not None:
+                    stack.append(child)
+        self.pending: tuple[int, ...] = tuple(sorted(pending))
+        # x1 is mutated at stage 0, y_k and z_k first at stage k, and every
+        # other x is the parent's y or z
+        self.first_stage: dict[int, int] = {}
+        for c in self.cycles:
+            self.first_stage.setdefault(c.x, c.parent or 0)
+            for v in (c.y, c.z) if c.up else (c.z, c.y):
+                self.first_stage.setdefault(v, c.label)
+        self._standard_order = tuple(self.first_stage)
 
     @property
     def n_cycles(self) -> int:
@@ -99,15 +143,7 @@ class EmbeddedQuiver:
 
     def standard_order(self) -> tuple[int, ...]:
         """All vertices in the standard ordering."""
-        out: list[int] = []
-        seen: set[int] = set()
-        for c in self.cycles:
-            roles = (c.x, c.y, c.z) if c.up else (c.x, c.z, c.y)
-            for v in roles:
-                if v not in seen:
-                    seen.add(v)
-                    out.append(v)
-        return tuple(out)
+        return self._standard_order
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +297,14 @@ def descent_path(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     if e.cycle(k).up:
         return ()
     path = [k]
-    cur = k
-    while True:
-        parent = e.cycle(cur).parent
-        if parent is None:
-            raise EmbeddingError(f"downward T{cur} has no parent")
-        if e.cycle(parent).up:
-            return tuple(path)
+    while (parent := e.cycle(path[-1]).parent) != e._base[k]:
         path.append(parent)
-        cur = parent
+    return tuple(path)
 
 
 def base_cycle(e: EmbeddedQuiver, k: int) -> int:
     """The nearest upward-pointing cycle at or below T_k along parents."""
-    if e.cycle(k).up:
-        return k
-    return e.cycle(descent_path(e, k)[-1]).parent
+    return e._base[e.cycle(k).label]
 
 
 def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
@@ -287,11 +315,7 @@ def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     takes that y-child, and follows z-children as far as they go.  Empty for
     upward T_k and when no such y vertex exists.
     """
-    if e.cycle(k).up:
-        return ()
-    path = descent_path(e, k)
-    candidates = [base_cycle(e, k)] + list(path[1:])
-    anchor = max((j for j in candidates if e.child_at_y(j) is not None), default=None)
+    anchor = e._anchor[e.cycle(k).label]
     if anchor is None:
         return ()
     chain = [e.child_at_y(anchor)]
@@ -311,7 +335,7 @@ def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
         return c.x
     chain = hanging_chain(e, k)
     if not chain:
-        return e.cycle(base_cycle(e, k)).x
+        return e.cycle(e._base[k]).x
     return e.cycle(chain[-1]).z
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations
 from typing import Iterator, Sequence
 
 from .quiver import (
@@ -261,19 +260,12 @@ class ExchangeGraphSlice:
         """Node count after identifying states that differ only by a
         relabelling of mutable vertices (frozen vertices fixed pointwise).
 
-        Exhaustive over relabellings; intended for small fixtures only.
+        Two reachable states are identified exactly when they have the same
+        set of c-vectors (frozen rows): the c-vectors determine the exchange
+        matrix up to the same relabelling (Nakanishi-Zelevinsky).
         """
         n = self.quiver.n
-        if n > 8:
-            raise QuiverError("iso classes are only computed for n <= 8")
-        keys = set()
-        for node in self.nodes:
-            rows = node.rows
-            keys.add(min(
-                tuple(tuple(rows[i][j] for j in p) + rows[i][n:] for i in p)
-                for p in _all_permutations(range(n))
-            ))
-        return len(keys)
+        return len({frozenset(row[n:] for row in node.rows) for node in self.nodes})
 
 
 def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
@@ -283,10 +275,8 @@ def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
     index: dict[ExtendedQuiver, int] = {start: 0}
     edges: list[tuple[int, int, int]] = []
     sinks: list[int] = []
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        eq = nodes[i]
+    # ``nodes`` is the queue too: a new node is appended and visited in turn
+    for i, eq in enumerate(nodes):
         greens = green_vertices(eq)
         if not greens:
             sinks.append(i)
@@ -300,7 +290,6 @@ def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
                 j = len(nodes)
                 nodes.append(nxt)
                 index[nxt] = j
-                queue.append(j)
             edges.append((i, k, j))
     return ExchangeGraphSlice(q, tuple(nodes), tuple(edges), 0, tuple(sorted(sinks)))
 

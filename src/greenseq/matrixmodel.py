@@ -50,40 +50,27 @@ class PendingCycle:
 
 def pending_set(e: EmbeddedQuiver) -> tuple[int, ...]:
     """Downward cycles hanging at the z vertex of a branching cycle."""
-    out = []
-    for c in e.cycles:
-        if not c.up and c.parent is not None and c.parent_role == "z" and e.is_branching(c.parent):
-            out.append(c.label)
-    return tuple(sorted(out))
+    return e.pending
 
 
 def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
     """Pending cycles at stage k: anchor processed, own y and z not."""
     if not 0 <= k <= e.n_cycles:
         raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    return _pending_stages(e)(k)
-
-
-def _pending_stages(e: EmbeddedQuiver):
-    """``pending_cycles`` of each stage, with the pending set and every
-    pending cycle's chain built once."""
-    hung = [(m, e.cycle(m).parent, hanging_chain(e, m)) for m in pending_set(e)]
-
-    def at(k: int) -> tuple[PendingCycle, ...]:
-        entries = []
-        for m, anchor, chain in hung:
-            if not anchor <= k < m:
-                continue
-            if not chain or chain[0] != anchor + 1:
-                raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
-            progress = max((s for s in chain if s <= k), default=None)
-            if progress is None and anchor != k:
-                raise EmbeddingError(f"pending T{m} has an unprocessed chain at stage {k}")
-            case = 3 if progress is None else (2 if progress == chain[-1] else 1)
-            entries.append(PendingCycle(m, anchor, chain, progress, case))
-        return tuple(entries)
-
-    return at
+    entries = []
+    for m in e.pending:
+        anchor = e.cycle(m).parent
+        if not anchor <= k < m:
+            continue
+        chain = hanging_chain(e, m)
+        if not chain or chain[0] != anchor + 1:
+            raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
+        progress = max((s for s in chain if s <= k), default=None)
+        if progress is None and anchor != k:
+            raise EmbeddingError(f"pending T{m} has an unprocessed chain at stage {k}")
+        case = 3 if progress is None else (2 if progress == chain[-1] else 1)
+        entries.append(PendingCycle(m, anchor, chain, progress, case))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -100,14 +87,8 @@ class FrontierMatrix:
 
 def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
     """Composite entries for stage k, per pending-cycle case and next cycle."""
-    return _frontier_matrix(e, k, pending_cycles(e, k))
-
-
-def _frontier_matrix(
-    e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]
-) -> FrontierMatrix:
     entries: list[tuple[int, int, int]] = []
-    for pc in pending:
+    for pc in pending_cycles(e, k):
         cm = e.cycle(pc.label)
         # the y arrow tracks the pending cycle's closing vertex as seen in
         # the processed subquiver: the anchor's closing vertex before its
@@ -196,69 +177,56 @@ class PredictedMatrix:
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
     sigma = stage_permutation(e, k)  # raises for k outside 0..n
-    processed, front, rest, rows = _stage_assembler(e)(k, sigma)
+    processed, front, rest, rows = _assemble(e, k, sigma)
     return PredictedMatrix(k, processed, front, rest, _dense(rows, 2 * e.quiver.n))
 
 
-def _stage_assembler(e: EmbeddedQuiver):
-    """The assembly of stage k from sigma_k, with the data that no stage
-    changes (vertex owners, standard order, pending chains) built once.
-
-    A stage comes out as its processed/frontier/rest split and its sparse
-    ``{column: value}`` rows, in the layout of ``ExtendedQuiver.sparse_rows``.
-    """
+def _assemble(e: EmbeddedQuiver, k: int, sigma: Permutation):
+    """Stage k from sigma_k: its processed/frontier/rest split and its sparse
+    ``{column: value}`` rows, in the layout of ``ExtendedQuiver.sparse_rows``."""
     n = e.quiver.n
-    owner: dict[int, int] = {e.cycle(1).x: 0}
-    for c in e.cycles:
-        owner.setdefault(c.y, c.label)
-        owner.setdefault(c.z, c.label)
+    owner = e.first_stage
     std = e.standard_order()
-    pending_at = _pending_stages(e)
+    frontier_cycles = _frontier_labels(e, k, pending_cycles(e, k))
+    # lists, not generators: CPython builds tuple(generator) by resizing,
+    # and once freed such tuples pile up in its tuple free lists
+    processed = tuple([v for v in std if owner[v] <= k])
+    front = tuple([v for v in std if owner[v] in frontier_cycles])
+    rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
 
-    def assemble(k: int, sigma: Permutation):
-        pending = pending_at(k)
-        frontier_cycles = _frontier_labels(e, k, pending)
-        # lists, not generators: CPython builds tuple(generator) by resizing,
-        # and once freed such tuples pile up in its tuple free lists
-        processed = tuple([v for v in std if owner[v] <= k])
-        front = tuple([v for v in std if owner[v] in frontier_cycles])
-        rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
+    # Q's arrows, relabelled by sigma_k (which permutes the processed
+    # vertices) within the processed block, as they are among the untouched
+    # vertices bar a frontier cycle's y-z arrow, cancelled when its x was
+    # mutated; only the frontier entries join the two blocks.  Every
+    # value written is nonzero, so no zero is stored.
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    preimage = sigma.inverse().images
+    for s, d, m in e.quiver.arrows:
+        if owner[s] <= k and owner[d] <= k:
+            i, j = preimage[s - 1], preimage[d - 1]
+        elif owner[s] > k and owner[d] > k and not owner[s] == owner[d] in frontier_cycles:
+            i, j = s, d
+        else:
+            continue
+        rows[i - 1][j - 1] = m
+        rows[j - 1][i - 1] = -m
+    image = sigma.images
+    for i in processed:
+        rows[i - 1][n + image[i - 1] - 1] = -1
 
-        # Q's arrows, relabelled by sigma_k (which permutes the processed
-        # vertices) within the processed block, as they are among the untouched
-        # vertices bar a frontier cycle's y-z arrow, cancelled when its x was
-        # mutated; only the frontier entries join the two blocks.  Every
-        # value written is nonzero, so no zero is stored.
-        rows: list[dict[int, int]] = [{} for _ in range(n)]
-        preimage = sigma.inverse().images
-        for s, d, m in e.quiver.arrows:
-            if owner[s] <= k and owner[d] <= k:
-                i, j = preimage[s - 1], preimage[d - 1]
-            elif owner[s] > k and owner[d] > k and not owner[s] == owner[d] in frontier_cycles:
-                i, j = s, d
-            else:
-                continue
-            rows[i - 1][j - 1] = m
-            rows[j - 1][i - 1] = -m
-        image = sigma.images
-        for i in processed:
-            rows[i - 1][n + image[i - 1] - 1] = -1
+    for i, j, val in frontier_matrix(e, k).entries:
+        rows[i - 1][j - 1] = val
+        rows[j - 1][i - 1] = -val
 
-        for i, j, val in _frontier_matrix(e, k, pending).entries:
-            rows[i - 1][j - 1] = val
-            rows[j - 1][i - 1] = -val
+    for v in front + rest:
+        row = rows[v - 1]
+        row[n + v - 1] = 1
+        # a frontier y vertex has a zero base c-vector
+        if owner[v] in frontier_cycles and v == e.cycle(owner[v]).z:
+            for u in _z_c_support(e, owner[v]):
+                row[n + u - 1] = row.get(n + u - 1, 0) + 1
 
-        for v in front + rest:
-            row = rows[v - 1]
-            row[n + v - 1] = 1
-            # a frontier y vertex has a zero base c-vector
-            if owner[v] in frontier_cycles and v == e.cycle(owner[v]).z:
-                for u in _z_c_support(e, owner[v]):
-                    row[n + u - 1] = row.get(n + u - 1, 0) + 1
-
-        return processed, front, rest, tuple(rows)
-
-    return assemble
+    return processed, front, rest, tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -293,11 +261,10 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     """Compare predicted and directly mutated matrices for every stage."""
     n = e.quiver.n
     eq = frame(e.quiver)
-    assemble = _stage_assembler(e)
     checks = []
     for k, (_, sigma) in enumerate(rotation_table(e)):
         eq = apply_sequence(eq, stage_parts(e, k).sequence())
-        predicted = assemble(k, sigma)[3]
+        predicted = _assemble(e, k, sigma)[3]
         if predicted == eq.sparse_rows:
             checks.append(StageCheck(k, True, None))
             continue

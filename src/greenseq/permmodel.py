@@ -53,7 +53,10 @@ def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
     """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
     if not 0 <= k <= e.n_cycles:
         raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    return rotation_table(e)[k][1]
+    sigma = Permutation.identity(e.quiver.n)
+    for j in range(1, k + 1):
+        sigma = stage_rotation(e, j).then(sigma)
+    return sigma
 
 
 @dataclass(frozen=True)

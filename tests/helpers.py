@@ -111,3 +111,81 @@ def consecutive_run_region(e, k: int) -> tuple[int, ...]:
             if len(seen) == len(labels):
                 reachable.add(s)
     return tuple(sorted(reachable - starts))
+
+
+def iso_class_count_exhaustive(slice_) -> int:
+    """Reference oracle for ``ExchangeGraphSlice.iso_class_count``: the
+    least relabelling of each node over all n! relabellings of the mutable
+    vertices (frozen vertices fixed), counted once per distinct minimum."""
+    n = slice_.quiver.n
+    keys = set()
+    for node in slice_.nodes:
+        rows = node.rows
+        keys.add(min(
+            tuple(tuple(rows[i][j] for j in p) + rows[i][n:] for i in p)
+            for p in itertools.permutations(range(n))
+        ))
+    return len(keys)
+
+
+# Reference oracles for the geometry an embedding stores: the definitions
+# by walking parents, read only off labels, orientations and children.
+
+
+def walked_descent_path(e, k: int) -> tuple[int, ...]:
+    if e.cycle(k).up:
+        return ()
+    path = [k]
+    while not e.cycle(e.cycle(path[-1]).parent).up:
+        path.append(e.cycle(path[-1]).parent)
+    return tuple(path)
+
+
+def walked_base_cycle(e, k: int) -> int:
+    if e.cycle(k).up:
+        return k
+    return e.cycle(walked_descent_path(e, k)[-1]).parent
+
+
+def walked_hanging_chain(e, k: int) -> tuple[int, ...]:
+    """The highest-labelled cycle with a y-child among the base cycle and
+    the descent path bar T_k, then its y-child and that child's z-children."""
+    if e.cycle(k).up:
+        return ()
+    candidates = [walked_base_cycle(e, k)] + list(walked_descent_path(e, k)[1:])
+    anchor = max((j for j in candidates if e.child_at_y(j) is not None), default=None)
+    if anchor is None:
+        return ()
+    chain = [e.child_at_y(anchor)]
+    while e.child_at_z(chain[-1]) is not None:
+        chain.append(e.child_at_z(chain[-1]))
+    return tuple(chain)
+
+
+def walked_closing_vertex(e, k: int) -> int:
+    c = e.cycle(k)
+    if c.up:
+        return c.x
+    chain = walked_hanging_chain(e, k)
+    if not chain:
+        return e.cycle(walked_base_cycle(e, k)).x
+    return e.cycle(chain[-1]).z
+
+
+def walked_pending_set(e) -> tuple[int, ...]:
+    return tuple(sorted(
+        c.label for c in e.cycles
+        if not c.up and c.parent is not None and c.parent_role == "z"
+        and e.is_branching(c.parent)
+    ))
+
+
+def walked_standard_order(e) -> tuple[int, ...]:
+    """Vertices by first cycle: x, y, z within an upward one, x, z, y within
+    a downward one."""
+    out: list[int] = []
+    for c in e.cycles:
+        for v in (c.x, c.y, c.z) if c.up else (c.x, c.z, c.y):
+            if v not in out:
+                out.append(v)
+    return tuple(out)

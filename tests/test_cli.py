@@ -127,6 +127,17 @@ class TestExitCodes:
         code, out, _ = run("enumerate", FIXTURES / "a1.quiver", "--max-len", "0")
         assert code == 1 and out == "mgs count>=0 (depth guard 0 hit)\n"
 
+    @pytest.mark.parametrize("bad", ["0", "-1"])
+    def test_max_nodes_below_one_refused_by_parser(self, bad, capsys):
+        # refused before any exploration, like a negative --max-len
+        with pytest.raises(SystemExit) as exc:
+            main(["graph", str(FIXTURES / "a1.quiver"), "--max-nodes", bad])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+        assert f"argument --max-nodes: must be >= 1, got {bad}" in captured.err
+
     def test_bad_root_exits_two(self):
         code, _, err = run("embed", FIXTURES / "zigzag7.quiver", "--root", "1,2")
         assert code == 2 and "root" in err

@@ -9,7 +9,16 @@ import pytest
 import greenseq as gs
 from conftest import load
 from greenseq.cli import main
-from helpers import consecutive_run_region, random_tree_quiver
+from helpers import (
+    consecutive_run_region,
+    random_tree_quiver,
+    walked_base_cycle,
+    walked_closing_vertex,
+    walked_descent_path,
+    walked_hanging_chain,
+    walked_pending_set,
+    walked_standard_order,
+)
 
 
 @pytest.fixture
@@ -282,6 +291,49 @@ class TestClosingVertex:
     def test_tree16_chain_skips_labels(self, t16):
         assert gs.hanging_chain(t16, 16) == (5, 12, 13, 14)
         assert gs.closing_vertex(t16, 16) == 29
+
+
+class TestStoredGeometry:
+    """What an embedding works out when it is built agrees with the
+    definitions by walking parents."""
+
+    @staticmethod
+    def assert_matches_walks(e):
+        for k in range(1, e.n_cycles + 1):
+            assert gs.descent_path(e, k) == walked_descent_path(e, k)
+            assert gs.base_cycle(e, k) == walked_base_cycle(e, k)
+            assert gs.hanging_chain(e, k) == walked_hanging_chain(e, k)
+            assert gs.closing_vertex(e, k) == walked_closing_vertex(e, k)
+        assert gs.pending_set(e) == walked_pending_set(e)
+        assert e.standard_order() == walked_standard_order(e)
+
+    def test_random_trees_every_root(self):
+        rng = random.Random(41)
+        for _ in range(40):
+            q, _ = random_tree_quiver(rng, 12)
+            for leaf in gs.leaf_cycles(gs.cycle_tree(q)):
+                self.assert_matches_walks(gs.embed(q, leaf))
+
+    def test_tree_fixtures_every_root(self):
+        for name in ("a3cycle", "chain10", "chain11", "tree15", "tree16", "zig5", "zigzag7"):
+            q = load(name)
+            for leaf in gs.leaf_cycles(gs.cycle_tree(q)):
+                self.assert_matches_walks(gs.embed(q, leaf))
+
+    def test_y_z_swapped_embeddings(self, t15, t16):
+        # the corrupted embeddings the model checks must reject
+        for e in (t15, t16):
+            for label in range(1, e.n_cycles + 1):
+                cycles = [
+                    gs.EmbeddedCycle(c.label, c.up, c.x, c.z, c.y, c.parent, c.parent_role)
+                    if c.label == label else c
+                    for c in e.cycles
+                ]
+                self.assert_matches_walks(gs.EmbeddedQuiver(e.quiver, cycles))
+
+    def test_downward_cycle_without_parent_refused(self, a3cycle):
+        with pytest.raises(gs.EmbeddingError, match="^downward T1 has no parent$"):
+            gs.EmbeddedQuiver(a3cycle, [gs.EmbeddedCycle(1, False, 1, 2, 3, None, None)])
 
 
 class TestNortheastRegion:

@@ -11,6 +11,7 @@ import pytest
 
 import greenseq as gs
 from conftest import load
+from helpers import iso_class_count_exhaustive, random_quiver
 
 # Census of the oriented triangle, exhaustively enumerated and verified
 # (every member is maximal under verify_green; the exchange graph's chain count
@@ -188,6 +189,27 @@ class TestExchangeGraph:
         slice_ = gs.exchange_graph(q)
         assert slice_.iso_class_count() == 14
         assert slice_.maximal_chain_count() == len(gs.enumerate_mgs(q))
+
+    def test_iso_classes_match_exhaustive_relabelling(self):
+        for name in ("a1", "a2linear", "a3linear", "a3cycle", "fork3", "spread3", "zig5"):
+            slice_ = gs.exchange_graph(load(name))
+            assert slice_.iso_class_count() == iso_class_count_exhaustive(slice_)
+        rng = random.Random(43)
+        done = 0
+        while done < 60:
+            q = random_quiver(rng, max_n=5)
+            try:
+                slice_ = gs.exchange_graph(q, max_nodes=1000)
+            except gs.NodeBoundExceeded:
+                continue  # infinite, or too large for the exhaustive oracle
+            assert slice_.iso_class_count() == iso_class_count_exhaustive(slice_)
+            done += 1
+
+    def test_iso_classes_past_eight_vertices(self):
+        # nine isolated vertices: every subset of them mutated once, and no
+        # two subsets related by a relabelling that fixes the frozen vertices
+        slice_ = gs.exchange_graph(gs.Quiver(9, ()))
+        assert slice_.iso_class_count() == 512
 
     def test_chain_census_agreement_small_fixtures(self):
         for name in ("a1", "a2linear", "a3linear", "a3cycle", "fork3", "zig5"):

@@ -221,16 +221,18 @@ class TestVerifyModel:
             done += 1
 
     def test_pending_set_built_once(self, t16, monkeypatch):
+        # the pending set is worked out when the embedding is built: no
+        # stage tests a cycle for branching again
         calls = []
-        original = gs.matrixmodel.pending_set
+        original = gs.EmbeddedQuiver.is_branching
 
-        def counted(e):
-            calls.append(e)
-            return original(e)
+        def counted(e, k):
+            calls.append(k)
+            return original(e, k)
 
-        monkeypatch.setattr(gs.matrixmodel, "pending_set", counted)
+        monkeypatch.setattr(gs.EmbeddedQuiver, "is_branching", counted)
         assert gs.verify_model(t16).ok
-        assert len(calls) == 1
+        assert calls == []
 
     def test_detects_wrong_prediction(self, t15):
         # breaking one orientation flips frontier entries: the comparison

@@ -78,6 +78,20 @@ class TestStagePermutation:
             assert table[k] == (tau, sigma)
             assert gs.stage_permutation(t16, k) == sigma
 
+    def test_stage_permutation_folds_only_to_k(self, t16, monkeypatch):
+        calls = []
+        original = gs.permmodel.stage_rotation
+
+        def counted(e, k):
+            calls.append(k)
+            return original(e, k)
+
+        monkeypatch.setattr(gs.permmodel, "stage_rotation", counted)
+        for k in range(17):
+            calls.clear()
+            gs.stage_permutation(t16, k)
+            assert calls == list(range(1, k + 1))
+
     def test_out_of_range_stage_rejected(self, t15):
         # sigma_k exists for k = 0..n only; -1 must not read as the last stage
         for k in (-1, t15.n_cycles + 1):
