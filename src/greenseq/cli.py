@@ -137,7 +137,7 @@ def cmd_enumerate(args) -> int:
     except green.DepthGuardExceeded as exc:
         sys.stdout.write(f"mgs count>={len(exc.partial)} (depth guard {exc.max_len} hit)\n")
         for seq in exc.partial:
-            sys.stdout.write(" ".join(str(v) for v in seq) + "\n")
+            sys.stdout.write(_seq_line(seq, args.paper_order) + "\n")
         return 1
     sys.stdout.write(f"mgs count={len(census)}\n")
     for seq in census:
@@ -170,9 +170,12 @@ def cmd_model_check(args) -> int:
     e = embedding.embed(q, root)
     report = matrixmodel.verify_model(e)
     sys.stdout.write(report.text())
+    ok = report.ok
     if args.permutations:
-        sys.stdout.write(permmodel.check_permutation_identities(e).text())
-    return 0 if report.ok else 1
+        perms = permmodel.check_permutation_identities(e)
+        sys.stdout.write(perms.text())
+        ok = ok and perms.ok
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

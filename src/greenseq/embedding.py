@@ -58,7 +58,9 @@ class EmbeddedQuiver:
     Construction works out, once, the facts every stage reads: each cycle's
     base cycle, the anchor its hanging chain starts over, the pending set
     (``pending``), and the stage that first mutates each vertex
-    (``first_stage``, keyed in standard order).
+    (``first_stage``, keyed in standard order).  The stage table is left
+    to ``permmodel.stage_table``, which fills it on first use, so ``embed``
+    alone does not pay for it.
     """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
@@ -111,6 +113,7 @@ class EmbeddedQuiver:
             for v in (c.y, c.z) if c.up else (c.z, c.y):
                 self.first_stage.setdefault(v, c.label)
         self._standard_order = tuple(self.first_stage)
+        self._stage_table = None
 
     @property
     def n_cycles(self) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
     EmbeddingError,
@@ -25,8 +24,8 @@ from .embedding import (
     descent_path,
     hanging_chain,
 )
-from .permmodel import rotation_table, stage_permutation
-from .quiver import Permutation, _dense, apply_sequence, frame
+from .permmodel import stage_permutation, stage_table
+from .quiver import _dense, apply_sequence, frame
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,14 @@ class FrontierMatrix:
 
 def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
     """Composite entries for stage k, per pending-cycle case and next cycle."""
+    return FrontierMatrix(e.quiver.n, _frontier_entries(e, k, pending_cycles(e, k)))
+
+
+def _frontier_entries(
+    e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]
+) -> tuple[tuple[int, int, int], ...]:
     entries: list[tuple[int, int, int]] = []
-    for pc in pending_cycles(e, k):
+    for pc in pending:
         cm = e.cycle(pc.label)
         # the y arrow tracks the pending cycle's closing vertex as seen in
         # the processed subquiver: the anchor's closing vertex before its
@@ -111,7 +116,7 @@ def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
         else:
             # the only mutation so far is the one at x1
             entries.append((nc.z, e.cycle(1).x, -1))
-    return FrontierMatrix(e.quiver.n, tuple(sorted(entries)))
+    return tuple(sorted(entries))
 
 
 def _frontier_labels(e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]) -> set[int]:
@@ -177,22 +182,32 @@ class PredictedMatrix:
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
     sigma = stage_permutation(e, k)  # raises for k outside 0..n
-    processed, front, rest, rows = _assemble(e, k, sigma)
-    return PredictedMatrix(k, processed, front, rest, _dense(rows, 2 * e.quiver.n))
-
-
-def _assemble(e: EmbeddedQuiver, k: int, sigma: Permutation):
-    """Stage k from sigma_k: its processed/frontier/rest split and its sparse
-    ``{column: value}`` rows, in the layout of ``ExtendedQuiver.sparse_rows``."""
-    n = e.quiver.n
+    pending = pending_cycles(e, k)
+    frontier_cycles = _frontier_labels(e, k, pending)
     owner = e.first_stage
     std = e.standard_order()
-    frontier_cycles = _frontier_labels(e, k, pending_cycles(e, k))
     # lists, not generators: CPython builds tuple(generator) by resizing,
     # and once freed such tuples pile up in its tuple free lists
     processed = tuple([v for v in std if owner[v] <= k])
     front = tuple([v for v in std if owner[v] in frontier_cycles])
     rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
+    rows = _stage_rows(e, k, sigma.images, sigma.inverse().images, pending)
+    return PredictedMatrix(k, processed, front, rest, _dense(rows, 2 * e.quiver.n))
+
+
+def _stage_rows(
+    e: EmbeddedQuiver,
+    k: int,
+    image: tuple[int, ...],
+    preimage: tuple[int, ...],
+    pending: tuple[PendingCycle, ...],
+) -> tuple[dict[int, int], ...]:
+    """Stage k's sparse ``{column: value}`` rows, in the layout of
+    ``ExtendedQuiver.sparse_rows``, from the images of sigma_k and of its
+    inverse and the stage's pending cycles."""
+    n = e.quiver.n
+    owner = e.first_stage
+    frontier_cycles = _frontier_labels(e, k, pending)
 
     # Q's arrows, relabelled by sigma_k (which permutes the processed
     # vertices) within the processed block, as they are among the untouched
@@ -200,33 +215,37 @@ def _assemble(e: EmbeddedQuiver, k: int, sigma: Permutation):
     # mutated; only the frontier entries join the two blocks.  Every
     # value written is nonzero, so no zero is stored.
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    preimage = sigma.inverse().images
     for s, d, m in e.quiver.arrows:
-        if owner[s] <= k and owner[d] <= k:
+        first_s, first_d = owner[s], owner[d]
+        if first_s <= k and first_d <= k:
             i, j = preimage[s - 1], preimage[d - 1]
-        elif owner[s] > k and owner[d] > k and not owner[s] == owner[d] in frontier_cycles:
+        elif first_s > k and first_d > k and not first_s == first_d in frontier_cycles:
             i, j = s, d
         else:
             continue
         rows[i - 1][j - 1] = m
         rows[j - 1][i - 1] = -m
-    image = sigma.images
-    for i in processed:
-        rows[i - 1][n + image[i - 1] - 1] = -1
 
-    for i, j, val in frontier_matrix(e, k).entries:
+    for i, j, val in _frontier_entries(e, k, pending):
         rows[i - 1][j - 1] = val
         rows[j - 1][i - 1] = -val
 
-    for v in front + rest:
-        row = rows[v - 1]
-        row[n + v - 1] = 1
-        # a frontier y vertex has a zero base c-vector
-        if owner[v] in frontier_cycles and v == e.cycle(owner[v]).z:
-            for u in _z_c_support(e, owner[v]):
+    # frozen columns: the permuted co-framing on the processed vertices, a
+    # unit elsewhere, plus a frontier z vertex's base c-vector (a frontier
+    # y vertex has a zero one)
+    for v, first in owner.items():
+        if first <= k:
+            rows[v - 1][n + image[v - 1] - 1] = -1
+        else:
+            rows[v - 1][n + v - 1] = 1
+    for i in frontier_cycles:
+        z = e.cycle(i).z
+        if owner[z] == i:
+            row = rows[z - 1]
+            for u in _z_c_support(e, i):
                 row[n + u - 1] = row.get(n + u - 1, 0) + 1
 
-    return processed, front, rest, tuple(rows)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -262,9 +281,11 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     n = e.quiver.n
     eq = frame(e.quiver)
     checks = []
-    for k, (_, sigma) in enumerate(rotation_table(e)):
-        eq = apply_sequence(eq, stage_parts(e, k).sequence())
-        predicted = _assemble(e, k, sigma)[3]
+    for k, stage in enumerate(stage_table(e)):
+        eq = apply_sequence(eq, stage.sequence)
+        predicted = _stage_rows(
+            e, k, stage.sigma.images, stage.sigma_inv.images, pending_cycles(e, k)
+        )
         if predicted == eq.sparse_rows:
             checks.append(StageCheck(k, True, None))
             continue

@@ -7,14 +7,17 @@ then tau_{k-1}, and so on down to tau_1; after the last stage it equals
 the permutation induced by the whole sequence, which is checked against
 ground truth in the test suite.
 
-``check_permutation_identities`` numerically evaluates the fixed-point and
-action identities these permutations satisfy on a concrete embedding and
-reports any violation with a witness.
+``stage_table`` folds every stage once per embedding: each stage's mutation
+order, tau_k, sigma_k and sigma_k^-1, shared by ``verify_model`` and
+``check_permutation_identities``.  The latter numerically evaluates the
+fixed-point and action identities these permutations satisfy on a concrete
+embedding and reports any violation with a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .assocseq import stage_parts
 from .embedding import (
@@ -29,24 +32,41 @@ from .quiver import Permutation
 
 
 def stage_rotation(e: EmbeddedQuiver, k: int) -> Permutation:
-    """tau_k: the cycle on stage k's mutation order with the first step dropped."""
-    n = e.quiver.n
-    if k == 0:
-        return Permutation.identity(n)
-    seq = stage_parts(e, k).sequence()
-    return Permutation.from_cycle(n, seq[1:])
+    """tau_k: the cycle on stage k's mutation order with the first step dropped
+    (the identity for stage 0, which is the single mutation at x1)."""
+    return Permutation.from_cycle(e.quiver.n, stage_parts(e, k).sequence()[1:])
+
+
+class Stage(NamedTuple):
+    """One stage's facts: its mutation order, tau_k, sigma_k and sigma_k^-1."""
+
+    sequence: tuple[int, ...]
+    tau: Permutation
+    sigma: Permutation
+    sigma_inv: Permutation
+
+
+def stage_table(e: EmbeddedQuiver) -> tuple[Stage, ...]:
+    """Every stage k = 0..n in one fold, worked out on first use and kept on
+    ``e``, so the stage models and the identity check share it."""
+    table = e._stage_table
+    if table is None:
+        n = e.quiver.n
+        sigma = Permutation.identity(n)
+        stages = []
+        for k in range(e.n_cycles + 1):
+            seq = stage_parts(e, k).sequence()
+            tau = Permutation.from_cycle(n, seq[1:])
+            sigma = tau.then(sigma)
+            stages.append(Stage(seq, tau, sigma, sigma.inverse()))
+        # racing threads build equal tables, so either may be kept
+        table = e._stage_table = tuple(stages)
+    return table
 
 
 def rotation_table(e: EmbeddedQuiver) -> tuple[tuple[Permutation, Permutation], ...]:
-    """(tau_k, sigma_k) for k = 0..n, in one fold: sigma_k applies tau_k,
-    then sigma_{k-1}."""
-    sigma = Permutation.identity(e.quiver.n)
-    table = []
-    for k in range(e.n_cycles + 1):
-        tau = stage_rotation(e, k)
-        sigma = tau.then(sigma)
-        table.append((tau, sigma))
-    return tuple(table)
+    """(tau_k, sigma_k) for k = 0..n: sigma_k applies tau_k, then sigma_{k-1}."""
+    return tuple([(s.tau, s.sigma) for s in stage_table(e)])
 
 
 def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
@@ -98,6 +118,26 @@ def _chain_end_below(e: EmbeddedQuiver, top: int, upto: int) -> int:
     return cur
 
 
+class _Tally:
+    """One clause being checked; a witness is formatted only when it fails."""
+
+    __slots__ = ("family", "clause", "checked", "violations")
+
+    def __init__(self, family: str, clause: str) -> None:
+        self.family = family
+        self.clause = clause
+        self.checked = 0
+        self.violations: list[str] = []
+
+    def expect(self, got: int, want: int, desc: str, *args: int) -> None:
+        self.checked += 1
+        if got != want:
+            self.violations.append(f"{desc.format(*args)}: got {got}, expected {want}")
+
+    def result(self) -> ClauseResult:
+        return ClauseResult(self.family, self.clause, self.checked, tuple(self.violations))
+
+
 def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     """Evaluate the permutation identities clause by clause on ``e``.
 
@@ -105,20 +145,10 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     never as passes.
     """
     n = e.n_cycles
-    table = rotation_table(e)
-    taus = [t for t, _ in table]
-    sigmas = [s for _, s in table]
-    inv = [s.inverse() for s in sigmas]
-    results: list[ClauseResult] = []
-
-    def run(family: str, clause: str, items) -> None:
-        checked = 0
-        violations = []
-        for desc, got, want in items:
-            checked += 1
-            if got != want:
-                violations.append(f"{desc}: got {got}, expected {want}")
-        results.append(ClauseResult(family, clause, checked, tuple(violations)))
+    stages = stage_table(e)
+    taus = [s.tau.images for s in stages]
+    sigmas = [s.sigma.images for s in stages]
+    inv = [s.sigma_inv.images for s in stages]
 
     def allowed_labels(k: int) -> tuple[int, ...]:
         path = set(descent_path(e, k))
@@ -128,18 +158,18 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
 
     # fixed points of tau_l northeast of a descent path (z_k and the path's
     # x vertices; y_k itself can be moved by an upper child's stage)
-    items = []
+    path_support = _Tally("fixed-points", "path-support")
     for k in range(1, n + 1):
         if e.child_at_z(k) is not None:
             continue
         cyc = e.cycle(k)
         support = [cyc.z] + [e.cycle(j).x for j in descent_path(e, k)]
         for ell in allowed_labels(k):
+            tau = taus[ell]
             for v in support:
-                items.append((f"k={k} l={ell} v={v}", taus[ell].apply(v), v))
-    run("fixed-points", "path-support", items)
+                path_support.expect(tau[v - 1], v, "k={} l={} v={}", k, ell, v)
 
-    items = []
+    closing = _Tally("fixed-points", "closing-vertex")
     for k in range(1, n + 1):
         if e.child_at_z(k) is not None or e.cycle(k).up:
             continue
@@ -150,44 +180,39 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
         pool = set(northeast_region(e, k)) | set(range(r, k + 1))
         v = closing_vertex(e, r - 1)
         for ell in sorted(pool - path - {r}):
-            items.append((f"k={k} l={ell}", taus[ell].apply(v), v))
-    run("fixed-points", "closing-vertex", items)
+            closing.expect(taus[ell][v - 1], v, "k={} l={}", k, ell)
 
     # action of sigma_k on the stage support
-    i_items, ii_items, iii_items, iv_items, v_items = [], [], [], [], []
+    act_i, act_ii, act_iii, act_iv, act_v = (
+        _Tally("stage-action", clause) for clause in ("i", "ii", "iii", "iv", "v")
+    )
+    x1 = e.cycle(1).x
     for k in range(1, n + 1):
         cyc = e.cycle(k)
         r = base_cycle(e, k)
         path = descent_path(e, k)
         d = len(path)
+        sigma = sigmas[k]
         if r == 1:
-            i_items.append((f"k={k} z", sigmas[k].apply(cyc.z), e.cycle(1).x))
+            act_i.expect(sigma[cyc.z - 1], x1, "k={} z", k)
             # the converse direction presupposes the stage closes at x1
-            if closing_vertex(e, k) == e.cycle(1).x:
-                i_items.append((f"k={k} x1", sigmas[k].apply(e.cycle(1).x), cyc.z))
+            if closing_vertex(e, k) == x1:
+                act_i.expect(sigma[x1 - 1], cyc.z, "k={} x1", k)
         else:
-            i_items.append((f"k={k}", sigmas[k].apply(cyc.z), e.cycle(r - 1).z))
-            iii_items.append((f"k={k}", sigmas[k].apply(closing_vertex(e, r - 1)), cyc.x))
+            act_i.expect(sigma[cyc.z - 1], e.cycle(r - 1).z, "k={}", k)
+            act_iii.expect(sigma[closing_vertex(e, r - 1) - 1], cyc.x, "k={}", k)
             if not cyc.up:
-                ii_items.append((f"k={k}", sigmas[k].apply(cyc.x), e.cycle(r).x))
-        iv_items.append((f"k={k}", sigmas[k].apply(closing_vertex(e, k)), cyc.z))
+                act_ii.expect(sigma[cyc.x - 1], e.cycle(r).x, "k={}", k)
+        act_iv.expect(sigma[closing_vertex(e, k) - 1], cyc.z, "k={}", k)
         if not cyc.up:
             xs = [e.cycle(j).x for j in path]
             if r == 1:
-                for j in range(1, (d + 1) // 2 + 1):
-                    a, b = xs[j - 1], xs[d - j]
-                    v_items.append((f"k={k} j={j}", sigmas[k].apply(a), b))
-                    v_items.append((f"k={k} j={j} rev", sigmas[k].apply(b), a))
+                pairs = ((j, xs[j - 1], xs[d - j]) for j in range(1, (d + 1) // 2 + 1))
             else:
-                for j in range(2, (d + 2) // 2 + 1):
-                    a, b = xs[j - 1], xs[d + 1 - j]
-                    v_items.append((f"k={k} j={j}", sigmas[k].apply(a), b))
-                    v_items.append((f"k={k} j={j} rev", sigmas[k].apply(b), a))
-    run("stage-action", "i", i_items)
-    run("stage-action", "ii", ii_items)
-    run("stage-action", "iii", iii_items)
-    run("stage-action", "iv", iv_items)
-    run("stage-action", "v", v_items)
+                pairs = ((j, xs[j - 1], xs[d + 1 - j]) for j in range(2, (d + 2) // 2 + 1))
+            for j, a, b in pairs:
+                act_v.expect(sigma[a - 1], b, "k={} j={}", k, j)
+                act_v.expect(sigma[b - 1], a, "k={} j={} rev", k, j)
 
     # inverse action on the y vertices along a descent path; the case split
     # sees only the processed part (cycles up to stage k-1)
@@ -202,37 +227,25 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
             return e.cycle(end).x
         return closing_vertex(e, j_label)
 
-    inv_items = []
+    y_vertices = _Tally("inverse-action", "y-vertices")
+    y_stability = _Tally("inverse-action", "y-stability")
     for k in range(1, n + 1):
         if e.cycle(k).up:
             continue
-        labels = [base_cycle(e, k)] + list(descent_path(e, k))
-        for j_label in labels:
+        for j_label in (base_cycle(e, k), *descent_path(e, k)):
             yv = e.cycle(j_label).y
-            inv_items.append(
-                (f"k={k} label={j_label}", inv[k - 1].apply(yv), y_expected(k, j_label))
-            )
-    run("inverse-action", "y-vertices", inv_items)
-
-    stab_items = []
-    for k in range(1, n + 1):
-        if e.cycle(k).up:
-            continue
-        labels = [base_cycle(e, k)] + list(descent_path(e, k))
-        for j_label in labels:
-            yv = e.cycle(j_label).y
-            stab_items.append(
-                (f"k={k} label={j_label}", inv[k].apply(yv), inv[k - 1].apply(yv))
-            )
-    run("inverse-action", "y-stability", stab_items)
+            before = inv[k - 1][yv - 1]
+            y_vertices.expect(before, y_expected(k, j_label), "k={} label={}", k, j_label)
+            y_stability.expect(inv[k][yv - 1], before, "k={} label={}", k, j_label)
 
     # degree-2 y vertices are fixed by every cumulative permutation
-    fix_items = []
+    degree_2_y = _Tally("fixed-points", "degree-2-y")
     for j in range(1, n + 1):
         if e.child_at_y(j) is None:
             yv = e.cycle(j).y
             for k in range(n + 1):
-                fix_items.append((f"y of T{j}, sigma_{k}", sigmas[k].apply(yv), yv))
-    run("fixed-points", "degree-2-y", fix_items)
+                degree_2_y.expect(sigmas[k][yv - 1], yv, "y of T{}, sigma_{}", j, k)
 
-    return PermIdentityReport(tuple(results))
+    tallies = (path_support, closing, act_i, act_ii, act_iii, act_iv, act_v,
+               y_vertices, y_stability, degree_2_y)
+    return PermIdentityReport(tuple(t.result() for t in tallies))

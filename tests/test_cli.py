@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import greenseq as gs
+from greenseq import permmodel
 from greenseq.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -196,6 +197,31 @@ class TestExitCodes:
         f.write_text("quiver 2\narrow 1 2 2\n")
         code, out, _ = run("enumerate", f, "--max-len", "4")
         assert code == 1 and "depth guard 4 hit" in out
+
+    def test_enumerate_guard_partial_in_paper_order(self):
+        # the partial census is displayed like the full one: 1 2 3 1 applied
+        # reads 1 3 2 1 in paper order
+        code, out, _ = run(
+            "enumerate", FIXTURES / "a3cycle.quiver", "--max-len", "4", "--paper-order"
+        )
+        assert code == 1
+        assert out == "mgs count>=1 (depth guard 4 hit)\n1 3 2 1\n"
+
+    def test_model_check_exits_one_on_permutation_violation(self, monkeypatch):
+        # a clean matrix model does not hide a violated permutation identity
+        bad = gs.PermIdentityReport(
+            (permmodel.ClauseResult("stage-action", "i", 1, ("k=1: got 2, expected 3",)),)
+        )
+        monkeypatch.setattr(permmodel, "check_permutation_identities", lambda e: bad)
+        code, out, _ = run(
+            "model-check", FIXTURES / "zigzag7.quiver", "--root", "1,2,3", "--permutations"
+        )
+        assert code == 1
+        assert out == "".join(f"k={k} model==actual: true\n" for k in range(4)) + (
+            "stage-action clause i): checked=1 violations=1\n"
+            "  k=1: got 2, expected 3\n"
+            "result: violations found\n"
+        )
 
 
 class TestBehavior:

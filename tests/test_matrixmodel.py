@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
 
 import pytest
 
 import greenseq as gs
+from conftest import FIXTURES
+from greenseq.cli import main
 from helpers import random_tree_quiver
 
 
@@ -233,6 +237,30 @@ class TestVerifyModel:
         monkeypatch.setattr(gs.EmbeddedQuiver, "is_branching", counted)
         assert gs.verify_model(t16).ok
         assert calls == []
+
+    def test_stage_facts_built_once_per_model_check(self, monkeypatch):
+        # one model-check --permutations run builds each stage's sequence
+        # once, for the table both checks share, and its pending cycles once
+        parts, pending = [], []
+
+        def counting(calls, original):
+            def counted(e, k):
+                calls.append(k)
+                return original(e, k)
+            return counted
+
+        monkeypatch.setattr(
+            gs.permmodel, "stage_parts", counting(parts, gs.permmodel.stage_parts)
+        )
+        monkeypatch.setattr(
+            gs.matrixmodel, "pending_cycles", counting(pending, gs.matrixmodel.pending_cycles)
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["model-check", str(FIXTURES / "tree16.quiver"), "--permutations"])
+        assert code == 0 and out.getvalue().endswith("result: all identities hold\n")
+        assert parts == list(range(17))
+        assert pending == list(range(17))
 
     def test_detects_wrong_prediction(self, t15):
         # breaking one orientation flips frontier entries: the comparison

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -133,6 +135,32 @@ class TestIdentityReport:
                     for k in range(e.n_cycles + 1):
                         assert gs.stage_permutation(e, k).apply(yv) == yv
 
+    def test_shared_embedding_across_threads(self, tree16):
+        # the stage table is filled on first use; threads racing to fill it
+        # must each read a whole table and report what one thread reports
+        want = (
+            gs.verify_model(gs.embed(tree16, (1, 2, 3))).text(),
+            gs.check_permutation_identities(gs.embed(tree16, (1, 2, 3))).text(),
+        )
+        e = gs.embed(tree16, (1, 2, 3))
+        results = []
+
+        def work():
+            results.append((gs.verify_model(e).text(), gs.check_permutation_identities(e).text()))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 4
+
     def test_report_text_format(self, t15):
         text = gs.check_permutation_identities(t15).text()
         assert "stage-action clause i): checked=" in text
@@ -151,3 +179,22 @@ class TestIdentityReport:
         bad = gs.EmbeddedQuiver(t15.quiver, cycles)
         report = gs.check_permutation_identities(bad)
         assert not report.ok
+        # every count and witness, byte for byte
+        assert report.text() == (
+            "fixed-points clause path-support): checked=156 violations=0\n"
+            "fixed-points clause closing-vertex): checked=12 violations=0\n"
+            "stage-action clause i): checked=17 violations=1\n"
+            "  k=15: got 21, expected 19\n"
+            "stage-action clause ii): checked=8 violations=0\n"
+            "stage-action clause iii): checked=13 violations=2\n"
+            "  k=11: got 19, expected 20\n"
+            "  k=15: got 20, expected 21\n"
+            "stage-action clause iv): checked=15 violations=0\n"
+            "stage-action clause v): checked=12 violations=0\n"
+            "inverse-action clause y-vertices): checked=25 violations=1\n"
+            "  k=15 label=10: got 21, expected 18\n"
+            "inverse-action clause y-stability): checked=25 violations=1\n"
+            "  k=15 label=10: got 31, expected 21\n"
+            "fixed-points clause degree-2-y): checked=160 violations=0\n"
+            "result: violations found\n"
+        )
