@@ -9,7 +9,6 @@ from .quiver import (
     SignCoherenceError,
     all_colors,
     apply_sequence,
-    coframe,
     frame,
     format_extended,
     green_vertices,
@@ -75,13 +74,7 @@ from .embedding import (
     validate_embedding,
 )
 from .assocseq import PipelineResult, StageParts, associated_sequence, mgs_for_type_a, stage_parts
-from .permmodel import (
-    PermIdentityReport,
-    check_permutation_identities,
-    rotation_table,
-    stage_permutation,
-    stage_rotation,
-)
+from .permmodel import PermIdentityReport, check_permutation_identities, stage_permutation
 from .matrixmodel import (
     FrontierMatrix,
     ModelReport,
@@ -90,7 +83,6 @@ from .matrixmodel import (
     base_c_vector,
     frontier_matrix,
     pending_cycles,
-    pending_set,
     predicted_matrix,
     verify_model,
 )

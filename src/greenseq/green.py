@@ -265,7 +265,11 @@ class ExchangeGraphSlice:
         matrix up to the same relabelling (Nakanishi-Zelevinsky).
         """
         n = self.quiver.n
-        return len({frozenset(row[n:] for row in node.rows) for node in self.nodes})
+        return len({
+            frozenset(frozenset((j, v) for j, v in row.items() if j >= n)
+                      for row in node.sparse_rows)
+            for node in self.nodes
+        })
 
 
 def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:

@@ -7,9 +7,10 @@ x was mutated when a branching cycle was processed but whose y and z were
 not), and the untouched rest.  The frontier's arrows to the rest are the
 original ones; its arrows into the processed part and among itself follow a
 short list of composite entries; its c-vectors have an explicit closed
-form.  ``predicted_matrix`` assembles the whole matrix from these pieces
-and ``verify_model`` compares it, row by sparse row, against direct
-mutation.
+form.  ``predicted_matrix`` assembles the whole matrix from these pieces,
+with sigma_k and its inverse read from ``permmodel.stage_table``, as a
+sparse ``ExtendedQuiver`` that compares with a mutated state by ``==``;
+``verify_model`` compares it, row by sparse row, against direct mutation.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .embedding import (
     descent_path,
     hanging_chain,
 )
-from .permmodel import stage_permutation, stage_table
-from .quiver import _dense, apply_sequence, frame
+from .permmodel import Stage, stage_table
+from .quiver import ExtendedQuiver, apply_sequence, frame
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,6 @@ class PendingCycle:
     chain: tuple[int, ...]
     progress: int | None
     case: int
-
-
-def pending_set(e: EmbeddedQuiver) -> tuple[int, ...]:
-    """Downward cycles hanging at the z vertex of a branching cycle."""
-    return e.pending
 
 
 def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
@@ -162,27 +158,21 @@ def _z_c_support(e: EmbeddedQuiver, i: int) -> list[int]:
 class PredictedMatrix:
     """Assembled stage-k prediction with its three-way vertex split.
 
-    ``matrix`` is in natural vertex order (row v at position v-1, frozen
-    column v' at n+v-1); ``block_matrix`` reorders rows and columns to the
-    processed/frontier/rest split in the standard ordering.
+    ``state`` is the predicted framed state in natural vertex order, equal
+    to ``frame(Q)`` mutated along stages 0..k when the model holds; the
+    three splits list vertices in the standard ordering.
     """
 
     k: int
     processed: tuple[int, ...]
     frontier: tuple[int, ...]
     rest: tuple[int, ...]
-    matrix: tuple[tuple[int, ...], ...]
-
-    def block_matrix(self) -> tuple[tuple[int, ...], ...]:
-        order = [v - 1 for v in self.processed + self.frontier + self.rest]
-        cols = order + [len(self.matrix) + i for i in order]
-        return tuple(tuple(self.matrix[i][j] for j in cols) for i in order)
+    state: ExtendedQuiver
 
 
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
-    sigma = stage_permutation(e, k)  # raises for k outside 0..n
-    pending = pending_cycles(e, k)
+    pending = pending_cycles(e, k)  # raises for k outside 0..n
     frontier_cycles = _frontier_labels(e, k, pending)
     owner = e.first_stage
     std = e.standard_order()
@@ -191,21 +181,19 @@ def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     processed = tuple([v for v in std if owner[v] <= k])
     front = tuple([v for v in std if owner[v] in frontier_cycles])
     rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
-    rows = _stage_rows(e, k, sigma.images, sigma.inverse().images, pending)
-    return PredictedMatrix(k, processed, front, rest, _dense(rows, 2 * e.quiver.n))
+    n = e.quiver.n
+    rows = _stage_rows(e, k, stage_table(e)[k], pending)
+    return PredictedMatrix(k, processed, front, rest, ExtendedQuiver._trusted(n, n, rows))
 
 
 def _stage_rows(
-    e: EmbeddedQuiver,
-    k: int,
-    image: tuple[int, ...],
-    preimage: tuple[int, ...],
-    pending: tuple[PendingCycle, ...],
+    e: EmbeddedQuiver, k: int, stage: Stage, pending: tuple[PendingCycle, ...]
 ) -> tuple[dict[int, int], ...]:
     """Stage k's sparse ``{column: value}`` rows, in the layout of
-    ``ExtendedQuiver.sparse_rows``, from the images of sigma_k and of its
-    inverse and the stage's pending cycles."""
+    ``ExtendedQuiver.sparse_rows``, from sigma_k and its inverse and the
+    stage's pending cycles."""
     n = e.quiver.n
+    image, preimage = stage.sigma.images, stage.sigma_inv.images
     owner = e.first_stage
     frontier_cycles = _frontier_labels(e, k, pending)
 
@@ -283,9 +271,7 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     checks = []
     for k, stage in enumerate(stage_table(e)):
         eq = apply_sequence(eq, stage.sequence)
-        predicted = _stage_rows(
-            e, k, stage.sigma.images, stage.sigma_inv.images, pending_cycles(e, k)
-        )
+        predicted = _stage_rows(e, k, stage, pending_cycles(e, k))
         if predicted == eq.sparse_rows:
             checks.append(StageCheck(k, True, None))
             continue

@@ -7,11 +7,12 @@ then tau_{k-1}, and so on down to tau_1; after the last stage it equals
 the permutation induced by the whole sequence, which is checked against
 ground truth in the test suite.
 
-``stage_table`` folds every stage once per embedding: each stage's mutation
-order, tau_k, sigma_k and sigma_k^-1, shared by ``verify_model`` and
-``check_permutation_identities``.  The latter numerically evaluates the
-fixed-point and action identities these permutations satisfy on a concrete
-embedding and reports any violation with a witness.
+``stage_table`` is the one fold of the stages: it works out each stage's
+mutation order, tau_k, sigma_k and sigma_k^-1 once per embedding, and
+``stage_permutation``, ``predicted_matrix``, ``verify_model`` and
+``check_permutation_identities`` all read it.  The last numerically
+evaluates the fixed-point and action identities these permutations satisfy
+on a concrete embedding and reports any violation with a witness.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from .embedding import (
 from .quiver import Permutation
 
 
-def stage_rotation(e: EmbeddedQuiver, k: int) -> Permutation:
-    """tau_k: the cycle on stage k's mutation order with the first step dropped
-    (the identity for stage 0, which is the single mutation at x1)."""
-    return Permutation.from_cycle(e.quiver.n, stage_parts(e, k).sequence()[1:])
-
-
 class Stage(NamedTuple):
     """One stage's facts: its mutation order, tau_k, sigma_k and sigma_k^-1."""
 
@@ -48,7 +43,12 @@ class Stage(NamedTuple):
 
 def stage_table(e: EmbeddedQuiver) -> tuple[Stage, ...]:
     """Every stage k = 0..n in one fold, worked out on first use and kept on
-    ``e``, so the stage models and the identity check share it."""
+    ``e``, so the stage models and the identity check share it.
+
+    tau_k cycles stage k's mutation order with the first step dropped (the
+    identity for stage 0, the single mutation at x1); sigma_k applies tau_k,
+    then sigma_{k-1}.
+    """
     table = e._stage_table
     if table is None:
         n = e.quiver.n
@@ -64,19 +64,12 @@ def stage_table(e: EmbeddedQuiver) -> tuple[Stage, ...]:
     return table
 
 
-def rotation_table(e: EmbeddedQuiver) -> tuple[tuple[Permutation, Permutation], ...]:
-    """(tau_k, sigma_k) for k = 0..n: sigma_k applies tau_k, then sigma_{k-1}."""
-    return tuple([(s.tau, s.sigma) for s in stage_table(e)])
-
-
 def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
     """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
+    # checked before indexing: table[-1] would read as the last stage
     if not 0 <= k <= e.n_cycles:
         raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    sigma = Permutation.identity(e.quiver.n)
-    for j in range(1, k + 1):
-        sigma = stage_rotation(e, j).then(sigma)
-    return sigma
+    return stage_table(e)[k].sigma
 
 
 @dataclass(frozen=True)

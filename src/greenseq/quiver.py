@@ -98,14 +98,6 @@ class Quiver:
     def multiplicity(self, src: int, dst: int) -> int:
         return self._mult.get((src, dst), 0)
 
-    def b_matrix(self) -> tuple[tuple[int, ...], ...]:
-        """Signed n x n exchange matrix as int rows: entry (i,j) = #(i->j) - #(j->i)."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for src, dst, mult in self.arrows:
-            rows[src - 1][dst - 1] = mult
-            rows[dst - 1][src - 1] = -mult
-        return tuple(map(tuple, rows))
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of vertex v in the underlying graph."""
         return self._adj[v]
@@ -235,7 +227,13 @@ class ExtendedQuiver:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Dense view: one tuple of n+m ints per mutable row."""
-        return _dense(self.sparse_rows, self.n + self.m)
+        out = []
+        for row in self.sparse_rows:
+            dense = [0] * (self.n + self.m)
+            for j, v in row.items():
+                dense[j] = v
+            out.append(tuple(dense))
+        return tuple(out)
 
     def entry(self, i: int, j: int, *, frozen: bool = False) -> int:
         """Entry for mutable row i and column j (frozen column j' if asked).
@@ -249,10 +247,6 @@ class ExtendedQuiver:
         if not frozen and not 1 <= j <= self.n:
             raise QuiverError(f"vertex {j} out of range 1..{self.n}")
         return self.sparse_rows[i - 1].get(self.n + j - 1 if frozen else j - 1, 0)
-
-    def extended_part(self) -> tuple[tuple[int, ...], ...]:
-        """The frozen columns, one int row per mutable vertex."""
-        return tuple(row[self.n :] for row in self.rows)
 
     def quiver(self) -> Quiver:
         """Quiver of the mutable block."""
@@ -270,33 +264,13 @@ _set_rows = ExtendedQuiver.sparse_rows.__set__
 _set_hash = ExtendedQuiver._hash.__set__
 
 
-def _dense(rows: Sequence[dict[int, int]], width: int) -> tuple[tuple[int, ...], ...]:
-    """Dense int rows of the given width from ``{column: value}`` maps."""
-    out = []
-    for row in rows:
-        dense = [0] * width
-        for j, v in row.items():
-            dense[j] = v
-        out.append(tuple(dense))
-    return tuple(out)
-
-
-def _framed(q: Quiver, sign: int) -> ExtendedQuiver:
-    rows = tuple({q.n + i: sign} for i in range(q.n))
+def frame(q: Quiver) -> ExtendedQuiver:
+    """Adjoin frozen vertices with arrows i -> i': extended part = identity."""
+    rows = tuple({q.n + i: 1} for i in range(q.n))
     for src, dst, mult in q.arrows:
         rows[src - 1][dst - 1] = mult
         rows[dst - 1][src - 1] = -mult
     return ExtendedQuiver._trusted(q.n, q.n, rows)
-
-
-def frame(q: Quiver) -> ExtendedQuiver:
-    """Adjoin frozen vertices with arrows i -> i': extended part = identity."""
-    return _framed(q, 1)
-
-
-def coframe(q: Quiver) -> ExtendedQuiver:
-    """Adjoin frozen vertices with arrows i' -> i: extended part = -identity."""
-    return _framed(q, -1)
 
 
 def _mutate_rows(rows: tuple[dict[int, int], ...], n: int, k: int) -> tuple[dict[int, int], ...]:
@@ -382,8 +356,12 @@ class Permutation:
 
     def __post_init__(self) -> None:
         n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise QuiverError(f"not a bijection on 1..{n}: {self.images}")
+        seen = [False] * (n + 1)
+        for v in self.images:
+            # range first: seen[0] or seen[-1] would index without complaint
+            if not 1 <= v <= n or seen[v]:
+                raise QuiverError(f"not a bijection on 1..{n}: {self.images}")
+            seen[v] = True
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -417,10 +395,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
 
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """0/1 int rows with entry (i, j) = 1 iff i maps to j."""
-        return tuple(tuple(int(j == v) for j in range(1, self.n + 1)) for v in self.images)
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its minimum, sorted by minimum."""
         seen: set[int] = set()
@@ -443,14 +417,6 @@ class Permutation:
         if not cycs:
             return "()"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
-
-
-def permute_b_matrix(
-    mat: Sequence[Sequence[int]], perm: Permutation
-) -> tuple[tuple[int, ...], ...]:
-    """(B sigma)_{i,j} = B_{i*sigma, j*sigma} on n x n int rows."""
-    idx = [v - 1 for v in perm.images]
-    return tuple(tuple(mat[i][j] for j in idx) for i in idx)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +487,14 @@ def serialize_quiver(q: Quiver) -> str:
 
 
 def format_extended(eq: ExtendedQuiver) -> str:
-    """`extb <n> <m>` header plus tab-separated integer rows."""
+    """`extb <n> <m>` header plus tab-separated integer rows.
+
+    Each line is filled from its row's nonzeros, so no dense matrix is held.
+    """
     lines = [f"extb {eq.n} {eq.m}"]
-    for row in eq.rows:
-        lines.append("\t".join(map(str, row)))
+    for row in eq.sparse_rows:
+        cells = ["0"] * (eq.n + eq.m)
+        for j, v in row.items():
+            cells[j] = str(v)
+        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

@@ -189,3 +189,66 @@ def walked_standard_order(e) -> tuple[int, ...]:
             if v not in out:
                 out.append(v)
     return tuple(out)
+
+
+# Dense oracles: the engine keeps one sparse matrix format and one stage
+# fold; these dense forms and per-stage rebuilds are the references that
+# the sparse values are compared against.
+
+
+def b_matrix(q: gs.Quiver) -> tuple[tuple[int, ...], ...]:
+    """Signed n x n exchange matrix as int rows: entry (i,j) = #(i->j) - #(j->i)."""
+    rows = [[0] * q.n for _ in range(q.n)]
+    for src, dst, mult in q.arrows:
+        rows[src - 1][dst - 1] = mult
+        rows[dst - 1][src - 1] = -mult
+    return tuple(map(tuple, rows))
+
+
+def extended_part(eq: gs.ExtendedQuiver) -> tuple[tuple[int, ...], ...]:
+    """The frozen columns, one int row per mutable vertex."""
+    return tuple(row[eq.n:] for row in eq.rows)
+
+
+def permutation_matrix(sigma: gs.Permutation) -> tuple[tuple[int, ...], ...]:
+    """0/1 int rows with entry (i, j) = 1 iff i maps to j."""
+    return tuple(tuple(int(j == v) for j in range(1, sigma.n + 1)) for v in sigma.images)
+
+
+def permute_b_matrix(mat, sigma: gs.Permutation) -> tuple[tuple[int, ...], ...]:
+    """(B sigma)_{i,j} = B_{i*sigma, j*sigma} on n x n int rows."""
+    idx = [v - 1 for v in sigma.images]
+    return tuple(tuple(mat[i][j] for j in idx) for i in idx)
+
+
+def coframe(q: gs.Quiver) -> gs.ExtendedQuiver:
+    """Adjoin frozen vertices with arrows i' -> i: extended part = -identity.
+    Built through the checked dense constructor."""
+    b = b_matrix(q)
+    return gs.ExtendedQuiver(q.n, q.n, [
+        b[i] + tuple(-int(j == i) for j in range(q.n)) for i in range(q.n)
+    ])
+
+
+def block_matrix(pm: gs.PredictedMatrix) -> tuple[tuple[int, ...], ...]:
+    """The predicted dense matrix with rows and columns reordered to the
+    processed/frontier/rest split in the standard ordering."""
+    rows = pm.state.rows
+    order = [v - 1 for v in pm.processed + pm.frontier + pm.rest]
+    cols = order + [len(rows) + i for i in order]
+    return tuple(tuple(rows[i][j] for j in cols) for i in order)
+
+
+def stage_rotation(e, k: int) -> gs.Permutation:
+    """tau_k rebuilt for one stage: the cycle on stage k's mutation order
+    with the first step dropped (the identity for stage 0, the single
+    mutation at x1)."""
+    return gs.Permutation.from_cycle(e.quiver.n, gs.stage_parts(e, k).sequence()[1:])
+
+
+def format_extended_dense(eq: gs.ExtendedQuiver) -> str:
+    """``format_extended`` written over the dense ``rows`` view."""
+    lines = [f"extb {eq.n} {eq.m}"]
+    for row in eq.rows:
+        lines.append("\t".join(map(str, row)))
+    return "\n".join(lines) + "\n"

@@ -118,7 +118,7 @@ def test_criterion_06_decomposition():
 
 def test_criterion_07_pending_tables(t16):
     t0 = time.perf_counter()
-    assert gs.pending_set(t16) == (11, 12, 16)
+    assert t16.pending == (11, 12, 16)
     stage_table = {}
     anchors = {}
     cases = {11: {}, 12: {}, 16: {}}

@@ -304,7 +304,7 @@ class TestStoredGeometry:
             assert gs.base_cycle(e, k) == walked_base_cycle(e, k)
             assert gs.hanging_chain(e, k) == walked_hanging_chain(e, k)
             assert gs.closing_vertex(e, k) == walked_closing_vertex(e, k)
-        assert gs.pending_set(e) == walked_pending_set(e)
+        assert e.pending == walked_pending_set(e)
         assert e.standard_order() == walked_standard_order(e)
 
     def test_random_trees_every_root(self):

@@ -11,7 +11,7 @@ import pytest
 
 import greenseq as gs
 from conftest import load
-from helpers import iso_class_count_exhaustive, random_quiver
+from helpers import coframe, extended_part, iso_class_count_exhaustive, random_quiver
 
 # Census of the oriented triangle, exhaustively enumerated and verified
 # (every member is maximal under verify_green; the exchange graph's chain count
@@ -78,7 +78,7 @@ class TestMaximality:
         # read the permutation straight off the final frozen block
         final = gs.apply_sequence(gs.frame(a3cycle), (1, 3, 2, 1))
         images = []
-        for row in final.extended_part():
+        for row in extended_part(final):
             images.append(row.index(-1) + 1)
         assert gs.induced_permutation(a3cycle, (1, 3, 2, 1)).images == tuple(images)
 
@@ -237,7 +237,7 @@ class TestDot:
         h1 = gs.matrix_hash(gs.frame(a3cycle))
         assert len(h1) == 16 and int(h1, 16) >= 0
         assert h1 == gs.matrix_hash(gs.frame(a3cycle))
-        assert h1 != gs.matrix_hash(gs.coframe(a3cycle))
+        assert h1 != gs.matrix_hash(coframe(a3cycle))
 
     def test_hash_bytes_match_int64_layout(self):
         # rows hash to the same bytes as a signed 64-bit array of the entries

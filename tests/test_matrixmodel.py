@@ -11,15 +11,21 @@ import pytest
 import greenseq as gs
 from conftest import FIXTURES
 from greenseq.cli import main
-from helpers import random_tree_quiver
+from helpers import (
+    b_matrix,
+    block_matrix,
+    permutation_matrix,
+    permute_b_matrix,
+    random_tree_quiver,
+)
 
 
 class TestPendingCycles:
     def test_pending_set_614(self, t16):
-        assert gs.pending_set(t16) == (11, 12, 16)
+        assert t16.pending == (11, 12, 16)
 
     def test_pending_set_needs_branching_anchor(self, zigzag7):
-        assert gs.pending_set(gs.embed(zigzag7, (1, 2, 3))) == ()
+        assert gs.embed(zigzag7, (1, 2, 3)).pending == ()
 
     def test_stage_table_614(self, t16):
         expected = {
@@ -134,15 +140,28 @@ class TestPredictedMatrix:
         e = gs.embed(a3cycle)
         predicted = gs.predicted_matrix(e, 0)
         actual = gs.matrix_mutate(gs.frame(a3cycle), 1)
-        assert predicted.matrix == actual.rows
+        assert predicted.state == actual
+        assert predicted.state.rows == actual.rows
+
+    def test_state_equals_mutation_every_stage(self, tree16):
+        # the public prediction, not only verify_model's rows, is the framed
+        # quiver mutated along stages 0..k
+        rng = random.Random(103)
+        cases = [gs.embed(tree16, leaf) for leaf in gs.leaf_cycles(gs.cycle_tree(tree16))]
+        cases += [gs.embed(*random_tree_quiver(rng, 12)) for _ in range(20)]
+        for e in cases:
+            eq = gs.frame(e.quiver)
+            for k in range(e.n_cycles + 1):
+                eq = gs.apply_sequence(eq, gs.stage_parts(e, k).sequence())
+                assert gs.predicted_matrix(e, k).state == eq
 
     def test_final_stage_is_permuted_coframing(self, t15, tree15):
-        predicted = gs.predicted_matrix(t15, 15)
+        predicted = gs.predicted_matrix(t15, 15).state.rows
         sigma = gs.stage_permutation(t15, 15)
-        b0 = tree15.b_matrix()
-        assert tuple(row[:31] for row in predicted.matrix) == gs.quiver.permute_b_matrix(b0, sigma)
-        assert tuple(row[31:] for row in predicted.matrix) == tuple(
-            tuple(-v for v in row) for row in sigma.matrix()
+        b0 = b_matrix(tree15)
+        assert tuple(row[:31] for row in predicted) == permute_b_matrix(b0, sigma)
+        assert tuple(row[31:] for row in predicted) == tuple(
+            tuple(-v for v in row) for row in permutation_matrix(sigma)
         )
 
     def test_block_split_sizes(self, t16):
@@ -154,19 +173,20 @@ class TestPredictedMatrix:
 
     def test_block_matrix_reorders(self, t16):
         pm = gs.predicted_matrix(t16, 8)
-        block = pm.block_matrix()
+        block = block_matrix(pm)
         order = pm.processed + pm.frontier + pm.rest
         for a, va in enumerate(order):
             for b, vb in enumerate(order):
-                assert block[a][b] == pm.matrix[va - 1][vb - 1]
+                assert block[a][b] == pm.state.rows[va - 1][vb - 1]
 
     def test_zero_blocks(self, t16):
         # processed rows never touch rest columns and vice versa
         for k in (3, 8, 12):
             pm = gs.predicted_matrix(t16, k)
+            rows = pm.state.rows
             for i in pm.processed:
                 for j in pm.rest:
-                    assert pm.matrix[i - 1][j - 1] == 0
+                    assert rows[i - 1][j - 1] == 0
 
     def test_frozen_block_shape(self, t16):
         # frozen columns: processed rows carry only the negated permutation
@@ -174,16 +194,17 @@ class TestPredictedMatrix:
         n = 33
         for k in (0, 5, 9, 16):
             pm = gs.predicted_matrix(t16, k)
+            rows = pm.state.rows
             sigma = gs.stage_permutation(t16, k)
             for i in pm.processed:
-                row = pm.matrix[i - 1][n:]
+                row = rows[i - 1][n:]
                 assert row[sigma.apply(i) - 1] == -1 and n - row.count(0) == 1
             for i in pm.rest:
-                row = pm.matrix[i - 1][n:]
+                row = rows[i - 1][n:]
                 assert row[i - 1] == 1 and n - row.count(0) == 1
             for i in pm.frontier:
-                assert pm.matrix[i - 1][n + i - 1] == 1
-                assert min(pm.matrix[i - 1][n:]) >= 0
+                assert rows[i - 1][n + i - 1] == 1
+                assert min(rows[i - 1][n:]) >= 0
 
 
 class TestVerifyModel:
@@ -279,7 +300,7 @@ class TestVerifyModel:
         eq = gs.frame(t15.quiver)
         for check in report.checks:
             eq = gs.apply_sequence(eq, gs.stage_parts(bad, check.k).sequence())
-            predicted = gs.predicted_matrix(bad, check.k).matrix
+            predicted = gs.predicted_matrix(bad, check.k).state.rows
             diffs = [
                 (str(r + 1), str(c + 1) if c < 31 else f"{c - 30}'", p, v)
                 for r, (p_row, row) in enumerate(zip(predicted, eq.rows))

@@ -9,29 +9,29 @@ import threading
 import pytest
 
 import greenseq as gs
-from helpers import random_tree_quiver
+from helpers import random_tree_quiver, stage_rotation
 
 
 class TestStageRotation:
     def test_stage_zero_identity(self, t15):
-        assert gs.stage_rotation(t15, 0).is_identity()
+        assert stage_rotation(t15, 0).is_identity()
 
     def test_zigzag_stage_one(self, zigzag7):
         e = gs.embed(zigzag7, (1, 2, 3))
         # applied order (2, 3, 1): drop the first step, cycle the rest
-        tau = gs.stage_rotation(e, 1)
+        tau = stage_rotation(e, 1)
         assert tau.apply(3) == 1 and tau.apply(1) == 3 and tau.apply(2) == 2
 
     def test_tree15_stage_five(self, t15):
         # applied order (10, 11, 4, 8) gives the 3-cycle (11 4 8)
-        tau = gs.stage_rotation(t15, 5)
+        tau = stage_rotation(t15, 5)
         assert tau.apply(11) == 4 and tau.apply(4) == 8 and tau.apply(8) == 11
         assert tau.apply(10) == 10
 
     def test_rotation_moves_exactly_the_tail(self, t15):
         for k in range(1, 16):
             seq = gs.stage_parts(t15, k).sequence()
-            tau = gs.stage_rotation(t15, k)
+            tau = stage_rotation(t15, k)
             moved = {v for v in range(1, 32) if tau.apply(v) != v}
             assert moved == set(seq[1:])
 
@@ -71,34 +71,38 @@ class TestStagePermutation:
             assert gs.stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
 
     def test_rotation_table_consistent(self, t16):
-        table = gs.rotation_table(t16)
+        # each stage_table entry against tau_k rebuilt for its stage alone
+        table = gs.permmodel.stage_table(t16)
         assert len(table) == 17
         sigma = gs.Permutation.identity(t16.quiver.n)
         for k in range(17):
-            tau = gs.stage_rotation(t16, k)
+            tau = stage_rotation(t16, k)
             sigma = tau.then(sigma)
-            assert table[k] == (tau, sigma)
+            assert table[k] == (gs.stage_parts(t16, k).sequence(), tau, sigma, sigma.inverse())
             assert gs.stage_permutation(t16, k) == sigma
 
-    def test_stage_permutation_folds_only_to_k(self, t16, monkeypatch):
+    def test_stage_permutation_reads_one_table(self, t16, monkeypatch):
+        # sigma_k for every k folds the stages once, for the shared table
         calls = []
-        original = gs.permmodel.stage_rotation
+        original = gs.permmodel.stage_parts
 
         def counted(e, k):
             calls.append(k)
             return original(e, k)
 
-        monkeypatch.setattr(gs.permmodel, "stage_rotation", counted)
+        monkeypatch.setattr(gs.permmodel, "stage_parts", counted)
         for k in range(17):
-            calls.clear()
             gs.stage_permutation(t16, k)
-            assert calls == list(range(1, k + 1))
+        assert calls == list(range(17))
 
     def test_out_of_range_stage_rejected(self, t15):
-        # sigma_k exists for k = 0..n only; -1 must not read as the last stage
+        # sigma_k exists for k = 0..n only; with the table built, -1 must
+        # still not read as the last stage
+        gs.stage_permutation(t15, 0)
         for k in (-1, t15.n_cycles + 1):
-            with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
-                gs.stage_permutation(t15, k)
+            for stage_fact in (gs.stage_permutation, gs.predicted_matrix):
+                with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
+                    stage_fact(t15, k)
 
 
 class TestIdentityReport:

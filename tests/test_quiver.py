@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import pickle
 import random
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from conftest import load
-from helpers import random_quiver
+from helpers import b_matrix, coframe, extended_part, format_extended_dense, random_quiver
 
 
 def dense_mutate(rows, k):
@@ -66,7 +67,7 @@ class TestQuiverBasics:
                     assert q.multiplicity(v, w) == mult
 
     def test_b_matrix_skew(self, a3cycle):
-        b = a3cycle.b_matrix()
+        b = b_matrix(a3cycle)
         assert all(b[i][j] == -b[j][i] for i in range(3) for j in range(3))
         assert b[0][1] == 1 and b[1][2] == 1 and b[2][0] == 1
 
@@ -127,7 +128,7 @@ class TestMutate:
         q = zigzag7
         for _ in range(400):
             q = gs.mutate(q, rng.randint(1, q.n))
-            for row in q.b_matrix():
+            for row in b_matrix(q):
                 assert sum(v > 0 for v in row) <= 2
                 assert sum(v < 0 for v in row) <= 2
 
@@ -140,11 +141,11 @@ class TestExtended:
 
     def test_frame_triangle(self, a3cycle):
         eq = gs.frame(a3cycle)
-        assert eq.extended_part() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert extended_part(eq) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert gs.all_colors(eq) == ("green", "green", "green")
 
     def test_coframe_all_red(self, a3cycle):
-        assert gs.all_colors(gs.coframe(a3cycle)) == ("red", "red", "red")
+        assert gs.all_colors(coframe(a3cycle)) == ("red", "red", "red")
 
     def test_matrix_mutation_involution(self, zigzag7):
         eq = gs.frame(zigzag7)
@@ -160,7 +161,7 @@ class TestExtended:
         assert gs.vertex_color(eq, 2) == "green"
         assert gs.vertex_color(eq, 3) == "green"
         # frozen block: row 1 negated, rows 2 and 3 by the formula
-        assert eq.extended_part() == ((-1, 0, 0), (0, 1, 0), (1, 0, 1))
+        assert extended_part(eq) == ((-1, 0, 0), (0, 1, 0), (1, 0, 1))
 
     def test_mutating_frozen_rejected(self, a3cycle):
         with pytest.raises(gs.QuiverError, match="frozen or out of range"):
@@ -173,7 +174,7 @@ class TestExtended:
 
     def test_full_sequence_reaches_coframing(self, a3cycle):
         final = gs.apply_sequence(gs.frame(a3cycle), (1, 3, 2, 1))
-        ext = final.extended_part()
+        ext = extended_part(final)
         # -permutation matrix in the frozen block
         assert sorted(tuple(-v for v in row) for row in ext) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
@@ -258,6 +259,16 @@ class TestPermutation:
         assert gs.Permutation.identity(3).cycle_string() == "()"
         assert gs.Permutation((2, 1, 3)).cycle_string() == "(1 2)"
 
+    @pytest.mark.parametrize("images", [(1, 1, 3), (0, 2, 3), (-1, 2, 3), (1, 2, 4), (3, 1, 1)])
+    def test_rejects_non_bijections(self, images):
+        # 0 and -1 must be refused by range, not read as seen[0] or seen[-1]
+        with pytest.raises(gs.QuiverError, match=r"^not a bijection on 1\.\.3: "):
+            gs.Permutation(images)
+
+    def test_accepts_bijections(self):
+        assert gs.Permutation((3, 1, 2)).images == (3, 1, 2)
+        assert gs.Permutation(()).n == 0
+
 
 class TestTextFormat:
     def test_parse_basics(self):
@@ -302,6 +313,25 @@ class TestTextFormat:
     def test_extended_format(self):
         text = gs.format_extended(gs.frame(gs.Quiver(1, ())))
         assert text == "extb 1 1\n0\t1\n"
+
+    def test_extended_format_builds_no_dense_view(self, monkeypatch):
+        # each line comes from its row's nonzeros; the text and the big-entry
+        # hash payload are those of the dense rows
+        states = []
+        for name in ("a3cycle", "zigzag7", "tree15", "tree16", "sum26"):
+            q = load(name)
+            states += [gs.frame(q), gs.apply_sequence(gs.frame(q), range(1, q.n + 1))]
+        big = gs.apply_sequence(gs.frame(gs.Quiver(2, ((1, 2, 2**40),))), (2, 1))
+        assert max(max(row) for row in big.rows) >= 2**63
+        want = [format_extended_dense(eq) for eq in states + [big]]
+        big_hash = hashlib.sha256(b"extb 2 2\nbig\n" + want[-1].encode()).hexdigest()[:16]
+
+        def no_dense(self):
+            raise AssertionError("dense view built")
+
+        monkeypatch.setattr(gs.ExtendedQuiver, "rows", property(no_dense))
+        assert [gs.format_extended(eq) for eq in states + [big]] == want
+        assert gs.matrix_hash(big) == big_hash
 
     @given(st.text(alphabet="quivero arw 0123#-\n\t ", max_size=120))
     @settings(max_examples=200, deadline=None)
