@@ -83,9 +83,10 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
     """Maximal green sequence of any quiver whose summands are type A.
 
     Every irreducible summand must be type A (tree of 3-cycles) or acyclic;
-    acyclic summands get their source order.  A summand that is neither is
-    reported by its first failing type-A condition, which is recognised only
-    on that failure path.  The concatenation is verified before returning.
+    acyclic summands get their source order.  Any other summand goes through
+    the one type-A recognition in ``cycle_tree``, and a failure is reported
+    by its first failing condition.  The concatenation is verified before
+    returning.
     """
     dec = decompose(q)
     parts: list[tuple[int, ...]] = []
@@ -102,8 +103,6 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
             emb = embed(part)
         except NotTypeAError as exc:
             bad = exc.condition
-            if bad is None:
-                raise
             raise NotTypeAError(
                 f"summand {p + 1} fails condition {bad.name}: {bad.witness}", bad
             ) from None

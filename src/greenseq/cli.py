@@ -63,7 +63,7 @@ def cmd_mutate(args) -> int:
     seq = _parse_seq(args.seq) if args.seq else ()
     if args.framed:
         eq = quiver.apply_sequence(quiver.frame(q), seq)
-        sys.stdout.write(quiver.format_extended(eq))
+        sys.stdout.writelines(quiver._extended_lines(eq))
     else:
         for k in seq:
             q = quiver.mutate(q, k)

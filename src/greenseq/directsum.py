@@ -219,13 +219,17 @@ def decompose(q: Quiver) -> Decomposition:
 
 def decomposition_report(dec: Decomposition) -> str:
     """Text report: one line per summand, then the colored junction arrows."""
+    # A summand is a union of Q's strongly connected components, and a path
+    # between two vertices of one component stays inside it, so a summand is
+    # irreducible exactly when it lies in one component.  One fused over a
+    # double-arrow junction is reducible but cannot be split without losing
+    # the color condition.
+    comps = _strongly_connected_components(_successors(dec.quiver))
+    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
     lines = []
     for p, verts in enumerate(dec.summands, start=1):
         vs = ",".join(str(v) for v in verts)
-        part, _ = dec.part(p - 1)
-        # a summand fused over a double-arrow junction is reducible but
-        # cannot be split without losing the color condition
-        strong = len(_strongly_connected_components(_successors(part))) == 1
+        strong = len({comp_of[v] for v in verts}) == 1
         kind = "irreducible" if strong else "fused"
         lines.append(f"summand {p}: vertices {{{vs}}} {kind}")
     for (src, dst, mult), color in zip(dec.cross_arrows, dec.colors):

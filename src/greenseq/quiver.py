@@ -487,14 +487,16 @@ def serialize_quiver(q: Quiver) -> str:
 
 
 def format_extended(eq: ExtendedQuiver) -> str:
-    """`extb <n> <m>` header plus tab-separated integer rows.
+    """`extb <n> <m>` header plus tab-separated integer rows."""
+    return "".join(_extended_lines(eq))
 
-    Each line is filled from its row's nonzeros, so no dense matrix is held.
-    """
-    lines = [f"extb {eq.n} {eq.m}"]
+
+def _extended_lines(eq: ExtendedQuiver) -> Iterator[str]:
+    """``format_extended`` one line at a time, each filled from its row's
+    nonzeros, so neither a dense matrix nor the whole text is held."""
+    yield f"extb {eq.n} {eq.m}\n"
     for row in eq.sparse_rows:
         cells = ["0"] * (eq.n + eq.m)
         for j, v in row.items():
             cells[j] = str(v)
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+        yield "\t".join(cells) + "\n"

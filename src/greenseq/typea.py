@@ -61,15 +61,18 @@ def oriented_triangles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(out))
 
 
-def _non_triangle_cycle(q: Quiver, tris: tuple[tuple[int, int, int], ...]) -> list[int] | None:
+def _non_triangle_cycle(
+    q: Quiver, tris: tuple[tuple[int, int, int], ...], tri_edges: set[tuple[int, int]]
+) -> list[int] | None:
     """Vertices of a simple cycle that is not one of ``tris``, or None.
 
-    ``tris`` must be edge-disjoint.  The underlying graph then has only
-    oriented 3-cycles exactly when E - V + C equals #triangles, i.e. when
-    two edges of each triangle plus every edge on no triangle form a forest.
-    Union-find contracts each triangle, then adds the other edges; the
-    first edge whose ends are already joined closes a cycle, read off the
-    forest by a breadth-first path.
+    ``tris`` must be edge-disjoint, with ``tri_edges`` their edges as sorted
+    pairs.  The underlying graph then has only oriented 3-cycles exactly
+    when E - V + C equals #triangles, i.e. when two edges of each triangle
+    plus every edge on no triangle form a forest.  Union-find contracts each
+    triangle, then adds the other edges; the first edge whose ends are
+    already joined closes a cycle, read off the forest by a breadth-first
+    path.
     """
     root = list(range(q.n + 1))
     forest: list[list[int]] = [[] for _ in range(q.n + 1)]
@@ -80,9 +83,8 @@ def _non_triangle_cycle(q: Quiver, tris: tuple[tuple[int, int, int], ...]) -> li
             a = root[a]
         return a
 
-    on_tri = {frozenset(e) for a, b, c in tris for e in ((a, b), (b, c), (a, c))}
     edges = [e for a, b, c in tris for e in ((a, b), (b, c))]
-    edges += [(s, d) for s, d, _ in q.arrows if frozenset((s, d)) not in on_tri]
+    edges += [(s, d) for s, d, _ in q.arrows if ((s, d) if s < d else (d, s)) not in tri_edges]
     for u, v in edges:
         ru, rv = find(u), find(v)
         if ru == rv:
@@ -103,67 +105,73 @@ def _non_triangle_cycle(q: Quiver, tris: tuple[tuple[int, int, int], ...]) -> li
     return None
 
 
-def is_type_a(q: Quiver) -> TypeAReport:
-    """Evaluate the four type-A conditions, with a witness on each failure."""
-    mult = q.arrow_dict()
+def _recognise(q: Quiver) -> tuple[
+    TypeAReport, tuple[tuple[int, int, int], ...], set[tuple[int, int]], dict[int, list[int]]
+]:
+    """The four type-A conditions, plus the facts read on the way.
+
+    Returns ``(report, tris, tri_edges, by_vertex)``: the oriented 3-cycles,
+    their edges as sorted pairs, and for each vertex the indices into
+    ``tris`` of the 3-cycles through it.  ``tri_edges`` is complete whenever
+    condition i passes.
+    """
     tris = oriented_triangles(q)
-    tri_edges: dict[tuple[int, int], int] = {}
+    tri_edges: set[tuple[int, int]] = set()
 
     # (i) every underlying cycle is an oriented 3-cycle.
     witness_i: str | None = None
-    for (s, d), m in mult.items():
+    for s, d, m in q.arrows:
         if m >= 2:
             witness_i = f"double arrow {s} -> {d}"
             break
     if witness_i is None:
         for tri in tris:
-            for u, v in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-                edge = (u, v)
+            for edge in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
                 if edge in tri_edges:
-                    witness_i = f"edge {u}-{v} lies in two 3-cycles"
+                    witness_i = f"edge {edge[0]}-{edge[1]} lies in two 3-cycles"
                     break
-                tri_edges[edge] = 1
+                tri_edges.add(edge)
             if witness_i:
                 break
     if witness_i is None:
-        cycle = _non_triangle_cycle(q, tris)
+        cycle = _non_triangle_cycle(q, tris, tri_edges)
         if cycle is not None:
             witness_i = f"non-oriented cycle through {cycle}"
     cond_i = ConditionResult("i", witness_i is None, witness_i)
 
-    # (ii) at most four neighbors.
-    witness_ii = None
-    for v in range(1, q.n + 1):
-        if q.degree(v) > 4:
-            witness_ii = f"vertex {v} has {q.degree(v)} neighbors"
-            break
-    cond_ii = ConditionResult("ii", witness_ii is None, witness_ii)
-
-    by_vertex: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(1, q.n + 1)}
-    for tri in tris:
+    by_vertex: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
+    for i, tri in enumerate(tris):
         for v in tri:
-            by_vertex[v].append(tri)
+            by_vertex[v].append(i)
 
-    # (iii) degree-4 vertices: two arrow pairs, each a 3-cycle.
-    witness_iii = None
-    for v in range(1, q.n + 1):
-        if q.degree(v) == 4:
-            covered = {u for tri in by_vertex[v] for u in tri if u != v}
-            if len(by_vertex[v]) != 2 or covered != set(q.neighbors(v)):
+    # (ii) at most four neighbors; (iii) a degree-4 vertex has two arrow
+    # pairs, each a 3-cycle; (iv) a degree-3 vertex has one 3-cycle plus one
+    # non-cycle arrow.  Each witness is the first vertex failing its condition.
+    witness_ii = witness_iii = witness_iv = None
+    for v, owners in by_vertex.items():
+        deg = q.degree(v)
+        if deg > 4:
+            witness_ii = witness_ii or f"vertex {v} has {deg} neighbors"
+        elif deg == 4 and witness_iii is None:
+            covered = {u for i in owners for u in tris[i] if u != v}
+            if len(owners) != 2 or covered != set(q.neighbors(v)):
                 witness_iii = f"vertex {v} has 4 neighbors but not two 3-cycles"
-                break
-    cond_iii = ConditionResult("iii", witness_iii is None, witness_iii)
+        elif deg == 3 and len(owners) != 1:
+            witness_iv = witness_iv or f"vertex {v} has 3 neighbors but {len(owners)} 3-cycles"
 
-    # (iv) degree-3 vertices: one 3-cycle plus one non-cycle arrow.
-    witness_iv = None
-    for v in range(1, q.n + 1):
-        if q.degree(v) == 3 and len(by_vertex[v]) != 1:
-            witness_iv = f"vertex {v} has 3 neighbors but {len(by_vertex[v])} 3-cycles"
-            break
-    cond_iv = ConditionResult("iv", witness_iv is None, witness_iv)
+    conditions = (
+        cond_i,
+        ConditionResult("ii", witness_ii is None, witness_ii),
+        ConditionResult("iii", witness_iii is None, witness_iii),
+        ConditionResult("iv", witness_iv is None, witness_iv),
+    )
+    report = TypeAReport(all(c.passed for c in conditions), conditions)
+    return report, tris, tri_edges, by_vertex
 
-    conditions = (cond_i, cond_ii, cond_iii, cond_iv)
-    return TypeAReport(all(c.passed for c in conditions), conditions)
+
+def is_type_a(q: Quiver) -> TypeAReport:
+    """Evaluate the four type-A conditions, with a witness on each failure."""
+    return _recognise(q)[0]
 
 
 def type_a_report_text(report: TypeAReport) -> str:
@@ -207,68 +215,35 @@ class CycleTree:
 def cycle_tree(q: Quiver) -> CycleTree:
     """Extract the tree of 3-cycles of an irreducible type-A quiver.
 
-    Raises NotTypeAError / NotIrreducibleError / NoCyclesError when the
-    input is outside this shape; acyclic summands are the caller's job.
-    A tree of 3-cycles meets all four type-A conditions, so ``is_type_a``
-    runs only when the shape check fails, to name the failing condition,
-    which the NotTypeAError carries.
+    One pass evaluates the four type-A conditions; the first that fails is
+    raised as a NotTypeAError, which carries it.  A type-A quiver is then
+    refused with NoCyclesError when it has no 3-cycle, and with
+    NotIrreducibleError when an arrow lies on no 3-cycle, a vertex is
+    isolated, or the 3-cycles fall into several components.  Acyclic
+    summands are the caller's job.
     """
-    try:
-        return _tree_shape(q)
-    except QuiverError:
-        report = is_type_a(q)
-        if report.verdict:
-            raise
+    report, tris, tri_edges, by_vertex = _recognise(q)
+    if not report.verdict:
         bad = next(c for c in report.conditions if not c.passed)
-        raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}", bad) from None
-
-
-def _tree_shape(q: Quiver) -> CycleTree:
-    """The tree of 3-cycles, checking only its shape: every arrow simple and
-    on an oriented 3-cycle, every vertex on one or two of them, and the
-    sharing graph a tree.  The tree makes the 3-cycles edge-disjoint and
-    every cycle of the underlying graph one of them (condition i); degrees
-    are then 2 or 4, with two 3-cycles at each degree-4 vertex (ii-iv)."""
-    tris = oriented_triangles(q)
+        raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}", bad)
     if not tris:
         raise NoCyclesError("quiver has no 3-cycle")
-    tri_edges = {
-        frozenset((tri[a], tri[b])) for tri in tris for a, b in ((0, 1), (0, 2), (1, 2))
-    }
-    for s, d, m in q.arrows:
-        if frozenset((s, d)) not in tri_edges:
+    for s, d, _ in q.arrows:
+        if ((s, d) if s < d else (d, s)) not in tri_edges:
             raise NotIrreducibleError(f"arrow {s} -> {d} lies on no 3-cycle")
-        if m > 1:
-            raise NotTypeAError(f"double arrow {s} -> {d}")
-    in_tris: dict[int, list[int]] = {}
-    for i, tri in enumerate(tris):
-        for v in tri:
-            in_tris.setdefault(v, []).append(i)
     edges = []
     adj: list[list[tuple[int, int]]] = [[] for _ in tris]
-    for v, owners in sorted(in_tris.items()):
-        if len(owners) > 2:
-            raise NotTypeAError(f"vertex {v} lies in {len(owners)} 3-cycles")
+    for v, owners in by_vertex.items():
+        if not owners:
+            raise NotIrreducibleError("isolated vertices present")
         if len(owners) == 2:
             a, b = owners
             edges.append((a, b, v))
             adj[a].append((b, v))
             adj[b].append((a, v))
-    covered = {v for tri in tris for v in tri}
-    if covered != set(range(1, q.n + 1)):
-        raise NotIrreducibleError("isolated vertices present")
-    # connected + |edges| = |nodes| - 1 makes the sharing graph a tree
+    # type A makes the sharing graph a forest, so it is a tree exactly
+    # when it has one edge fewer than nodes
     if len(edges) != len(tris) - 1:
-        raise NotIrreducibleError("3-cycle sharing graph is not a tree")
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j, _ in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                frontier.append(j)
-    if len(seen) != len(tris):
         raise NotIrreducibleError("3-cycle sharing graph is disconnected")
     return CycleTree(q, tris, tuple(edges), tuple(tuple(sorted(nb)) for nb in adj))
 

@@ -147,6 +147,13 @@ class TestExitCodes:
         code, _, err = run("embed", FIXTURES / "zigzag7.quiver", "--root", "3,4,5")
         assert code == 2 and "not a leaf" in err
 
+    def test_embed_two_disjoint_triangles_names_disconnection(self, tmp_path):
+        f = tmp_path / "two.quiver"
+        f.write_text("quiver 6\narrow 1 2\narrow 2 3\narrow 3 1\narrow 4 5\narrow 5 6\narrow 6 4\n")
+        code, out, err = run("embed", f)
+        assert (code, out) == (2, "")
+        assert err == "error: 3-cycle sharing graph is disconnected\n"
+
     def test_enumerate_non_type_a_requires_bound(self, tmp_path):
         f = tmp_path / "double.quiver"
         f.write_text("quiver 2\narrow 1 2 2\n")

@@ -8,7 +8,8 @@ import pytest
 
 import greenseq as gs
 from conftest import load
-from helpers import random_tree_quiver
+from greenseq.directsum import _strongly_connected_components, _successors
+from helpers import random_quiver, random_tree_quiver
 
 E35_GLUING = ((1, 5), (1, 8), (1, 11), (3, 8), (4, 9), (4, 11))
 
@@ -160,6 +161,26 @@ class TestDecompose:
         dec = gs.decompose(q)
         assert dec.summands == ((1, 2, 3, 4),) and dec.cross_arrows == ()
         assert gs.decomposition_report(dec) == "summand 1: vertices {1,2,3,4} fused\n"
+
+    def test_report_kinds_match_per_summand_components(self):
+        # reference: Tarjan run again on each summand's own subquiver
+        rng = random.Random(22)
+        fused = 0
+        for _ in range(400):
+            q = random_quiver(rng, max_n=9, max_mult=2)
+            dec = gs.decompose(q)
+            want = []
+            for p, verts in enumerate(dec.summands, start=1):
+                part, _ = dec.part(p - 1)
+                strong = len(_strongly_connected_components(_successors(part))) == 1
+                fused += not strong
+                want.append(
+                    f"summand {p}: vertices {{{','.join(map(str, verts))}}} "
+                    + ("irreducible" if strong else "fused")
+                )
+            lines = gs.decomposition_report(dec).splitlines()
+            assert lines[: len(want)] == want, q
+        assert fused >= 100
 
 
 class TestJunctionInvariants:

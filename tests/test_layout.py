@@ -1,9 +1,10 @@
-"""Package layout: one matrix format and one stage fold.
+"""Package layout: one matrix format, one stage fold, one type-A recogniser.
 
 The engine stores matrices only as sparse rows; the dense view
 ``ExtendedQuiver.rows`` is read in ``quiver.py`` alone.  The dense forms and
 the per-stage fold kept as references live in ``tests/helpers.py``, and must
-not come back into the package.
+not come back into the package; nor may a second type-A recogniser beside
+the one pass that ``is_type_a`` and ``cycle_tree`` share.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ MODULES = sorted(SRC.glob("*.py"))
 # test oracles in tests/helpers.py, or removed: none is defined in the package
 MOVED = {
     "b_matrix", "extended_part", "permute_b_matrix", "block_matrix",
-    "rotation_table", "stage_rotation", "coframe", "pending_set",
+    "rotation_table", "stage_rotation", "coframe", "pending_set", "_tree_shape",
 }
 
 

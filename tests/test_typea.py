@@ -162,19 +162,42 @@ class TestConditionOneOracle:
                 assert any(set(c) == named for c in bad), (q, cond)
         assert min(verdicts.values()) >= 300
 
+    def test_vertex_witnesses_name_the_first_failing_vertex(self):
+        rng = random.Random(4419)
+        failed = {"ii": 0, "iii": 0, "iv": 0}
+        for _ in range(1500):
+            q = random_quiver(rng, max_n=9, max_mult=1)
+            tris = [set(c) for c in _simple_cycles(q) if _is_oriented_triangle(q, c)]
+            want = {"ii": None, "iii": None, "iv": None}
+            for v in range(q.n, 0, -1):
+                mine = [t for t in tris if v in t]
+                if q.degree(v) > 4:
+                    want["ii"] = f"vertex {v} has {q.degree(v)} neighbors"
+                elif q.degree(v) == 4 and not (
+                    len(mine) == 2 and set.union(*mine) - {v} == set(q.neighbors(v))
+                ):
+                    want["iii"] = f"vertex {v} has 4 neighbors but not two 3-cycles"
+                elif q.degree(v) == 3 and len(mine) != 1:
+                    want["iv"] = f"vertex {v} has 3 neighbors but {len(mine)} 3-cycles"
+            report = gs.is_type_a(q)
+            for name, witness in want.items():
+                assert report.condition(name).witness == witness, (q, name)
+                failed[name] += witness is not None
+        assert min(failed.values()) >= 100, failed
+
     def test_tree_shape_implies_type_a(self):
-        # cycle_tree skips the full recognition when the shape check passes:
-        # it must refuse exactly the quivers that are not type A
+        # cycle_tree refuses each input with the class a brute-force oracle
+        # fixes, and on success its nodes are every oriented 3-cycle
         rng = random.Random(4418)
         quivers = [random_quiver(rng, max_n=7, max_mult=1) for _ in range(500)]
-        for _ in range(600):
+        for _ in range(700):
             q, _ = random_tree_quiver(rng, 5)
             arrows = list(q.arrows)
             i = rng.randrange(len(arrows))
             s, d, _ = arrows[i]
             u, v = rng.sample(range(1, q.n + 1), 2)
             n = q.n
-            roll = rng.randrange(5)
+            roll = rng.randrange(7)
             if roll == 1:
                 arrows[i] = (s, d, 2)
             elif roll == 2:
@@ -185,19 +208,56 @@ class TestConditionOneOracle:
                 # a 3-cycle through two old vertices closes a ring of 3-cycles
                 n += 1
                 arrows += [(u, v, 1), (v, n, 1), (n, u, 1)]
+            elif roll == 5:
+                # a disjoint union with a second tree
+                other, _ = random_tree_quiver(rng, 4)
+                arrows += [(a + n, b + n, m) for a, b, m in other.arrows]
+                n += other.n
+            elif roll == 6:
+                n += 1  # an isolated vertex, or a pendant one
+                if rng.random() < 0.5:
+                    arrows.append((u, n, 1))
             quivers.append(gs.Quiver(n, tuple(arrows)))
-        shapes = 0
+        seen = {}
         for q in quivers:
+            want, triangles = _cycle_tree_oracle(q)
             try:
-                gs.cycle_tree(q)
-                shapes += 1
-                refused = False
-            except gs.NotTypeAError:
-                refused = True
-            except (gs.NotIrreducibleError, gs.NoCyclesError):
-                refused = False
-            assert refused == (not gs.is_type_a(q).verdict), q
-        assert shapes >= 100
+                tree = gs.cycle_tree(q)
+                got = None
+            except (gs.NotTypeAError, gs.NotIrreducibleError, gs.NoCyclesError) as exc:
+                got = type(exc)
+            assert got is want, q
+            if got is None:
+                assert tree.nodes == triangles, q
+            seen[want] = seen.get(want, 0) + 1
+        assert min(seen.values()) >= 100 and len(seen) == 4, seen
+
+
+def _cycle_tree_oracle(q: gs.Quiver):
+    """The class ``cycle_tree`` must raise on q (None for a tree of 3-cycles)
+    and the oriented 3-cycles, from the brute-force cycle list: type A means
+    simple arrows, every cycle an oriented 3-cycle, at most four neighbors,
+    two 3-cycles at each degree-4 vertex and one at each degree-3 vertex."""
+    cycles = _simple_cycles(q)
+    triangles = tuple(sorted(tuple(sorted(c)) for c in cycles if _is_oriented_triangle(q, c)))
+    through = {v: sum(v in t for t in triangles) for v in range(1, q.n + 1)}
+    type_a = (
+        all(m == 1 for _, _, m in q.arrows)
+        and len(triangles) == len(cycles)
+        and all(q.degree(v) <= 4 for v in through)
+        and all(through[v] == 2 for v in through if q.degree(v) == 4)
+        and all(through[v] == 1 for v in through if q.degree(v) == 3)
+    )
+    if not type_a:
+        return gs.NotTypeAError, triangles
+    if not triangles:
+        return gs.NoCyclesError, triangles
+    on_no_cycle = any(not any({s, d} <= set(t) for t in triangles) for s, d, _ in q.arrows)
+    isolated = any(q.degree(v) == 0 for v in through)
+    disconnected = any(_distance(q, 1, v) == 10**6 for v in through)
+    if on_no_cycle or isolated or disconnected:
+        return gs.NotIrreducibleError, triangles
+    return None, triangles
 
 
 def _distance(q: gs.Quiver, u: int, v: int) -> int:
