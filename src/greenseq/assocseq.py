@@ -72,7 +72,6 @@ class PipelineResult:
     trace: GreenTrace  # the whole quiver's walk that verified ``sequence``
     decomposition: Decomposition
     summand_sequences: tuple[tuple[int, ...], ...]  # local numbering per summand
-    embeddings: tuple[EmbeddedQuiver | None, ...]  # None for acyclic summands
 
     @property
     def sequence(self) -> tuple[int, ...]:
@@ -90,12 +89,10 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
     """
     dec = decompose(q)
     parts: list[tuple[int, ...]] = []
-    embeddings: list[EmbeddedQuiver | None] = []
     for p in range(len(dec.summands)):
         part, _ = dec.part(p)
         try:
             parts.append(acyclic_mgs(part))
-            embeddings.append(None)
             continue
         except NotAcyclicError:
             pass  # a directed cycle: a tree of 3-cycles, or not type A
@@ -107,5 +104,4 @@ def mgs_for_type_a(q: Quiver) -> PipelineResult:
                 f"summand {p + 1} fails condition {bad.name}: {bad.witness}", bad
             ) from None
         parts.append(associated_sequence(emb))
-        embeddings.append(emb)
-    return PipelineResult(concat_mgs(dec, parts), dec, tuple(parts), tuple(embeddings))
+    return PipelineResult(concat_mgs(dec, parts), dec, tuple(parts))

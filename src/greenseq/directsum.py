@@ -9,11 +9,10 @@ builds and verifies.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
-from .green import GreenTrace, verify_green
+from .green import GreenTrace, _min_first_order, _successors, verify_green
 from .quiver import ExtendedQuiver, Quiver, QuiverError, subquiver
 
 
@@ -114,58 +113,48 @@ class Decomposition:
         return tuple(len(s) for s in sources)
 
 
-def _successors(q: Quiver) -> dict[int, list[int]]:
-    succ: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
-    for s, d, _ in q.arrows:
-        succ[s].append(d)
-    return succ
-
-
 def _strongly_connected_components(adj: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan on the graph with successor lists ``adj``."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    """Kosaraju's two passes (Sharir, 1981) over successor lists ``adj``.
+
+    The first depth-first pass records the order in which vertices are left;
+    the second takes the vertices latest-left first and collects what each
+    reaches along reversed arrows among the vertices not yet placed.  Each
+    component comes out sorted.
+    """
+    seen: set[int] = set()
+    left: list[int] = []
     for root in adj:
-        if root in index:
+        if root in seen:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        seen.add(root)
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while pi < len(adj[v]):
-                w = adj[v][pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+            v, ahead = work[-1]
+            for w in ahead:
+                if w not in seen:
+                    seen.add(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
+            else:
+                work.pop()
+                left.append(v)
+    pred: dict[int, list[int]] = {v: [] for v in adj}
+    for v, ws in adj.items():
+        for w in ws:
+            pred[w].append(v)
+    placed: set[int] = set()
+    comps: list[list[int]] = []
+    for root in reversed(left):
+        if root in placed:
+            continue
+        placed.add(root)
+        comp = [root]
+        for v in comp:  # grows while it is read: a breadth-first sweep
+            for w in pred[v]:
+                if w not in placed:
+                    placed.add(w)
                     comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+        comps.append(sorted(comp))
     return comps
 
 
@@ -184,28 +173,17 @@ def decompose(q: Quiver) -> Decomposition:
         if m >= 2:
             adj[d].append(s)
     comps = _strongly_connected_components(adj)
-    group_of = {v: g for g, comp in enumerate(comps) for v in comp}
-
-    # Topological order of the quotient, smallest minimum vertex first.
-    succ: list[set[int]] = [set() for _ in comps]
-    indeg = [0] * len(comps)
+    # each group is named by its minimum vertex, so the min-first order of
+    # the quotient breaks ties by smallest minimum vertex
+    members = {comp[0]: comp for comp in comps}
+    group_of = {v: comp[0] for comp in comps for v in comp}
+    succ: dict[int, set[int]] = {g: set() for g in members}
     for s, d, _ in q.arrows:
-        gs, gd = group_of[s], group_of[d]
-        if gs != gd and gd not in succ[gs]:
-            succ[gs].add(gd)
-            indeg[gd] += 1
-    heap = [(comp[0], g) for g, comp in enumerate(comps) if indeg[g] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, g = heapq.heappop(heap)
-        order.append(g)
-        for h in succ[g]:
-            indeg[h] -= 1
-            if indeg[h] == 0:
-                heapq.heappush(heap, (comps[h][0], h))
+        if group_of[s] != group_of[d]:
+            succ[group_of[s]].add(group_of[d])
+    order = _min_first_order(succ)
 
-    summands = tuple(tuple(comps[g]) for g in order)
+    summands = tuple(tuple(members[g]) for g in order)
     position = {v: p for p, verts in enumerate(summands) for v in verts}
     cross = tuple(
         sorted((s, d, m) for s, d, m in q.arrows if position[s] != position[d])

@@ -11,17 +11,18 @@ sigma when the sequence is maximal.
 from __future__ import annotations
 
 import hashlib
-import struct
+import heapq
+from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .quiver import (
     ExtendedQuiver,
     Permutation,
     Quiver,
     QuiverError,
+    _extended_lines,
     all_colors,
-    format_extended,
     frame,
     green_vertices,
     matrix_mutate,
@@ -127,27 +128,45 @@ def induced_permutation(q: Quiver, seq: Sequence[int]) -> Permutation:
     return trace.induced
 
 
+def _successors(q: Quiver) -> dict[int, list[int]]:
+    succ: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
+    for s, d, _ in q.arrows:
+        succ[s].append(d)
+    return succ
+
+
+def _min_first_order(succ: Mapping[int, Collection[int]]) -> list[int]:
+    """Kahn's topological order of the nodes of ``succ``, always taking the
+    smallest ready node.
+
+    ``succ[v]`` lists v's successors, a repeated one once per edge.  A node
+    on a directed cycle, or after one, is never ready and is left out, so a
+    short order tells the caller that a cycle exists.
+    """
+    indeg = dict.fromkeys(succ, 0)
+    for ws in succ.values():
+        for w in ws:
+            indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order
+
+
 def acyclic_mgs(q: Quiver) -> tuple[int, ...]:
     """Source-order sequence for an acyclic quiver, smallest index first.
 
-    Mutates each vertex exactly once, always at a vertex that is a source
-    among the not-yet-mutated ones.
+    Mutates each vertex exactly once, always at the smallest vertex that is
+    a source among the not-yet-mutated ones.
     """
-    indeg = {v: 0 for v in range(1, q.n + 1)}
-    outs: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
-    for src, dst, _ in q.arrows:
-        indeg[dst] += 1
-        outs[src].append(dst)
-    order: list[int] = []
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    while ready:
-        v = ready.pop(0)
-        order.append(v)
-        for w in outs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-        ready.sort()
+    order = _min_first_order(_successors(q))
     if len(order) != q.n:
         raise NotAcyclicError("quiver has a directed cycle")
     return tuple(order)
@@ -232,29 +251,24 @@ class ExchangeGraphSlice:
     sinks: tuple[int, ...]
 
     def maximal_chain_count(self) -> int:
-        """Number of source-to-sink directed paths."""
+        """Number of source-to-sink directed paths.
+
+        Green mutation strictly advances the c-vector fan, so the graph is a
+        DAG: each node's count is 1 at a sink, else the sum over its edges of
+        the count at the far end, filled in along a topological order read
+        backwards.
+        """
         succ: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
         for src, _, dst in self.edges:
             succ[src].append(dst)
-        memo: dict[int, int] = {}
-
-        # depth-first with memo; the graph is a DAG because green mutation
-        # strictly advances the c-vector fan.
-        def count(i: int, stack: set[int]) -> int:
-            if i in memo:
-                return memo[i]
-            if i in stack:
-                raise QuiverError("green-move graph unexpectedly has a cycle")
-            if not succ[i]:
-                memo[i] = 1
-                return 1
-            stack.add(i)
-            total = sum(count(j, stack) for j in succ[i])
-            stack.remove(i)
-            memo[i] = total
-            return total
-
-        return count(self.source, set())
+        order = _min_first_order(succ)
+        if len(order) != len(succ):
+            raise QuiverError("green-move graph unexpectedly has a cycle")
+        paths = [1] * len(order)
+        for i in reversed(order):
+            if succ[i]:
+                paths[i] = sum(paths[j] for j in succ[i])
+        return paths[self.source]
 
     def iso_class_count(self) -> int:
         """Node count after identifying states that differ only by a
@@ -302,19 +316,24 @@ def matrix_hash(eq: ExtendedQuiver) -> str:
     """Stable 16-hex-digit content hash of an extended matrix.
 
     The payload is the ``extb`` header plus the row-major entries as native
-    int64 bytes, zeros included.  A matrix with an entry outside int64
-    hashes its ``format_extended`` text after a ``big`` tag instead.
+    int64 bytes, zeros included, hashed one row at a time.  A matrix with an
+    entry outside int64 hashes its ``format_extended`` text after a ``big``
+    tag instead.
     """
-    width = eq.n + eq.m
-    flat = [0] * (eq.n * width)
-    for i, row in enumerate(eq.sparse_rows):
-        for j, v in row.items():
-            flat[i * width + j] = v
+    header = f"extb {eq.n} {eq.m}\n".encode()
+    digest = hashlib.sha256(header)
+    zeros = array("q", [0]) * (eq.n + eq.m)
     try:
-        body = struct.pack(f"{len(flat)}q", *flat)
-    except struct.error:
-        body = b"big\n" + format_extended(eq).encode()
-    return hashlib.sha256(f"extb {eq.n} {eq.m}\n".encode() + body).hexdigest()[:16]
+        for row in eq.sparse_rows:
+            cells = zeros[:]
+            for j, v in row.items():
+                cells[j] = v
+            digest.update(cells)
+    except OverflowError:
+        digest = hashlib.sha256(header + b"big\n")
+        for line in _extended_lines(eq):
+            digest.update(line.encode())
+    return digest.hexdigest()[:16]
 
 
 def exchange_graph_dot(slice_: ExchangeGraphSlice) -> str:

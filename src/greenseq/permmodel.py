@@ -134,81 +134,19 @@ class _Tally:
 def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     """Evaluate the permutation identities clause by clause on ``e``.
 
-    Pairs whose preconditions fail are skipped (counted as not applicable),
-    never as passes.
+    One pass over the stages reads each stage's cycle, base cycle, descent
+    path, closing vertices and (when z_k has degree 2) northeast region once
+    and feeds every clause from them; the degree-2-y clause has its own
+    loop.  Pairs whose preconditions fail are skipped (counted as not
+    applicable), never as passes.
     """
     n = e.n_cycles
     stages = stage_table(e)
     taus = [s.tau.images for s in stages]
     sigmas = [s.sigma.images for s in stages]
     inv = [s.sigma_inv.images for s in stages]
-
-    def allowed_labels(k: int) -> tuple[int, ...]:
-        path = set(descent_path(e, k))
-        r = base_cycle(e, k)
-        pool = set(northeast_region(e, k)) | set(range(1, k + 1))
-        return tuple(sorted(pool - path - {r}))
-
-    # fixed points of tau_l northeast of a descent path (z_k and the path's
-    # x vertices; y_k itself can be moved by an upper child's stage)
-    path_support = _Tally("fixed-points", "path-support")
-    for k in range(1, n + 1):
-        if e.child_at_z(k) is not None:
-            continue
-        cyc = e.cycle(k)
-        support = [cyc.z] + [e.cycle(j).x for j in descent_path(e, k)]
-        for ell in allowed_labels(k):
-            tau = taus[ell]
-            for v in support:
-                path_support.expect(tau[v - 1], v, "k={} l={} v={}", k, ell, v)
-
-    closing = _Tally("fixed-points", "closing-vertex")
-    for k in range(1, n + 1):
-        if e.child_at_z(k) is not None or e.cycle(k).up:
-            continue
-        r = base_cycle(e, k)
-        if r == 1:
-            continue
-        path = set(descent_path(e, k))
-        pool = set(northeast_region(e, k)) | set(range(r, k + 1))
-        v = closing_vertex(e, r - 1)
-        for ell in sorted(pool - path - {r}):
-            closing.expect(taus[ell][v - 1], v, "k={} l={}", k, ell)
-
-    # action of sigma_k on the stage support
-    act_i, act_ii, act_iii, act_iv, act_v = (
-        _Tally("stage-action", clause) for clause in ("i", "ii", "iii", "iv", "v")
-    )
     x1 = e.cycle(1).x
-    for k in range(1, n + 1):
-        cyc = e.cycle(k)
-        r = base_cycle(e, k)
-        path = descent_path(e, k)
-        d = len(path)
-        sigma = sigmas[k]
-        if r == 1:
-            act_i.expect(sigma[cyc.z - 1], x1, "k={} z", k)
-            # the converse direction presupposes the stage closes at x1
-            if closing_vertex(e, k) == x1:
-                act_i.expect(sigma[x1 - 1], cyc.z, "k={} x1", k)
-        else:
-            act_i.expect(sigma[cyc.z - 1], e.cycle(r - 1).z, "k={}", k)
-            act_iii.expect(sigma[closing_vertex(e, r - 1) - 1], cyc.x, "k={}", k)
-            if not cyc.up:
-                act_ii.expect(sigma[cyc.x - 1], e.cycle(r).x, "k={}", k)
-        act_iv.expect(sigma[closing_vertex(e, k) - 1], cyc.z, "k={}", k)
-        if not cyc.up:
-            xs = [e.cycle(j).x for j in path]
-            if r == 1:
-                pairs = ((j, xs[j - 1], xs[d - j]) for j in range(1, (d + 1) // 2 + 1))
-            else:
-                pairs = ((j, xs[j - 1], xs[d + 1 - j]) for j in range(2, (d + 2) // 2 + 1))
-            for j, a, b in pairs:
-                act_v.expect(sigma[a - 1], b, "k={} j={}", k, j)
-                act_v.expect(sigma[b - 1], a, "k={} j={} rev", k, j)
 
-    # inverse action on the y vertices along a descent path; the case split
-    # sees only the processed part (cycles up to stage k-1)
     def y_expected(k: int, j_label: int) -> int:
         """Expected image of y_{j_label} under sigma_{k-1}^{-1}."""
         upto = k - 1
@@ -220,12 +158,65 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
             return e.cycle(end).x
         return closing_vertex(e, j_label)
 
+    path_support = _Tally("fixed-points", "path-support")
+    closing = _Tally("fixed-points", "closing-vertex")
+    act_i, act_ii, act_iii, act_iv, act_v = (
+        _Tally("stage-action", clause) for clause in ("i", "ii", "iii", "iv", "v")
+    )
     y_vertices = _Tally("inverse-action", "y-vertices")
     y_stability = _Tally("inverse-action", "y-stability")
     for k in range(1, n + 1):
-        if e.cycle(k).up:
+        cyc = e.cycle(k)
+        r = base_cycle(e, k)
+        path = descent_path(e, k)
+        xs = [e.cycle(j).x for j in path]
+        close_k = closing_vertex(e, k)
+        close_below = closing_vertex(e, r - 1) if r != 1 else None
+
+        # fixed points of tau_l northeast of a descent path (z_k and the
+        # path's x vertices; y_k itself can be moved by an upper child's
+        # stage), and of the closing vertex below a downward path's base
+        if e.child_at_z(k) is None:
+            region = set(northeast_region(e, k))
+            labels = sorted((region | set(range(1, k + 1))) - set(path) - {r})
+            for ell in labels:
+                tau = taus[ell]
+                for v in (cyc.z, *xs):
+                    path_support.expect(tau[v - 1], v, "k={} l={} v={}", k, ell, v)
+            if not cyc.up and r != 1:
+                # the same labels with the pool's 1..k cut to r..k
+                for ell in labels:
+                    if ell >= r or ell in region:
+                        closing.expect(taus[ell][close_below - 1], close_below,
+                                       "k={} l={}", k, ell)
+
+        # action of sigma_k on the stage support
+        sigma = sigmas[k]
+        if r == 1:
+            act_i.expect(sigma[cyc.z - 1], x1, "k={} z", k)
+            # the converse direction presupposes the stage closes at x1
+            if close_k == x1:
+                act_i.expect(sigma[x1 - 1], cyc.z, "k={} x1", k)
+        else:
+            act_i.expect(sigma[cyc.z - 1], e.cycle(r - 1).z, "k={}", k)
+            act_iii.expect(sigma[close_below - 1], cyc.x, "k={}", k)
+            if not cyc.up:
+                act_ii.expect(sigma[cyc.x - 1], e.cycle(r).x, "k={}", k)
+        act_iv.expect(sigma[close_k - 1], cyc.z, "k={}", k)
+        if cyc.up:
             continue
-        for j_label in (base_cycle(e, k), *descent_path(e, k)):
+        d = len(path)
+        if r == 1:
+            pairs = ((j, xs[j - 1], xs[d - j]) for j in range(1, (d + 1) // 2 + 1))
+        else:
+            pairs = ((j, xs[j - 1], xs[d + 1 - j]) for j in range(2, (d + 2) // 2 + 1))
+        for j, a, b in pairs:
+            act_v.expect(sigma[a - 1], b, "k={} j={}", k, j)
+            act_v.expect(sigma[b - 1], a, "k={} j={} rev", k, j)
+
+        # inverse action on the y vertices along the descent path; the case
+        # split sees only the processed part (cycles up to stage k-1)
+        for j_label in (r, *path):
             yv = e.cycle(j_label).y
             before = inv[k - 1][yv - 1]
             y_vertices.expect(before, y_expected(k, j_label), "k={} label={}", k, j_label)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+import struct
 
 import greenseq as gs
 
@@ -252,3 +254,44 @@ def format_extended_dense(eq: gs.ExtendedQuiver) -> str:
     for row in eq.rows:
         lines.append("\t".join(map(str, row)))
     return "\n".join(lines) + "\n"
+
+
+def dense_matrix_hash(eq: gs.ExtendedQuiver) -> str:
+    """``matrix_hash`` over the dense ``rows`` view: the whole int64 payload
+    packed at once, or the ``big`` text form when an entry does not fit."""
+    flat = [v for row in eq.rows for v in row]
+    try:
+        body = struct.pack(f"{len(flat)}q", *flat)
+    except struct.error:
+        body = b"big\n" + format_extended_dense(eq).encode()
+    return hashlib.sha256(f"extb {eq.n} {eq.m}\n".encode() + body).hexdigest()[:16]
+
+
+def mutual_reachability_classes(adj: dict[int, list[int]]) -> list[list[int]]:
+    """Strongly connected components by definition: v and w share one
+    exactly when each reaches the other.  Sorted, each sorted."""
+    reach = {}
+    for v in adj:
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[v] = seen
+    classes = {tuple(w for w in sorted(adj) if w in reach[v] and v in reach[w]) for v in adj}
+    return sorted(map(list, classes))
+
+
+def smallest_source_order(q: gs.Quiver) -> tuple[int, ...]:
+    """Source order by definition: mutate the smallest source among the
+    vertices not yet mutated, until none is left or none is a source."""
+    left = set(range(1, q.n + 1))
+    order = []
+    while True:
+        sources = [v for v in left if not any(s in left and d == v for s, d, _ in q.arrows)]
+        if not sources:
+            return tuple(order)
+        order.append(min(sources))
+        left.remove(order[-1])

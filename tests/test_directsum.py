@@ -9,7 +9,7 @@ import pytest
 import greenseq as gs
 from conftest import load
 from greenseq.directsum import _strongly_connected_components, _successors
-from helpers import random_quiver, random_tree_quiver
+from helpers import mutual_reachability_classes, random_quiver, random_tree_quiver
 
 E35_GLUING = ((1, 5), (1, 8), (1, 11), (3, 8), (4, 9), (4, 11))
 
@@ -163,7 +163,7 @@ class TestDecompose:
         assert gs.decomposition_report(dec) == "summand 1: vertices {1,2,3,4} fused\n"
 
     def test_report_kinds_match_per_summand_components(self):
-        # reference: Tarjan run again on each summand's own subquiver
+        # reference: components found again on each summand's own subquiver
         rng = random.Random(22)
         fused = 0
         for _ in range(400):
@@ -181,6 +181,32 @@ class TestDecompose:
             lines = gs.decomposition_report(dec).splitlines()
             assert lines[: len(want)] == want, q
         assert fused >= 100
+
+
+class TestComponents:
+    def test_components_match_mutual_reachability(self):
+        # the graph decompose splits: Q with each double arrow also read
+        # backwards
+        rng = random.Random(23)
+        for _ in range(300):
+            q = random_quiver(rng, max_n=rng.choice((6, 12, 20)), max_mult=2)
+            adj = _successors(q)
+            for s, d, m in q.arrows:
+                if m >= 2:
+                    adj[d].append(s)
+            assert sorted(_strongly_connected_components(adj)) == mutual_reachability_classes(adj), q
+
+    def test_long_path_and_cycle(self):
+        # no walk recurses, so twenty thousand vertices in a row are fine
+        n = 20000
+        path = gs.Quiver.from_arrows(n, [(i + 1, i) for i in range(1, n)])
+        dec = gs.decompose(path)
+        assert dec.summands == tuple((v,) for v in range(n, 0, -1))
+        assert dec.colors == tuple(range(n - 1, 0, -1))  # vertex n is the first junction
+        cycle = gs.Quiver.from_arrows(n, [(i, i % n + 1) for i in range(1, n + 1)])
+        dec = gs.decompose(cycle)
+        assert dec.summands == (tuple(range(1, n + 1)),) and dec.cross_arrows == ()
+        assert gs.decomposition_report(dec).endswith("} irreducible\n")
 
 
 class TestJunctionInvariants:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from array import array
 from itertools import chain
 
@@ -11,7 +12,14 @@ import pytest
 
 import greenseq as gs
 from conftest import load
-from helpers import coframe, extended_part, iso_class_count_exhaustive, random_quiver
+from helpers import (
+    coframe,
+    dense_matrix_hash,
+    extended_part,
+    iso_class_count_exhaustive,
+    random_quiver,
+    smallest_source_order,
+)
 
 # Census of the oriented triangle, exhaustively enumerated and verified
 # (every member is maximal under verify_green; the exchange graph's chain count
@@ -112,6 +120,24 @@ class TestAcyclicMgs:
             arrows = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4]
             q = gs.Quiver.from_arrows(n, arrows)
             assert gs.verify_green(q, gs.acyclic_mgs(q)).is_maximal
+
+    def test_random_dags_match_definition(self):
+        # arrows run forward along a shuffled order, so vertex ids do not
+        # give the topological order away
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            topo = rng.sample(range(1, n + 1), n)
+            arrows = [(topo[i], topo[j]) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.3]
+            q = gs.Quiver.from_arrows(n, arrows)
+            assert gs.acyclic_mgs(q) == smallest_source_order(q), q
+
+    def test_many_isolated_vertices(self):
+        q = gs.Quiver(30000, ())
+        start = time.perf_counter()
+        assert gs.acyclic_mgs(q) == tuple(range(1, 30001))
+        assert time.perf_counter() - start < 1.5
 
 
 class TestEnumerate:
@@ -227,6 +253,13 @@ class TestExchangeGraph:
             assert (len(greens) == a3cycle.n) == (i == slice_.source)
             assert (not greens) == (i in slice_.sinks)
 
+    def test_chain_count_refuses_a_cycle(self):
+        q = gs.Quiver(1, ())
+        nodes = (gs.frame(q), gs.matrix_mutate(gs.frame(q), 1))
+        slice_ = gs.ExchangeGraphSlice(q, nodes, ((0, 1, 1), (1, 1, 0)), 0, ())
+        with pytest.raises(gs.QuiverError, match="^green-move graph unexpectedly has a cycle$"):
+            slice_.maximal_chain_count()
+
     def test_node_bound(self, a3cycle):
         with pytest.raises(gs.NodeBoundExceeded):
             gs.exchange_graph(a3cycle, max_nodes=4)
@@ -245,6 +278,17 @@ class TestDot:
             payload = f"extb {node.n} {node.m}\n".encode()
             payload += array("q", chain.from_iterable(node.rows)).tobytes()
             assert gs.matrix_hash(node) == hashlib.sha256(payload).hexdigest()[:16]
+
+    def test_streamed_hash_matches_dense_oracle(self):
+        states = []
+        for name in ("a3cycle", "zigzag7", "tree15", "tree16", "sum26"):
+            q = load(name)
+            states += [gs.frame(q), gs.apply_sequence(gs.frame(q), range(1, q.n + 1))]
+        # the entry past int64 sits in the last row, after a row that packs
+        big = gs.apply_sequence(gs.frame(gs.Quiver(2, ((1, 2, 2**40),))), (2, 1))
+        assert max(big.rows[-1]) >= 2**63 and max(map(abs, big.rows[0])) < 2**63
+        for eq in states + [big]:
+            assert gs.matrix_hash(eq) == dense_matrix_hash(eq)
 
     def test_hash_of_entries_past_int64(self):
         eq = gs.apply_sequence(gs.frame(gs.Quiver(2, ((1, 2, 2**40),))), (2, 1))

@@ -1,10 +1,13 @@
-"""Package layout: one matrix format, one stage fold, one type-A recogniser.
+"""Package layout: one matrix format, one stage fold, one type-A recogniser,
+plain walks and real runtime checks.
 
 The engine stores matrices only as sparse rows; the dense view
 ``ExtendedQuiver.rows`` is read in ``quiver.py`` alone.  The dense forms and
 the per-stage fold kept as references live in ``tests/helpers.py``, and must
 not come back into the package; nor may a second type-A recogniser beside
-the one pass that ``is_type_a`` and ``cycle_tree`` share.
+the one pass that ``is_type_a`` and ``cycle_tree`` share.  Every walk is
+iterative, so no input is bounded by the recursion limit, and no check is
+an ``assert``, which ``python -O`` strips.
 """
 
 from __future__ import annotations
@@ -57,3 +60,27 @@ def test_moved_names_not_defined(path):
             defined.append((0, node.asname or node.name))
     hits = sorted((line, name) for line, name in defined if name in MOVED)
     assert not hits, f"{path.name} defines {hits}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    hits = []
+    for fn in ast.walk(_tree(path)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == fn.name or (
+                isinstance(callee, ast.Attribute) and callee.attr == fn.name
+                and isinstance(callee.value, ast.Name) and callee.value.id in ("self", "cls")
+            ):
+                hits.append(f"line {node.lineno}: {fn.name}")
+    assert not hits, f"{path.name} recurses: {hits}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    hits = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
+    assert not hits, f"{path.name} has assert statements at lines {hits}"
