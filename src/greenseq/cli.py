@@ -10,6 +10,7 @@ order to right-to-left composition.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -17,9 +18,24 @@ from . import assocseq, directsum, embedding, green, matrixmodel, permmodel, qui
 from .quiver import QuiverError, QuiverParseError
 
 
+def _read_input(path: str) -> str:
+    """The UTF-8 text of ``path``, refused above ``quiver.MAX_INPUT_BYTES``:
+    a file on its size, before it is read, and a pipe, which reports size
+    0, once one byte past the limit has arrived."""
+    limit = quiver.MAX_INPUT_BYTES
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size <= limit:
+            data = f.read(limit + 1)
+            if len(data) <= limit:
+                return data.decode("utf-8")
+    shown = size if size > limit else f"more than {limit}"
+    raise QuiverParseError(f"{path} has {shown} bytes, above the input limit of {limit} bytes")
+
+
 def _load(path: str) -> quiver.Quiver:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = _read_input(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise QuiverParseError(f"cannot read {path}: {exc}") from exc
     return quiver.parse_quiver(text)

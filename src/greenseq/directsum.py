@@ -87,13 +87,16 @@ class Decomposition:
     ``summands`` are vertex sets (ascending); all arrows between distinct
     summands point from an earlier one to a later one.  ``colors`` gives a
     color index per cross arrow, one color per distinct (summand, source
-    vertex) junction.
+    vertex) junction.  ``irreducible`` tells, per summand, whether it is
+    one strongly connected component of the quiver, rather than several
+    fused over double-arrow junctions.
     """
 
     quiver: Quiver
     summands: tuple[tuple[int, ...], ...]
     cross_arrows: tuple[tuple[int, int, int], ...]  # (src, dst, mult)
     colors: tuple[int, ...]
+    irreducible: tuple[bool, ...]
 
     def summand_of(self, v: int) -> int:
         for p, verts in enumerate(self.summands):
@@ -107,9 +110,10 @@ class Decomposition:
 
     def color_counts(self) -> tuple[int, ...]:
         """Distinct cross-arrow sources per summand (its t towards later parts)."""
+        position = {v: p for p, verts in enumerate(self.summands) for v in verts}
         sources: list[set[int]] = [set() for _ in self.summands]
         for src, _, _ in self.cross_arrows:
-            sources[self.summand_of(src)].add(src)
+            sources[position[src]].add(src)
         return tuple(len(s) for s in sources)
 
 
@@ -165,25 +169,40 @@ def decompose(q: Quiver) -> Decomposition:
     so its ends share a summand, and so must all groups on a cycle of the
     group quotient, until the quotient is a DAG.  That fixpoint is the
     strongly connected components of the quiver with each double arrow also
-    read backwards.  Summand order is the topological order of the quotient
-    with smallest-minimum-vertex tie-break.
+    read backwards.  Kosaraju runs once over Q; the fixpoint is then taken
+    on the quotient of Q's components, where a double arrow inside one
+    component adds nothing.  A summand is irreducible exactly when it is
+    one component of Q.  Summand order is the topological order of the
+    quotient with smallest-minimum-vertex tie-break.
     """
-    adj = _successors(q)
-    for s, d, m in q.arrows:
-        if m >= 2:
-            adj[d].append(s)
-    comps = _strongly_connected_components(adj)
-    # each group is named by its minimum vertex, so the min-first order of
-    # the quotient breaks ties by smallest minimum vertex
+    comps = _strongly_connected_components(_successors(q))
+    # each component and each group is named by its minimum vertex, so the
+    # min-first order of the groups breaks ties by smallest minimum vertex
     members = {comp[0]: comp for comp in comps}
-    group_of = {v: comp[0] for comp in comps for v in comp}
-    succ: dict[int, set[int]] = {g: set() for g in members}
-    for s, d, _ in q.arrows:
-        if group_of[s] != group_of[d]:
-            succ[group_of[s]].add(group_of[d])
+    comp_of = {v: comp[0] for comp in comps for v in comp}
+    quotient: dict[int, list[int]] = {c: [] for c in members}
+    backwards = False
+    for s, d, m in q.arrows:
+        cs, cd = comp_of[s], comp_of[d]
+        if cs != cd:
+            quotient[cs].append(cd)
+            if m >= 2:
+                quotient[cd].append(cs)
+                backwards = True
+    # Q's components form a DAG: only a double arrow read backwards can
+    # close a cycle among them
+    groups = _strongly_connected_components(quotient) if backwards else [[c] for c in members]
+    group_of = {c: group[0] for group in groups for c in group}
+    succ: dict[int, set[int]] = {group[0]: set() for group in groups}
+    for c, targets in quotient.items():
+        for t in targets:
+            if group_of[c] != group_of[t]:
+                succ[group_of[c]].add(group_of[t])
+    parts = {group[0]: group for group in groups}
     order = _min_first_order(succ)
 
-    summands = tuple(tuple(members[g]) for g in order)
+    summands = tuple(tuple(sorted(v for c in parts[g] for v in members[c])) for g in order)
+    irreducible = tuple(len(parts[g]) == 1 for g in order)
     position = {v: p for p, verts in enumerate(summands) for v in verts}
     cross = tuple(
         sorted((s, d, m) for s, d, m in q.arrows if position[s] != position[d])
@@ -192,22 +211,18 @@ def decompose(q: Quiver) -> Decomposition:
     junctions = sorted({(position[s], s) for s, _, _ in cross})
     color_index = {key: i + 1 for i, key in enumerate(junctions)}
     colors = tuple(color_index[(position[s], s)] for s, _, _ in cross)
-    return Decomposition(q, summands, cross, colors)
+    return Decomposition(q, summands, cross, colors, irreducible)
 
 
 def decomposition_report(dec: Decomposition) -> str:
-    """Text report: one line per summand, then the colored junction arrows."""
-    # A summand is a union of Q's strongly connected components, and a path
-    # between two vertices of one component stays inside it, so a summand is
-    # irreducible exactly when it lies in one component.  One fused over a
-    # double-arrow junction is reducible but cannot be split without losing
-    # the color condition.
-    comps = _strongly_connected_components(_successors(dec.quiver))
-    comp_of = {v: c for c, comp in enumerate(comps) for v in comp}
+    """Text report: one line per summand, then the colored junction arrows.
+
+    A summand fused from several components over double-arrow junctions is
+    reducible, but cannot be split without losing the color condition.
+    """
     lines = []
-    for p, verts in enumerate(dec.summands, start=1):
+    for p, (verts, strong) in enumerate(zip(dec.summands, dec.irreducible), start=1):
         vs = ",".join(str(v) for v in verts)
-        strong = len({comp_of[v] for v in verts}) == 1
         kind = "irreducible" if strong else "fused"
         lines.append(f"summand {p}: vertices {{{vs}}} {kind}")
     for (src, dst, mult), color in zip(dec.cross_arrows, dec.colors):

@@ -60,7 +60,8 @@ class EmbeddedQuiver:
     (``pending``), and the stage that first mutates each vertex
     (``first_stage``, keyed in standard order).  The stage table is left
     to ``permmodel.stage_table``, which fills it on first use, so ``embed``
-    alone does not pay for it.
+    alone does not pay for it; the outlet list is kept by the first
+    ``validate_embedding`` that accepts the embedding.
     """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
@@ -114,6 +115,7 @@ class EmbeddedQuiver:
                 self.first_stage.setdefault(v, c.label)
         self._standard_order = tuple(self.first_stage)
         self._stage_table = None
+        self._outlets: tuple[int, ...] | None = None
 
     @property
     def n_cycles(self) -> int:
@@ -231,8 +233,11 @@ def validate_embedding(e: EmbeddedQuiver) -> tuple[int, ...]:
     This is the northeast-kill legality check: once a new branch is created
     at an outlet, everything northeast of it is gone, so any labelling that
     attaches there later fails the membership test below.  Returns the
-    final outlet list, northeast to southwest.
+    final outlet list, northeast to southwest.  The first replay that
+    passes keeps the list on ``e``, and later calls return it.
     """
+    if e._outlets is not None:
+        return e._outlets
     q = e.quiver
     for c in e.cycles:
         if not (q.multiplicity(c.x, c.y) and q.multiplicity(c.y, c.z) and q.multiplicity(c.z, c.x)):
@@ -263,7 +268,9 @@ def validate_embedding(e: EmbeddedQuiver) -> tuple[int, ...]:
             outlets = [c.z, c.y, prev.z] + outlets[2:]
         else:
             outlets = [c.y, c.z] + outlets[max(j + 1, 2):]
-    return tuple(outlets)
+    # racing threads replay to equal lists, so either may be kept
+    e._outlets = tuple(outlets)
+    return e._outlets
 
 
 def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
@@ -362,7 +369,12 @@ def northeast_region(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
 
 
 def embedding_report(e: EmbeddedQuiver) -> str:
-    """Per-cycle role lines, then the outlet list, then the branches."""
+    """Per-cycle role lines, then the outlet list, then the branches.
+
+    The outlet list is the one ``validate_embedding`` kept when ``embed``
+    built ``e``; an embedding built by hand is replayed here, and refused
+    if it is illegal.
+    """
     lines = []
     for c in e.cycles:
         orient = "up" if c.up else "down"

@@ -36,6 +36,11 @@ class SignCoherenceError(QuiverError):
 # and a quiver allocates per vertex before any arrow is read.
 MAX_VERTICES = 10**5
 
+# Largest quiver file the command line reads, in bytes, checked before the
+# text is read.  A path on MAX_VERTICES vertices is about 1.8 MB of text,
+# and a chain of 49,999 3-cycles about 2.7 MB.
+MAX_INPUT_BYTES = 2**23
+
 
 # ---------------------------------------------------------------------------
 # Quiver
@@ -46,8 +51,9 @@ class Quiver:
     """Loop-free, 2-cycle-free integer multidigraph on vertices 1..n.
 
     ``arrows`` holds (src, dst, multiplicity) triples, sorted, with
-    multiplicity >= 1 and at most one direction per vertex pair.  The arrow
-    dict and the neighbor adjacency are built once, here.
+    multiplicity >= 1 and at most one direction per vertex pair.  The
+    constructor checks every arrow; the sorted arrows, the arrow dict and
+    the neighbor adjacency are then built once, by ``_fill_quiver``.
     """
 
     n: int
@@ -57,7 +63,6 @@ class Quiver:
         if self.n < 1:
             raise QuiverError(f"vertex count must be positive, got {self.n}")
         mult: dict[tuple[int, int], int] = {}
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
         for src, dst, m in self.arrows:
             if src == dst:
                 raise QuiverError(f"loop at vertex {src}")
@@ -70,11 +75,7 @@ class Quiver:
             if (dst, src) in mult:
                 raise QuiverError(f"2-cycle between {src} and {dst}")
             mult[(src, dst)] = m
-            adj[src].add(dst)
-            adj[dst].add(src)
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows)))
-        object.__setattr__(self, "_mult", dict(sorted(mult.items())))
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(vs)) for vs in adj))
+        _fill_quiver(self, self.n, mult)
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
@@ -108,6 +109,29 @@ class Quiver:
 
     def __iter__(self) -> Iterator[tuple[int, int, int]]:
         return iter(self.arrows)
+
+
+def _fill_quiver(q: Quiver, n: int, mult: dict[tuple[int, int], int]) -> Quiver:
+    """Set the fields of ``q`` from arrow counts that passed every check.
+
+    ``mult`` maps (src, dst) to a multiplicity >= 1, in any order, with both
+    ends in 1..n, no loop and no 2-cycle.  One sort gives the sorted
+    ``arrows`` and ``_mult``, and one pass over them the neighbor lists.
+    Only ``Quiver.__post_init__``, after its checks, and ``parse_quiver``,
+    which makes the same checks line by line, may call this.
+    """
+    arrows = tuple(sorted([(s, d, m) for (s, d), m in mult.items()]))
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for s, d, _ in arrows:
+        adj[s].append(d)
+        adj[d].append(s)
+    for vs in adj:
+        vs.sort()
+    object.__setattr__(q, "n", n)
+    object.__setattr__(q, "arrows", arrows)
+    object.__setattr__(q, "_mult", {(s, d): m for s, d, m in arrows})
+    object.__setattr__(q, "_adj", tuple(map(tuple, adj)))
+    return q
 
 
 def mutate(q: Quiver, k: int) -> Quiver:
@@ -428,14 +452,15 @@ def parse_quiver(text: str) -> Quiver:
 
     ``quiver <N>`` then ``arrow <i> <j> [<mult>]`` lines; '#' lines are
     comments; repeated (i, j) lines sum.  Loops and 2-cycles are rejected.
+    Each line is checked as it is read, with every check the ``Quiver``
+    constructor makes, so the counts go straight to the shared builder.
     """
     n: int | None = None
     counts: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if fields[0] == "quiver":
             if n is not None:
                 raise QuiverParseError(f"line {lineno}: duplicate quiver directive")
@@ -467,7 +492,8 @@ def parse_quiver(text: str) -> Quiver:
                 raise QuiverParseError(f"line {lineno}: loop at vertex {src}")
             if mult < 1:
                 raise QuiverParseError(f"line {lineno}: multiplicity must be >= 1")
-            counts[(src, dst)] = counts.get((src, dst), 0) + mult
+            key = (src, dst)
+            counts[key] = counts.get(key, 0) + mult
         else:
             raise QuiverParseError(f"line {lineno}: unknown directive {fields[0]!r}")
     if n is None:
@@ -475,7 +501,7 @@ def parse_quiver(text: str) -> Quiver:
     for (src, dst) in counts:
         if (dst, src) in counts and src < dst:
             raise QuiverParseError(f"2-cycle between {src} and {dst}")
-    return Quiver(n, tuple((s, d, m) for (s, d), m in counts.items()))
+    return _fill_quiver(object.__new__(Quiver), n, counts)
 
 
 def serialize_quiver(q: Quiver) -> str:

@@ -51,14 +51,21 @@ class TypeAReport:
 
 
 def oriented_triangles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
-    """All directed 3-cycles, as sorted vertex triples, sorted."""
-    mult = q.arrow_dict()
-    out = set()
-    for (a, b) in mult:
-        for c in q.neighbors(b):
-            if c != a and (b, c) in mult and (c, a) in mult:
-                out.add(tuple(sorted((a, b, c))))
-    return tuple(sorted(out))
+    """All directed 3-cycles, as sorted vertex triples, sorted.
+
+    Each 3-cycle is read once, from the arrow a -> b leaving its smallest
+    vertex a: the third vertex c is a neighbor of b above a with b -> c
+    and c -> a.
+    """
+    arrow = q.multiplicity
+    out = []
+    for a, b, _ in q.arrows:
+        if a < b:
+            for c in q.neighbors(b):
+                if c > a and arrow(b, c) and arrow(c, a):
+                    out.append((a, b, c) if b < c else (a, c, b))
+    out.sort()
+    return tuple(out)
 
 
 def _non_triangle_cycle(

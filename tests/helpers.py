@@ -26,6 +26,61 @@ def random_quiver(rng: random.Random, max_n: int = 12, max_mult: int = 2) -> gs.
     return gs.Quiver.from_arrows(n, arrows)
 
 
+def reference_parse_quiver(text: str) -> gs.Quiver:
+    """The quiver text format read line by line, its counts then handed to
+    the checking ``Quiver`` constructor: the oracle for ``parse_quiver``,
+    which skips that second check.  Messages are the parser's, word for word.
+    """
+    n = None
+    counts: dict[tuple[int, int], int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        where = f"line {lineno}: "
+        if fields[0] == "quiver":
+            if n is not None:
+                raise gs.QuiverParseError(where + "duplicate quiver directive")
+            if len(fields) != 2:
+                raise gs.QuiverParseError(where + "expected 'quiver <N>'")
+            try:
+                n = int(fields[1])
+            except ValueError:
+                raise gs.QuiverParseError(where + f"bad vertex count {fields[1]!r}") from None
+            if n < 1:
+                raise gs.QuiverParseError(where + "vertex count must be positive")
+            if n > gs.quiver.MAX_VERTICES:
+                raise gs.QuiverParseError(
+                    where + f"vertex count {n} exceeds the limit {gs.quiver.MAX_VERTICES}"
+                )
+        elif fields[0] == "arrow":
+            if n is None:
+                raise gs.QuiverParseError(where + "arrow before quiver directive")
+            if len(fields) not in (3, 4):
+                raise gs.QuiverParseError(where + "expected 'arrow <i> <j> [<mult>]'")
+            try:
+                src, dst = int(fields[1]), int(fields[2])
+                mult = int(fields[3]) if len(fields) == 4 else 1
+            except ValueError:
+                raise gs.QuiverParseError(where + "non-integer arrow field") from None
+            if not (1 <= src <= n and 1 <= dst <= n):
+                raise gs.QuiverParseError(where + f"arrow {src} -> {dst} out of range 1..{n}")
+            if src == dst:
+                raise gs.QuiverParseError(where + f"loop at vertex {src}")
+            if mult < 1:
+                raise gs.QuiverParseError(where + "multiplicity must be >= 1")
+            counts[(src, dst)] = counts.get((src, dst), 0) + mult
+        else:
+            raise gs.QuiverParseError(where + f"unknown directive {fields[0]!r}")
+    if n is None:
+        raise gs.QuiverParseError("missing quiver directive")
+    for src, dst in counts:
+        if (dst, src) in counts and src < dst:
+            raise gs.QuiverParseError(f"2-cycle between {src} and {dst}")
+    return gs.Quiver(n, tuple((s, d, m) for (s, d), m in counts.items()))
+
+
 def random_tree_quiver(rng: random.Random, max_cycles: int, relabel: bool = True):
     """Random irreducible type-A quiver (tree of oriented 3-cycles).
 

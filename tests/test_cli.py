@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,65 @@ class TestExitCodes:
         code, out, err = run("mgs", huge)
         assert code == 2 and out == ""
         assert f"exceeds the limit {gs.quiver.MAX_VERTICES}" in err
+
+    def test_file_above_input_limit_refused_before_reading(self, tmp_path):
+        limit = gs.quiver.MAX_INPUT_BYTES
+        big = tmp_path / "big.quiver"
+        with open(big, "wb") as f:
+            f.truncate(limit + 1)  # sparse: refused on its size alone
+        code, out, err = run("check-type-a", big)
+        assert code == 2 and out == ""
+        assert f"has {limit + 1} bytes, above the input limit of {limit} bytes" in err
+
+    def test_pipe_above_input_limit_refused(self):
+        # a pipe reports size 0: it is refused once the byte past the
+        # limit arrives, and nothing more is read
+        limit = gs.quiver.MAX_INPUT_BYTES
+        read_end, write_end = os.pipe()
+
+        def feed():
+            with open(write_end, "wb") as f:
+                f.write(b"# " + b"x" * (limit - 1))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            code, out, err = run("check-type-a", f"/dev/fd/{read_end}")
+        finally:
+            writer.join(timeout=30)
+            os.close(read_end)
+        assert not writer.is_alive()
+        assert code == 2 and out == ""
+        assert f"has more than {limit} bytes, above the input limit of {limit} bytes" in err
+
+    def test_pipe_within_input_limit_read(self):
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as f:
+            f.write((FIXTURES / "a3cycle.quiver").read_bytes())
+        try:
+            code, out, _ = run("check-type-a", f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert code == 0 and out.endswith("verdict: type A\n")
+
+    @pytest.mark.parametrize("shape", ["path", "tree"])
+    def test_largest_inputs_fit_the_input_limit(self, tmp_path, shape):
+        # a path on MAX_VERTICES vertices, and a chain of 3-cycles on
+        # MAX_VERTICES - 1 vertices (49,999 3-cycles)
+        n = gs.quiver.MAX_VERTICES
+        if shape == "path":
+            arrows = [(i, i + 1) for i in range(1, n)]
+        else:
+            n -= 1
+            arrows = [
+                arrow for i in range(1, n, 2)
+                for arrow in ((i, i + 1), (i + 1, i + 2), (i + 2, i))
+            ]
+        f = tmp_path / f"{shape}.quiver"
+        f.write_text("".join([f"quiver {n}\n"] + [f"arrow {s} {d}\n" for s, d in arrows]))
+        assert f.stat().st_size <= gs.quiver.MAX_INPUT_BYTES
+        code, out, err = run("check-type-a", f)
+        assert (code, err) == (0, "") and out.endswith("verdict: type A\n")
 
     def test_missing_file_exits_two(self):
         code, _, err = run("mgs", "no-such-file.quiver")

@@ -183,6 +183,38 @@ class TestDecompose:
         assert fused >= 100
 
 
+class TestColorCounts:
+    @staticmethod
+    def by_scan(dec: gs.Decomposition) -> tuple[int, ...]:
+        # the oracle: find each source's summand with summand_of
+        sources = [set() for _ in dec.summands]
+        for src, _, _ in dec.cross_arrows:
+            sources[dec.summand_of(src)].add(src)
+        return tuple(len(s) for s in sources)
+
+    def test_matches_summand_scan(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            q = random_quiver(rng, max_n=rng.choice((6, 12)), max_mult=2)
+            dec = gs.decompose(q)
+            assert dec.color_counts() == self.by_scan(dec), q
+        for _ in range(40):
+            parts = [random_tree_quiver(rng, 4)[0] for _ in range(rng.randint(2, 4))]
+            q = parts[0]
+            for part in parts[1:]:
+                pairs = {(rng.randint(1, q.n), q.n + rng.randint(1, part.n)) for _ in range(3)}
+                q = gs.direct_sum(q, part, sorted(pairs))
+            dec = gs.decompose(q)
+            assert dec.color_counts() == self.by_scan(dec), q
+
+    def test_long_path(self):
+        # one summand per vertex, so the oracle's scan is quadratic here
+        n = 4000
+        dec = gs.decompose(gs.Quiver(n, tuple((i, i + 1, 1) for i in range(1, n))))
+        assert len(dec.summands) == n
+        assert dec.color_counts() == (1,) * (n - 1) + (0,) == self.by_scan(dec)
+
+
 class TestComponents:
     def test_components_match_mutual_reachability(self):
         # the graph decompose splits: Q with each double arrow also read

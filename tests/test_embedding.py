@@ -377,3 +377,32 @@ class TestReport:
         text = gs.embedding_report(t15)
         assert "branch S(5): T15" in text
         assert "outlets: 30 31 19 5" in text
+
+    def test_report_reuses_the_replay_of_embed(self, t15, monkeypatch):
+        # the replay reads one arrow per role pair of every cycle; the
+        # report of an embedding that embed built and validated reads none
+        reads = []
+        multiplicity = gs.Quiver.multiplicity
+
+        def counted(q, src, dst):
+            reads.append((src, dst))
+            return multiplicity(q, src, dst)
+
+        monkeypatch.setattr(gs.Quiver, "multiplicity", counted)
+        text = gs.embedding_report(t15)
+        assert reads == [] and "outlets: 30 31 19 5" in text
+        # the same cycles built by hand are replayed once, by the report
+        by_hand = gs.EmbeddedQuiver(t15.quiver, t15.cycles)
+        assert gs.embedding_report(by_hand) == text
+        assert len(reads) == 3 * t15.n_cycles
+        assert gs.embedding_report(by_hand) == text and len(reads) == 3 * t15.n_cycles
+
+    def test_report_refuses_an_illegal_hand_built_embedding(self, ezig):
+        first, *rest = ezig.cycles
+        swapped = gs.EmbeddedCycle(1, True, first.x, first.z, first.y, None, None)
+        bad = gs.EmbeddedQuiver(ezig.quiver, [swapped, *rest])
+        with pytest.raises(gs.EmbeddingError, match="T1 roles do not follow the arrows"):
+            gs.embedding_report(bad)
+        # refused again: a replay that fails keeps nothing
+        with pytest.raises(gs.EmbeddingError):
+            gs.embedding_report(bad)

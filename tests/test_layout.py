@@ -7,7 +7,9 @@ the per-stage fold kept as references live in ``tests/helpers.py``, and must
 not come back into the package; nor may a second type-A recogniser beside
 the one pass that ``is_type_a`` and ``cycle_tree`` share.  Every walk is
 iterative, so no input is bounded by the recursion limit, and no check is
-an ``assert``, which ``python -O`` strips.
+an ``assert``, which ``python -O`` strips.  The quiver builder that skips
+the constructor's checks is reached only from the constructor, after them,
+and from the parser, which makes them line by line.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ MOVED = {
     "b_matrix", "extended_part", "permute_b_matrix", "block_matrix",
     "rotation_table", "stage_rotation", "coframe", "pending_set", "_tree_shape",
 }
+
+# the unchecked quiver builder and the only scopes allowed to name it
+BUILDER = "_fill_quiver"
+BUILDER_CALLERS = {"Quiver.__post_init__", "parse_quiver"}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -84,3 +90,39 @@ def test_no_function_calls_itself(path):
 def test_no_assert_statements(path):
     hits = [node.lineno for node in ast.walk(_tree(path)) if isinstance(node, ast.Assert)]
     assert not hits, f"{path.name} has assert statements at lines {hits}"
+
+
+def _builder_uses(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every mention of BUILDER,
+    other than its own definition at module level."""
+    hits = []
+    work = [(tree, "")]
+    while work:
+        node, scope = work.pop()
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if child.name == BUILDER and scope:
+                    hits.append((scope, child.lineno))
+            elif (
+                isinstance(child, ast.Name) and child.id == BUILDER
+                or isinstance(child, ast.Attribute) and child.attr == BUILDER
+                or isinstance(child, ast.alias) and BUILDER in (child.name, child.asname)
+                or isinstance(child, ast.Constant) and child.value == BUILDER
+            ):
+                hits.append((scope or "<module>", child.lineno))
+            work.append((child, inner))
+    return sorted(hits, key=lambda hit: hit[1])
+
+
+TEST_MODULES = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name != "test_layout.py")
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
+def test_only_constructor_and_parser_reach_the_builder(path):
+    uses = _builder_uses(_tree(path))
+    if path.name == "quiver.py" and path.parent == SRC:
+        assert {scope for scope, _ in uses} == BUILDER_CALLERS, uses
+    else:
+        assert not uses, f"{path.name} reaches {BUILDER}: {uses}"

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 import greenseq as gs
 from conftest import load
-from helpers import b_matrix, coframe, extended_part, format_extended_dense, random_quiver
+from helpers import (
+    b_matrix, coframe, extended_part, format_extended_dense, random_quiver,
+    reference_parse_quiver,
+)
 
 
 def dense_mutate(rows, k):
@@ -34,6 +37,33 @@ def quivers(max_n=8):
     def build(draw):
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         return random_quiver(rng, max_n=max_n)
+
+    return build()
+
+
+def quiver_texts():
+    """Texts near the quiver format: a random quiver's lines, shuffled, a
+    multiplicity sometimes split over repeated lines, plus up to two
+    planted lines (bad counts or fields, loops, 2-cycles, comments, blanks)."""
+    planted = st.sampled_from([
+        "arrow 1 1", "arrow 2 1", "arrow 3 1 2", "arrow 1 9", "arrow 0 1", "arrow 1 2 0",
+        "arrow 1 2 -1", "arrow x 2", "arrow 1 2 1 1", "arrow", "quiver 3", "quiver 0",
+        "quiver x", "quiver", "edge 1 2", "# note", "", " \t", "#arrow 1 1",
+    ])
+
+    @st.composite
+    def build(draw):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        q = random_quiver(rng, max_n=6, max_mult=3)
+        lines = []
+        for s, d, m in q.arrows:
+            split = rng.randint(1, m)
+            lines += [f"arrow {s} {d}"] * (split - 1) + [f"arrow {s} {d} {m - split + 1}"]
+        rng.shuffle(lines)
+        lines.insert(0, f"quiver {q.n}")
+        for pos, line in draw(st.lists(st.tuples(st.integers(0, 30), planted), max_size=2)):
+            lines.insert(pos % (len(lines) + 1), line)
+        return draw(st.sampled_from(["\n", "\r\n", " \n\t"])).join(lines)
 
     return build()
 
@@ -332,6 +362,40 @@ class TestTextFormat:
         monkeypatch.setattr(gs.ExtendedQuiver, "rows", property(no_dense))
         assert [gs.format_extended(eq) for eq in states + [big]] == want
         assert gs.matrix_hash(big) == big_hash
+
+    @given(quiver_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_parser_skips_no_check_of_the_constructor(self, text):
+        # the parser hands its counts to the builder unchecked: whatever it
+        # accepts, the checking constructor accepts with equal arrows,
+        # neighbors and arrow-dict order; whatever it refuses, the reference
+        # refuses with the same message, naming the same first bad line
+        try:
+            want = reference_parse_quiver(text)
+        except gs.QuiverParseError as exc:
+            with pytest.raises(gs.QuiverParseError) as got:
+                gs.parse_quiver(text)
+            assert str(got.value) == str(exc)
+            return
+        q = gs.parse_quiver(text)
+        checked = gs.Quiver(q.n, q.arrows)
+        assert q == want == checked
+        assert list(q.arrow_dict().items()) == list(checked.arrow_dict().items())
+        assert list(q.arrow_dict().items()) == list(want.arrow_dict().items())
+        for v in range(1, q.n + 1):
+            assert q.neighbors(v) == checked.neighbors(v) == want.neighbors(v)
+
+    def test_constructor_builds_sorted_views_from_any_order(self):
+        rng = random.Random(78)
+        for _ in range(200):
+            q = random_quiver(rng, max_n=9, max_mult=3)
+            shuffled = list(q.arrows)
+            rng.shuffle(shuffled)
+            again = gs.Quiver(q.n, tuple(shuffled))
+            assert again.arrows == tuple(sorted(shuffled))
+            assert list(again.arrow_dict()) == sorted(again.arrow_dict())
+            for v in range(1, q.n + 1):
+                assert again.neighbors(v) == q.neighbors(v)
 
     @given(st.text(alphabet="quivero arw 0123#-\n\t ", max_size=120))
     @settings(max_examples=200, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 import random
 
 import pytest
@@ -272,6 +273,43 @@ def _distance(q: gs.Quiver, u: int, v: int) -> int:
                     nxt.append(x)
         frontier = nxt
     return dist.get(v, 10**6)
+
+
+class TestOrientedTriangles:
+    @staticmethod
+    def brute_force(q: gs.Quiver) -> tuple[tuple[int, int, int], ...]:
+        arrow = q.multiplicity
+        return tuple(
+            (a, b, c) for a, b, c in itertools.combinations(range(1, q.n + 1), 3)
+            if (arrow(a, b) and arrow(b, c) and arrow(c, a))
+            or (arrow(a, c) and arrow(c, b) and arrow(b, a))
+        )
+
+    def test_matches_brute_force_triples(self):
+        # dense random quivers with multiplicities up to 3: many 3-cycles
+        # share vertices and edges, and each must come out once
+        rng = random.Random(4420)
+        found = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            density = rng.choice((0.35, 0.7, 1.0))
+            arrows = [
+                (i, j, rng.randint(1, 3)) if rng.random() < 0.5 else (j, i, rng.randint(1, 3))
+                for i, j in itertools.combinations(range(1, n + 1), 2)
+                if rng.random() < density
+            ]
+            q = gs.Quiver(n, tuple(arrows))
+            want = self.brute_force(q)
+            assert gs.oriented_triangles(q) == want, q
+            found += len(want)
+        assert found >= 1000
+
+    def test_trees_and_fixtures(self):
+        rng = random.Random(4421)
+        quivers = [random_tree_quiver(rng, 12)[0] for _ in range(60)]
+        quivers += [load(name) for name in ("zigzag7", "tree15", "tree16", "sum26")]
+        for q in quivers:
+            assert gs.oriented_triangles(q) == self.brute_force(q)
 
 
 class TestCycleTree:
