@@ -21,12 +21,13 @@ from .quiver import QuiverError, QuiverParseError
 def _read_input(path: str) -> str:
     """The UTF-8 text of ``path``, refused above ``quiver.MAX_INPUT_BYTES``:
     a file on its size, before it is read, and a pipe, which reports size
-    0, once one byte past the limit has arrived."""
+    0, once one byte past the limit has arrived.  A file of known size is
+    read whole, so no buffer of the limit's size is taken for a small one."""
     limit = quiver.MAX_INPUT_BYTES
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         if size <= limit:
-            data = f.read(limit + 1)
+            data = f.read() if size else f.read(limit + 1)
             if len(data) <= limit:
                 return data.decode("utf-8")
     shown = size if size > limit else f"more than {limit}"

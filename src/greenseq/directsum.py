@@ -181,17 +181,13 @@ def decompose(q: Quiver) -> Decomposition:
     members = {comp[0]: comp for comp in comps}
     comp_of = {v: comp[0] for comp in comps for v in comp}
     quotient: dict[int, list[int]] = {c: [] for c in members}
-    backwards = False
     for s, d, m in q.arrows:
         cs, cd = comp_of[s], comp_of[d]
         if cs != cd:
             quotient[cs].append(cd)
             if m >= 2:
                 quotient[cd].append(cs)
-                backwards = True
-    # Q's components form a DAG: only a double arrow read backwards can
-    # close a cycle among them
-    groups = _strongly_connected_components(quotient) if backwards else [[c] for c in members]
+    groups = _strongly_connected_components(quotient)
     group_of = {c: group[0] for group in groups for c in group}
     succ: dict[int, set[int]] = {group[0]: set() for group in groups}
     for c, targets in quotient.items():
