@@ -5,7 +5,11 @@ maximal when the final state has every mutable vertex red, and that state is
 then the co-framing with the mutable vertices permuted by the induced sigma.
 ``verify_green`` makes this one walk for every caller and returns a
 ``GreenTrace``: where the walk first met a red vertex, its final state, and
-sigma when the sequence is maximal.
+sigma when the sequence is maximal.  It keeps no state on the way, so it
+mutates rows of its own in place and wraps them into one ``ExtendedQuiver``
+at the end, or at the violating step.  The searches keep every state they
+reach and go through ``matrix_mutate``, whose new states copy only the rows
+they change.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from .quiver import (
     Quiver,
     QuiverError,
     _extended_lines,
-    all_colors,
+    _frame_rows,
+    _mutate_rows,
+    _row_color,
     frame,
     green_vertices,
     matrix_mutate,
-    vertex_color,
 )
 from .typea import NotTypeAError, is_type_a
 
@@ -80,26 +85,34 @@ class GreenTrace:
 
 def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
     """Apply ``seq`` to frame(q), checking each mutated vertex is green and,
-    at the end, whether every vertex is red with its induced permutation."""
+    at the end, whether every vertex is red with its induced permutation.
+
+    A vertex outside 1..n is refused as ``vertex_color`` refuses it, before
+    anything is mutated.  The walk's rows are its own until wrapped.
+    """
     seq = tuple(seq)
-    eq = frame(q)
+    n = q.n
+    rows = _frame_rows(q)
     for index, k in enumerate(seq, start=1):
-        if vertex_color(eq, k) != "green":
-            return GreenTrace(seq, index, eq, None)
-        eq = matrix_mutate(eq, k)
-    if "green" in all_colors(eq):
-        return GreenTrace(seq, None, eq, None)
-    sigma = _read_final_permutation(q, eq)
+        if not 1 <= k <= n:
+            raise QuiverError(f"vertex {k} out of range 1..{n}")
+        if _row_color(rows[k - 1], n, k) != "green":
+            return GreenTrace(seq, index, ExtendedQuiver._trusted(n, n, tuple(rows)), None)
+        _mutate_rows(rows, n, k, False)
+    final = ExtendedQuiver._trusted(n, n, tuple(rows))
+    if "green" in [_row_color(row, n, i) for i, row in enumerate(rows, 1)]:
+        return GreenTrace(seq, None, final, None)
+    sigma = _read_final_permutation(q, rows)
     if sigma is None:
         # All-red but not co-framed-up-to-permutation: cannot happen for
         # states reached from a framing; treat as corrupted input.
         raise QuiverError("all-red state is not a permuted co-framing")
-    return GreenTrace(seq, None, eq, sigma)
+    return GreenTrace(seq, None, final, sigma)
 
 
-def _read_final_permutation(q: Quiver, eq: ExtendedQuiver) -> Permutation | None:
-    """If eq = [B_{Q sigma} | -M(sigma)], return sigma; else None."""
-    n, rows = eq.n, eq.sparse_rows
+def _read_final_permutation(q: Quiver, rows: Sequence[dict[int, int]]) -> Permutation | None:
+    """If the sparse rows are [B_{Q sigma} | -M(sigma)], return sigma; else None."""
+    n = q.n
     images = []
     for row in rows:
         frozen = [(j, v) for j, v in row.items() if j >= n]

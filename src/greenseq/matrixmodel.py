@@ -10,7 +10,8 @@ short list of composite entries; its c-vectors have an explicit closed
 form.  ``predicted_matrix`` assembles the whole matrix from these pieces,
 with sigma_k and its inverse read from ``permmodel.stage_table``, as a
 sparse ``ExtendedQuiver`` that compares with a mutated state by ``==``;
-``verify_model`` compares it, row by sparse row, against direct mutation.
+``verify_model`` compares it, row by sparse row, against direct mutation
+of rows it owns, walked in place from the framing through every stage.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .embedding import (
     hanging_chain,
 )
 from .permmodel import Stage, stage_table
-from .quiver import ExtendedQuiver, apply_sequence, frame
+from .quiver import ExtendedQuiver, _frame_rows, _mutate_rows
 
 
 @dataclass(frozen=True)
@@ -183,12 +184,12 @@ def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
     n = e.quiver.n
     rows = _stage_rows(e, k, stage_table(e)[k], pending)
-    return PredictedMatrix(k, processed, front, rest, ExtendedQuiver._trusted(n, n, rows))
+    return PredictedMatrix(k, processed, front, rest, ExtendedQuiver._trusted(n, n, tuple(rows)))
 
 
 def _stage_rows(
     e: EmbeddedQuiver, k: int, stage: Stage, pending: tuple[PendingCycle, ...]
-) -> tuple[dict[int, int], ...]:
+) -> list[dict[int, int]]:
     """Stage k's sparse ``{column: value}`` rows, in the layout of
     ``ExtendedQuiver.sparse_rows``, from sigma_k and its inverse and the
     stage's pending cycles."""
@@ -233,7 +234,7 @@ def _stage_rows(
             for u in _z_c_support(e, i):
                 row[n + u - 1] = row.get(n + u - 1, 0) + 1
 
-    return tuple(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -265,19 +266,24 @@ class ModelReport:
 
 
 def verify_model(e: EmbeddedQuiver) -> ModelReport:
-    """Compare predicted and directly mutated matrices for every stage."""
+    """Compare predicted and directly mutated matrices for every stage.
+
+    The actual side is one walk from the framing over every stage's
+    mutations, on rows this call owns and mutates in place.
+    """
     n = e.quiver.n
-    eq = frame(e.quiver)
+    actual = _frame_rows(e.quiver)
     checks = []
     for k, stage in enumerate(stage_table(e)):
-        eq = apply_sequence(eq, stage.sequence)
+        for v in stage.sequence:
+            _mutate_rows(actual, n, v, False)
         predicted = _stage_rows(e, k, stage, pending_cycles(e, k))
-        if predicted == eq.sparse_rows:
+        if predicted == actual:
             checks.append(StageCheck(k, True, None))
             continue
         # the row-major first differing entry; neither side stores a zero
         r, p_row, row = next(
-            (r, p_row, row) for r, (p_row, row) in enumerate(zip(predicted, eq.sparse_rows))
+            (r, p_row, row) for r, (p_row, row) in enumerate(zip(predicted, actual))
             if p_row != row
         )
         c = min(j for j in p_row.keys() | row.keys() if p_row.get(j, 0) != row.get(j, 0))

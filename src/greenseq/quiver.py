@@ -7,15 +7,23 @@ the green/red state of each mutable vertex.
 
 An extended matrix stores each row as a map from column to nonzero entry,
 so a mutation costs time in the number of nonzeros it touches, not in n:
-on type-A quivers every row stays a handful of entries long.
+on type-A quivers every row stays a handful of entries long.  One kernel,
+``_mutate_rows``, mutates a list of such rows in place.  A walk that keeps
+only its last state (``apply_sequence``, and ``verify_green`` and
+``verify_model`` beside it) owns its rows and changes them where they lie;
+``matrix_mutate``, whose input stays alive, has the kernel copy each row
+before changing it, so a new state shares every row it does not change.
 
 All values here are immutable: every operation returns a new value and
 leaves its inputs untouched, so instances can be shared freely between
-threads.
+threads.  A walk's rows are private to the call until they are wrapped
+into the state it returns.  Every integer given to a constructor passes
+``operator.index`` and is stored as a plain int.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -42,6 +50,21 @@ MAX_VERTICES = 10**5
 MAX_INPUT_BYTES = 2**23
 
 
+def _exact_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """``values`` as plain ints, each taken by ``operator.index``; a value
+    it refuses (a float, a string) raises QuiverError naming the value."""
+    values = tuple(values)
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        for v in values:
+            try:
+                operator.index(v)
+            except TypeError:
+                raise QuiverError(f"{what} {v!r} is not an integer") from None
+        raise
+
+
 # ---------------------------------------------------------------------------
 # Quiver
 
@@ -60,14 +83,16 @@ class Quiver:
     arrows: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise QuiverError(f"vertex count must be positive, got {self.n}")
+        (n,) = _exact_ints((self.n,), "vertex count")
+        if n < 1:
+            raise QuiverError(f"vertex count must be positive, got {n}")
         mult: dict[tuple[int, int], int] = {}
-        for src, dst, m in self.arrows:
+        for arrow in self.arrows:
+            src, dst, m = _exact_ints(arrow, "arrow entry")
             if src == dst:
                 raise QuiverError(f"loop at vertex {src}")
-            if not (1 <= src <= self.n and 1 <= dst <= self.n):
-                raise QuiverError(f"arrow {src} -> {dst} out of range 1..{self.n}")
+            if not (1 <= src <= n and 1 <= dst <= n):
+                raise QuiverError(f"arrow {src} -> {dst} out of range 1..{n}")
             if m < 1:
                 raise QuiverError(f"arrow {src} -> {dst} has multiplicity {m}")
             if (src, dst) in mult:
@@ -75,21 +100,23 @@ class Quiver:
             if (dst, src) in mult:
                 raise QuiverError(f"2-cycle between {src} and {dst}")
             mult[(src, dst)] = m
-        _fill_quiver(self, self.n, mult)
+        _fill_quiver(self, n, mult)
 
     @classmethod
     def from_arrows(cls, n: int, arrows: Iterable[Sequence[int]]) -> "Quiver":
         """Build a quiver, summing repeated (src, dst) entries.
 
-        Each item is (src, dst) or (src, dst, mult).  Opposite directions on
-        the same pair are rejected, not cancelled.
+        Each item is (src, dst) or (src, dst, mult) with mult >= 1, and each
+        is refused on its own if it is not.  Opposite directions on the same
+        pair are rejected, not cancelled.
         """
         counts: dict[tuple[int, int], int] = {}
         for item in arrows:
-            if len(item) == 2:
-                src, dst, mult = item[0], item[1], 1
-            else:
-                src, dst, mult = item[0], item[1], item[2]
+            if len(item) not in (2, 3):
+                raise QuiverError(f"arrow entry {item!r} is not (src, dst) or (src, dst, mult)")
+            src, dst, mult = _exact_ints(item, "arrow entry") + (1,) * (3 - len(item))
+            if mult < 1:
+                raise QuiverError(f"arrow entry {item!r} has multiplicity {mult}")
             counts[(src, dst)] = counts.get((src, dst), 0) + mult
         return cls(n, tuple((s, d, m) for (s, d), m in counts.items()))
 
@@ -197,14 +224,16 @@ class ExtendedQuiver:
     change.  ``sparse_rows`` is that shared storage and must not be
     modified; ``rows`` is the dense view, built on each access.
 
-    ``ExtendedQuiver(n, m, rows)`` takes dense rows and checks their shape
-    and skew-symmetry.  Equality and hashing are exact on the matrix.
+    ``ExtendedQuiver(n, m, rows)`` takes dense rows of integers and checks
+    their shape and skew-symmetry.  Equality and hashing are exact on the
+    matrix.
     """
 
     __slots__ = ("n", "m", "sparse_rows", "_hash")
 
     def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]) -> None:
-        dense = tuple(tuple(map(int, row)) for row in rows)
+        n, m = _exact_ints((n, m), "matrix size")
+        dense = tuple(_exact_ints(row, "matrix entry") for row in rows)
         if len(dense) != n or any(len(row) != n + m for row in dense):
             raise QuiverError(f"matrix is not {n} x {n + m}")
         if any(dense[i][j] != -dense[j][i] for i in range(n) for j in range(i + 1)):
@@ -288,32 +317,42 @@ _set_rows = ExtendedQuiver.sparse_rows.__set__
 _set_hash = ExtendedQuiver._hash.__set__
 
 
-def frame(q: Quiver) -> ExtendedQuiver:
-    """Adjoin frozen vertices with arrows i -> i': extended part = identity."""
-    rows = tuple({q.n + i: 1} for i in range(q.n))
+def _frame_rows(q: Quiver) -> list[dict[int, int]]:
+    """Fresh sparse rows of frame(q), owned by the caller."""
+    rows = [{q.n + i: 1} for i in range(q.n)]
     for src, dst, mult in q.arrows:
         rows[src - 1][dst - 1] = mult
         rows[dst - 1][src - 1] = -mult
-    return ExtendedQuiver._trusted(q.n, q.n, rows)
+    return rows
 
 
-def _mutate_rows(rows: tuple[dict[int, int], ...], n: int, k: int) -> tuple[dict[int, int], ...]:
-    """Matrix mutation at mutable vertex ``k`` on sparse rows, copy-on-write.
+def frame(q: Quiver) -> ExtendedQuiver:
+    """Adjoin frozen vertices with arrows i -> i': extended part = identity."""
+    return ExtendedQuiver._trusted(q.n, q.n, tuple(_frame_rows(q)))
+
+
+def _mutate_rows(rows: list[dict[int, int]], n: int, k: int, shared: bool) -> None:
+    """Matrix mutation at mutable vertex ``k``, in place on the list ``rows``.
 
     b'_ij = -b_ij when i = k or j = k, else b_ij + (|b_ik| b_kj + b_ik |b_kj|)/2.
     The bump is nonzero only when b_ik and b_kj share a sign.  As b_ik = -b_ki,
     row i changes only when b_ki != 0, and then by |b_ki| times each pivot
-    entry b_kj of the sign opposite to b_ki.  Every other row is shared, and
-    an entry that cancels to zero is deleted.
+    entry b_kj of the sign opposite to b_ki; an entry that cancels to zero is
+    deleted.  Row k is negated.  When ``shared`` is true the row dicts also
+    belong to a kept state, so each changed row, row k included, is written
+    into its slot as a new dict; otherwise the caller owns every row dict
+    and they change where they lie.  A bad ``k`` is refused before anything
+    changes.
     """
     if not (1 <= k <= n):
         raise QuiverError(f"mutation vertex {k} is frozen or out of range 1..{n}")
     k0 = k - 1
     pivot = rows[k0]
-    out = list(rows)
     for i, u in pivot.items():
         if i < n:
-            row = out[i] = rows[i].copy()
+            row = rows[i]
+            if shared:
+                row = rows[i] = row.copy()
             for j, v in pivot.items():
                 if u * v < 0:
                     w = row.get(j, 0) + abs(u) * v
@@ -322,30 +361,46 @@ def _mutate_rows(rows: tuple[dict[int, int], ...], n: int, k: int) -> tuple[dict
                     else:
                         del row[j]
             row[k0] = u
-    out[k0] = {j: -v for j, v in pivot.items()}
-    return tuple(out)
+    if shared:
+        rows[k0] = {j: -v for j, v in pivot.items()}
+    else:
+        for j, v in pivot.items():
+            pivot[j] = -v
 
 
 def matrix_mutate(eq: ExtendedQuiver, k: int) -> ExtendedQuiver:
-    """Mutate the extended matrix at mutable vertex ``k``."""
-    return ExtendedQuiver._trusted(eq.n, eq.m, _mutate_rows(eq.sparse_rows, eq.n, k))
+    """Mutate the extended matrix at mutable vertex ``k``; the new state
+    shares every row it does not change with ``eq``."""
+    rows = list(eq.sparse_rows)
+    _mutate_rows(rows, eq.n, k, True)
+    return ExtendedQuiver._trusted(eq.n, eq.m, tuple(rows))
 
 
 def apply_sequence(eq: ExtendedQuiver, seq: Sequence[int]) -> ExtendedQuiver:
-    """Left fold of matrix mutation over ``seq`` (first entry applied first)."""
-    rows = eq.sparse_rows
+    """Left fold of matrix mutation over ``seq`` (first entry applied first).
+
+    The walk copies ``eq``'s rows once and then mutates its copies in
+    place, so no state is built per step and ``eq`` is left as it was.
+    """
+    rows = list(map(dict.copy, eq.sparse_rows))
     for k in seq:
-        rows = _mutate_rows(rows, eq.n, k)
-    return ExtendedQuiver._trusted(eq.n, eq.m, rows)
+        _mutate_rows(rows, eq.n, k, False)
+    return ExtendedQuiver._trusted(eq.n, eq.m, tuple(rows))
 
 
 def vertex_color(eq: ExtendedQuiver, i: int) -> str:
     """'green' or 'red' for mutable vertex i, from the sign of its frozen row."""
     if not (1 <= i <= eq.n):
         raise QuiverError(f"vertex {i} out of range 1..{eq.n}")
-    n = eq.n
+    return _row_color(eq.sparse_rows[i - 1], eq.n, i)
+
+
+def _row_color(row: dict[int, int], n: int, i: int) -> str:
+    """``vertex_color`` on the sparse row of vertex i of an n-vertex state,
+    for walks that hold rows rather than states; i only names the vertex
+    in the error."""
     pos = neg = False
-    for j, v in eq.sparse_rows[i - 1].items():
+    for j, v in row.items():
         if j >= n:
             if v > 0:
                 pos = True
@@ -361,11 +416,13 @@ def vertex_color(eq: ExtendedQuiver, i: int) -> str:
 
 
 def all_colors(eq: ExtendedQuiver) -> tuple[str, ...]:
-    return tuple(vertex_color(eq, i) for i in range(1, eq.n + 1))
+    n = eq.n
+    return tuple([_row_color(row, n, i) for i, row in enumerate(eq.sparse_rows, 1)])
 
 
 def green_vertices(eq: ExtendedQuiver) -> tuple[int, ...]:
-    return tuple([i for i in range(1, eq.n + 1) if vertex_color(eq, i) == "green"])
+    n = eq.n
+    return tuple([i for i, row in enumerate(eq.sparse_rows, 1) if _row_color(row, n, i) == "green"])
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +436,14 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        n = len(self.images)
+        images = _exact_ints(self.images, "permutation image")
+        object.__setattr__(self, "images", images)
+        n = len(images)
         seen = [False] * (n + 1)
-        for v in self.images:
+        for v in images:
             # range first: seen[0] or seen[-1] would index without complaint
             if not 1 <= v <= n or seen[v]:
-                raise QuiverError(f"not a bijection on 1..{n}: {self.images}")
+                raise QuiverError(f"not a bijection on 1..{n}: {images}")
             seen[v] = True
 
     @classmethod
@@ -406,15 +465,24 @@ class Permutation:
     def apply(self, i: int) -> int:
         return self.images[i - 1]
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Composite or inverse of checked bijections on the same 1..n,
+        which is one: skip the constructor's checks."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def then(self, other: "Permutation") -> "Permutation":
         """Apply self first, then ``other``."""
-        return Permutation(tuple(other.images[v - 1] for v in self.images))
+        images = tuple([other.images[v - 1] for v in self.images])
+        return Permutation._trusted(images) if other.n == self.n else Permutation(images)
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n
         for i, v in enumerate(self.images):
             images[v - 1] = i + 1
-        return Permutation(tuple(images))
+        return Permutation._trusted(tuple(images))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))

@@ -26,6 +26,19 @@ def random_quiver(rng: random.Random, max_n: int = 12, max_mult: int = 2) -> gs.
     return gs.Quiver.from_arrows(n, arrows)
 
 
+def dense_mutate(rows, k):
+    """Reference matrix mutation: the dense formula on plain Python ints."""
+    k0 = k - 1
+    return [
+        [
+            -b[j] if k0 in (i, j)
+            else b[j] + (abs(b[k0]) * rows[k0][j] + b[k0] * abs(rows[k0][j])) // 2
+            for j in range(len(b))
+        ]
+        for i, b in enumerate(rows)
+    ]
+
+
 def reference_parse_quiver(text: str) -> gs.Quiver:
     """The quiver text format read line by line, its counts then handed to
     the checking ``Quiver`` constructor: the oracle for ``parse_quiver``,

@@ -9,7 +9,10 @@ the one pass that ``is_type_a`` and ``cycle_tree`` share.  Every walk is
 iterative, so no input is bounded by the recursion limit, and no check is
 an ``assert``, which ``python -O`` strips.  The quiver builder that skips
 the constructor's checks is reached only from the constructor, after them,
-and from the parser, which makes them line by line.
+and from the parser, which makes them line by line.  The one mutation
+kernel, which changes rows in place, is reached only from ``quiver.py``
+and from the two walks that own their rows, in ``green.py`` and
+``matrixmodel.py``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,15 @@ MOVED = {
 # the unchecked quiver builder and the only scopes allowed to name it
 BUILDER = "_fill_quiver"
 BUILDER_CALLERS = {"Quiver.__post_init__", "parse_quiver"}
+
+# the in-place mutation kernel and the only scopes allowed to name it
+# ("<module>" is an import): the state-keeping wrapper and the walks
+KERNEL = "_mutate_rows"
+KERNEL_CALLERS = {
+    "quiver.py": {"matrix_mutate", "apply_sequence"},
+    "green.py": {"<module>", "verify_green"},
+    "matrixmodel.py": {"<module>", "verify_model"},
+}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -92,8 +104,8 @@ def test_no_assert_statements(path):
     assert not hits, f"{path.name} has assert statements at lines {hits}"
 
 
-def _builder_uses(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing def or class path, line) of every mention of BUILDER,
+def _uses(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every mention of ``name``,
     other than its own definition at module level."""
     hits = []
     work = [(tree, "")]
@@ -103,13 +115,13 @@ def _builder_uses(tree: ast.AST) -> list[tuple[str, int]]:
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-                if child.name == BUILDER and scope:
+                if child.name == name and scope:
                     hits.append((scope, child.lineno))
             elif (
-                isinstance(child, ast.Name) and child.id == BUILDER
-                or isinstance(child, ast.Attribute) and child.attr == BUILDER
-                or isinstance(child, ast.alias) and BUILDER in (child.name, child.asname)
-                or isinstance(child, ast.Constant) and child.value == BUILDER
+                isinstance(child, ast.Name) and child.id == name
+                or isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.alias) and name in (child.name, child.asname)
+                or isinstance(child, ast.Constant) and child.value == name
             ):
                 hits.append((scope or "<module>", child.lineno))
             work.append((child, inner))
@@ -121,8 +133,17 @@ TEST_MODULES = sorted(p for p in Path(__file__).parent.glob("*.py") if p.name !=
 
 @pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_only_constructor_and_parser_reach_the_builder(path):
-    uses = _builder_uses(_tree(path))
+    uses = _uses(_tree(path), BUILDER)
     if path.name == "quiver.py" and path.parent == SRC:
         assert {scope for scope, _ in uses} == BUILDER_CALLERS, uses
     else:
         assert not uses, f"{path.name} reaches {BUILDER}: {uses}"
+
+
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
+def test_only_the_walks_reach_the_kernel(path):
+    uses = _uses(_tree(path), KERNEL)
+    if path.parent == SRC and path.name in KERNEL_CALLERS:
+        assert {scope for scope, _ in uses} == KERNEL_CALLERS[path.name], uses
+    else:
+        assert not uses, f"{path.name} reaches {KERNEL}: {uses}"

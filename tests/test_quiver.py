@@ -6,6 +6,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,22 +15,9 @@ from hypothesis import strategies as st
 import greenseq as gs
 from conftest import load
 from helpers import (
-    b_matrix, coframe, extended_part, format_extended_dense, random_quiver,
+    b_matrix, coframe, dense_mutate, extended_part, format_extended_dense, random_quiver,
     reference_parse_quiver,
 )
-
-
-def dense_mutate(rows, k):
-    """Reference matrix mutation: the dense formula on plain Python ints."""
-    k0 = k - 1
-    return [
-        [
-            -b[j] if k0 in (i, j)
-            else b[j] + (abs(b[k0]) * rows[k0][j] + b[k0] * abs(rows[k0][j])) // 2
-            for j in range(len(b))
-        ]
-        for i, b in enumerate(rows)
-    ]
 
 
 def quivers(max_n=8):
@@ -265,6 +253,72 @@ class TestExtended:
             assert eq.quiver() == q
             assert eq.rows == tuple(map(tuple, dense))
         assert max(abs(v) for row in eq.rows for v in row) > 2**63
+
+
+class Index:
+    """An integer-like value that is not an int: ``operator.index`` takes it."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+class TestExactValuesAtTheBoundary:
+    # every constructor takes what operator.index takes, stores plain ints,
+    # and refuses anything else with a QuiverError naming the value
+
+    @pytest.mark.parametrize("bad", [1.5, "2", 2.0, None])
+    def test_extended_quiver_refuses_a_non_integer_entry(self, bad):
+        with pytest.raises(gs.QuiverError, match=rf"^matrix entry {re.escape(repr(bad))} is not"):
+            gs.ExtendedQuiver(1, 1, [[0, bad]])
+
+    def test_extended_quiver_stores_plain_ints(self):
+        eq = gs.ExtendedQuiver(Index(1), 1, [[0, Index(3)]])
+        assert eq.n == 1 and type(eq.n) is int
+        assert eq.sparse_rows == ({1: 3},) and type(eq.sparse_rows[0][1]) is int
+        assert gs.ExtendedQuiver(1, 1, [[False, True]]).rows == ((0, 1),)
+        assert type(gs.ExtendedQuiver(1, 1, [[False, True]]).sparse_rows[0][1]) is int
+
+    def test_quiver_refuses_a_float_multiplicity(self):
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry 1\.5 is not an integer$"):
+            gs.Quiver(2, ((1, 2, 1.5),))
+        with pytest.raises(gs.QuiverError, match=r"^vertex count 2\.0 is not an integer$"):
+            gs.Quiver(2.0, ())
+
+    def test_quiver_stores_plain_ints(self):
+        q = gs.Quiver(Index(2), ((Index(1), 2, Index(3)),))
+        assert q.arrows == ((1, 2, 3),) and q.n == 2
+        assert all(type(v) is int for v in (q.n, *q.arrows[0]))
+        assert gs.frame(q).rows == ((0, 3, 1, 0), (-3, 0, 0, 1))
+        assert all(type(v) is int for row in gs.frame(q).sparse_rows for v in row.values())
+
+    def test_permutation_refuses_a_float_image(self):
+        with pytest.raises(gs.QuiverError, match=r"^permutation image 1\.0 is not an integer$"):
+            gs.Permutation((1.0, 2))
+
+    def test_permutation_stores_plain_ints(self):
+        p = gs.Permutation((Index(2), True))
+        assert p.images == (2, 1) and all(type(v) is int for v in p.images)
+        assert p == gs.Permutation((2, 1)) and hash(p) == hash(gs.Permutation((2, 1)))
+
+    def test_from_arrows_refuses_a_short_entry(self):
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry \(1,\) is not \(src, dst\)"):
+            gs.Quiver.from_arrows(3, [(1,)])
+
+    def test_from_arrows_refuses_a_long_entry(self):
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry \(1, 2, 1, 9\) is not \(src, dst\)"):
+            gs.Quiver.from_arrows(3, [(1, 2, 1, 9)])
+
+    def test_from_arrows_names_the_negative_entry(self):
+        # summing first would report "multiplicity 0" for the pair
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry \(1, 2, -1\) has multiplicity -1$"):
+            gs.Quiver.from_arrows(3, [(1, 2, 1), (1, 2, -1)])
+
+    def test_from_arrows_refuses_a_float_entry(self):
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry 1\.5 is not an integer$"):
+            gs.Quiver.from_arrows(3, [(1, 2, 1.5)])
 
 
 class TestPermutation:
