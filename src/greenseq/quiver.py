@@ -465,24 +465,15 @@ class Permutation:
     def apply(self, i: int) -> int:
         return self.images[i - 1]
 
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        """Composite or inverse of checked bijections on the same 1..n,
-        which is one: skip the constructor's checks."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
     def then(self, other: "Permutation") -> "Permutation":
         """Apply self first, then ``other``."""
-        images = tuple([other.images[v - 1] for v in self.images])
-        return Permutation._trusted(images) if other.n == self.n else Permutation(images)
+        return Permutation(tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self) -> "Permutation":
         images = [0] * self.n
         for i, v in enumerate(self.images):
             images[v - 1] = i + 1
-        return Permutation._trusted(tuple(images))
+        return Permutation(tuple(images))
 
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.images))
