@@ -74,7 +74,7 @@ from .embedding import (
     validate_embedding,
 )
 from .assocseq import PipelineResult, StageParts, associated_sequence, mgs_for_type_a, stage_parts
-from .permmodel import PermIdentityReport, check_permutation_identities, stage_permutation
+from .permmodel import PermIdentityReport, check_permutation_identities
 from .matrixmodel import (
     FrontierMatrix,
     ModelReport,

@@ -56,12 +56,13 @@ class EmbeddedQuiver:
     """Embedded irreducible type-A quiver: labelled, oriented 3-cycles.
 
     Construction works out, once, the facts every stage reads: each cycle's
-    base cycle, the anchor its hanging chain starts over, the pending set
-    (``pending``), and the stage that first mutates each vertex
-    (``first_stage``, keyed in standard order).  The stage table is left
-    to ``permmodel.stage_table``, which fills it on first use, so ``embed``
-    alone does not pay for it; the outlet list is kept by the first
-    ``validate_embedding`` that accepts the embedding.
+    base cycle, the pending set (``pending``), and the stage that first
+    mutates each vertex (``first_stage``, keyed in standard order).  Each
+    cycle's descent path, hanging chain and closing vertex are kept by the
+    first call that asks for one of them, and the stage fold by
+    ``permmodel``'s first use of it, so ``embed`` alone pays for neither;
+    the outlet list is kept by the first ``validate_embedding`` that
+    accepts the embedding.
     """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
@@ -78,12 +79,8 @@ class EmbeddedQuiver:
                     self._child_z[c.parent] = c.label
 
         # one pass, parents before children whatever the labels (a
-        # relabelled embedding may put a child first).  A downward cycle's
-        # hanging-chain anchor is the highest label with a y-child among its
-        # base cycle and the interior of its descent path, i.e. among its
-        # parent's candidates and the parent itself.
+        # relabelled embedding may put a child first)
         self._base: dict[int, int] = {}
-        self._anchor: dict[int, int | None] = {}
         pending = []
         stack = [c.label for c in self.cycles if c.parent is None]
         while stack:
@@ -91,15 +88,11 @@ class EmbeddedQuiver:
             c = self._by_label[j]
             p = c.parent
             if c.up:
-                self._base[j], self._anchor[j] = j, None
+                self._base[j] = j
             elif p is None:
                 raise EmbeddingError(f"downward T{j} has no parent")
             else:
                 self._base[j] = p if self._by_label[p].up else self._base[p]
-                anchor = self._anchor[p]
-                if self._child_y[p] is not None and (anchor is None or p > anchor):
-                    anchor = p
-                self._anchor[j] = anchor
                 if c.parent_role == "z" and self.is_branching(p):
                     pending.append(j)
             for child in (self._child_y[j], self._child_z[j]):
@@ -114,7 +107,8 @@ class EmbeddedQuiver:
             for v in (c.y, c.z) if c.up else (c.z, c.y):
                 self.first_stage.setdefault(v, c.label)
         self._standard_order = tuple(self.first_stage)
-        self._stage_table = None
+        self._geometry: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._stage_fold = None
         self._outlets: tuple[int, ...] | None = None
 
     @property
@@ -155,14 +149,11 @@ class EmbeddedQuiver:
 # Construction
 
 
-def _arrow_order(q: Quiver, tri: tuple[int, int, int], v: int) -> tuple[int, int, int]:
-    """The oriented triangle's vertices along its arrows, starting at v:
-    (x, y, z) when v is x, (z, x, y) when v is z."""
-    a, b = (u for u in tri if u != v)
-    for second, third in ((a, b), (b, a)):
-        if q.multiplicity(v, second) and q.multiplicity(second, third) and q.multiplicity(third, v):
-            return v, second, third
-    raise EmbeddingError(f"triangle {tri} is not oriented through {v}")
+def _rotated_to(oriented: tuple[int, int, int], v: int) -> tuple[int, int, int]:
+    """The 3-cycle along its arrows, starting at its vertex v: (x, y, z)
+    when v is x, (z, x, y) when v is z."""
+    a, b, c = oriented
+    return oriented if v == a else (b, c, a) if v == b else (c, a, b)
 
 
 def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
@@ -185,13 +176,13 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
 
     if tree.degree(root_idx) == 0:
         x1 = min(root_tri)
-        _, y1, z1 = _arrow_order(q, root_tri, x1)
+        _, y1, z1 = tree.oriented[root_idx]
         e = EmbeddedQuiver(q, [EmbeddedCycle(1, True, x1, y1, z1, None, None)])
         validate_embedding(e)
         return e
 
     ((neighbor_idx, shared),) = tree.neighbors_of(root_idx)
-    _, x1, y1 = _arrow_order(q, root_tri, shared)
+    _, x1, y1 = _rotated_to(tree.oriented[root_idx], shared)
     cycles: list[EmbeddedCycle] = [EmbeddedCycle(1, True, x1, y1, shared, None, None)]
 
     # depth-first on an explicit stack, since a chain of 3-cycles may be
@@ -201,7 +192,7 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
         tri_idx, attach_vertex, parent_label, parent_role, parent_idx = stack.pop()
         tri = tree.nodes[tri_idx]
         label = len(cycles) + 1
-        _, y, z = _arrow_order(q, tri, attach_vertex)
+        _, y, z = _rotated_to(tree.oriented[tri_idx], attach_vertex)
         cycles.append(
             EmbeddedCycle(label, parent_role == "y", attach_vertex, y, z, parent_label, parent_role)
         )
@@ -298,18 +289,42 @@ def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
 # Descent paths, hanging chains, closing vertices
 
 
+def _geometry(e: EmbeddedQuiver, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """T_k's descent path, hanging chain and closing vertex, worked out on
+    first use and kept on ``e``."""
+    geo = e._geometry.get(k)
+    if geo is None:
+        c = e.cycle(k)
+        if c.up:
+            geo = ((), (), c.x)
+        else:
+            base = e._base[k]
+            path = [k]
+            while (parent := e.cycle(path[-1]).parent) != base:
+                path.append(parent)
+            # the chain hangs from the highest label with a y-child among
+            # the base cycle and the path bar T_k
+            chain = []
+            candidates = (base, *path[1:])
+            anchor = max((j for j in candidates if e.child_at_y(j) is not None), default=None)
+            if anchor is not None:
+                chain.append(e.child_at_y(anchor))
+                while (nxt := e.child_at_z(chain[-1])) is not None:
+                    chain.append(nxt)
+            closing = e.cycle(chain[-1]).z if chain else e.cycle(base).x
+            geo = (tuple(path), tuple(chain), closing)
+        # racing threads work out equal values, so either may be kept
+        e._geometry[k] = geo
+    return geo
+
+
 def descent_path(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     """Labels of the chain of downward cycles from T_k to its base cycle.
 
     Empty when T_k is upward; otherwise starts at k and walks parents while
     they are downward-pointing.
     """
-    if e.cycle(k).up:
-        return ()
-    path = [k]
-    while (parent := e.cycle(path[-1]).parent) != e._base[k]:
-        path.append(parent)
-    return tuple(path)
+    return _geometry(e, k)[0]
 
 
 def base_cycle(e: EmbeddedQuiver, k: int) -> int:
@@ -325,13 +340,7 @@ def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     takes that y-child, and follows z-children as far as they go.  Empty for
     upward T_k and when no such y vertex exists.
     """
-    anchor = e._anchor[e.cycle(k).label]
-    if anchor is None:
-        return ()
-    chain = [e.child_at_y(anchor)]
-    while (nxt := e.child_at_z(chain[-1])) is not None:
-        chain.append(nxt)
-    return tuple(chain)
+    return _geometry(e, k)[1]
 
 
 def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
@@ -340,13 +349,7 @@ def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
     x_k for an upward cycle; for a downward cycle, x of the base cycle when
     nothing hangs over the path, else z of the last chain cycle.
     """
-    c = e.cycle(k)
-    if c.up:
-        return c.x
-    chain = hanging_chain(e, k)
-    if not chain:
-        return e.cycle(e._base[k]).x
-    return e.cycle(chain[-1]).z
+    return _geometry(e, k)[2]
 
 
 def northeast_region(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
@@ -360,9 +363,10 @@ def northeast_region(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     """
     starts = set(descent_path(e, k)) | {base_cycle(e, k)}
     reach: set[int] = set()
+    n, cycle = e.n_cycles, e.cycle
     for a in starts:
         s = a
-        while s < e.n_cycles and e.cycle(s + 1).parent >= a:
+        while s < n and cycle(s + 1).parent >= a:
             s += 1
         reach.update(range(a, s + 1))
     return tuple(sorted(reach - starts))

@@ -7,16 +7,20 @@ x was mutated when a branching cycle was processed but whose y and z were
 not), and the untouched rest.  The frontier's arrows to the rest are the
 original ones; its arrows into the processed part and among itself follow a
 short list of composite entries; its c-vectors have an explicit closed
-form.  ``predicted_matrix`` assembles the whole matrix from these pieces,
-with sigma_k and its inverse read from ``permmodel.stage_table``, as a
-sparse ``ExtendedQuiver`` that compares with a mutated state by ``==``;
-``verify_model`` compares it, row by sparse row, against direct mutation
-of rows it owns, walked in place from the framing through every stage.
+form.
+
+The prediction is kept as the walk keeps the actual state: one list of
+sparse rows, from the framing through every stage, with sigma_k streamed
+from ``permmodel``; a stage rebuilds only the rows whose role changes.
+``predicted_matrix`` stops that walk at a stage, as an ``ExtendedQuiver``
+that compares with a mutated state by ``==``; ``verify_model`` compares
+the rows at every stage with direct mutation of rows it owns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .embedding import (
     EmbeddedQuiver,
@@ -26,7 +30,7 @@ from .embedding import (
     descent_path,
     hanging_chain,
 )
-from .permmodel import Stage, stage_table
+from .permmodel import _sigma_stream
 from .quiver import ExtendedQuiver, _frame_rows, _mutate_rows
 
 
@@ -173,7 +177,11 @@ class PredictedMatrix:
 
 def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     """Predicted extended matrix after stages 0..k, assembled from parts."""
-    pending = pending_cycles(e, k)  # raises for k outside 0..n
+    if not 0 <= k <= e.n_cycles:
+        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
+    for stage, _, pending, rows in _kept_prediction(e):
+        if stage == k:
+            break
     frontier_cycles = _frontier_labels(e, k, pending)
     owner = e.first_stage
     std = e.standard_order()
@@ -183,58 +191,89 @@ def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
     front = tuple([v for v in std if owner[v] in frontier_cycles])
     rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
     n = e.quiver.n
-    rows = _stage_rows(e, k, stage_table(e)[k], pending)
     return PredictedMatrix(k, processed, front, rest, ExtendedQuiver._trusted(n, n, tuple(rows)))
 
 
-def _stage_rows(
-    e: EmbeddedQuiver, k: int, stage: Stage, pending: tuple[PendingCycle, ...]
-) -> list[dict[int, int]]:
-    """Stage k's sparse ``{column: value}`` rows, in the layout of
-    ``ExtendedQuiver.sparse_rows``, from sigma_k and its inverse and the
-    stage's pending cycles."""
-    n = e.quiver.n
-    image, preimage = stage.sigma.images, stage.sigma_inv.images
+def _kept_prediction(
+    e: EmbeddedQuiver,
+) -> Iterator[tuple[int, tuple[int, ...], tuple[PendingCycle, ...], list[dict[int, int]]]]:
+    """Yield ``(k, sequence, pending, rows)`` for k = 0..n: stage k's
+    mutation order, pending cycles and predicted sparse rows, one list
+    changed in place from the framing on (nothing processed, no frontier).
+
+    Only the rows of vertices moved by tau_k, first mutated at stage k, or
+    in T_k, T_{k+1} or a pending cycle that starts, ends or moves on can
+    change outside the columns of such rows, so a stage rebuilds those
+    rows whole and rewrites their mirror entries by skew-symmetry.
+    """
+    q = e.quiver
+    n = q.n
     owner = e.first_stage
-    frontier_cycles = _frontier_labels(e, k, pending)
-
-    # Q's arrows, relabelled by sigma_k (which permutes the processed
-    # vertices) within the processed block, as they are among the untouched
-    # vertices bar a frontier cycle's y-z arrow, cancelled when its x was
-    # mutated; only the frontier entries join the two blocks.  Every
-    # value written is nonzero, so no zero is stored.
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
-    for s, d, m in e.quiver.arrows:
-        first_s, first_d = owner[s], owner[d]
-        if first_s <= k and first_d <= k:
-            i, j = preimage[s - 1], preimage[d - 1]
-        elif first_s > k and first_d > k and not first_s == first_d in frontier_cycles:
-            i, j = s, d
-        else:
-            continue
-        rows[i - 1][j - 1] = m
-        rows[j - 1][i - 1] = -m
-
-    for i, j, val in _frontier_entries(e, k, pending):
-        rows[i - 1][j - 1] = val
-        rows[j - 1][i - 1] = -val
-
-    # frozen columns: the permuted co-framing on the processed vertices, a
-    # unit elsewhere, plus a frontier z vertex's base c-vector (a frontier
-    # y vertex has a zero one)
+    # rows and columns are 0-based below, as in the sparse rows
+    own = [owner[v] for v in range(1, n + 1)]
+    roles: dict[int, set[int]] = {c.label: {c.y - 1, c.z - 1} for c in e.cycles}
     for v, first in owner.items():
-        if first <= k:
-            rows[v - 1][n + image[v - 1] - 1] = -1
-        else:
-            rows[v - 1][n + v - 1] = 1
-    for i in frontier_cycles:
-        z = e.cycle(i).z
-        if owner[z] == i:
-            row = rows[z - 1]
-            for u in _z_c_support(e, i):
-                row[n + u - 1] = row.get(n + u - 1, 0) + 1
+        roles.setdefault(first, set()).add(v - 1)
+    b0: list[dict[int, int]] = [{} for _ in range(n)]
+    for s, d, m in q.arrows:
+        b0[s - 1][d - 1] = m
+        b0[d - 1][s - 1] = -m
+    rows = _frame_rows(q)
+    was_pending: set[tuple[int, int | None]] = set()
+    for k, seq, tau, sigma, inv in _sigma_stream(e):
+        pending = pending_cycles(e, k)
+        frontier_cycles = _frontier_labels(e, k, pending)
+        redo = {v - 1 for v in tau}
+        redo.update(roles.get(k, ()), roles.get(k + 1, ()))
+        # a pending cycle's label and progress fix its entries
+        now_pending = {(pc.label, pc.progress) for pc in pending}
+        for label, _ in now_pending ^ was_pending:
+            redo.update(roles[label])
+        was_pending = now_pending
+        # frontier entries of the rows to rebuild, both directions, later
+        # ones overwriting
+        composite: dict[int, dict[int, int]] = {}
+        for i, j, val in _frontier_entries(e, k, pending):
+            i -= 1
+            j -= 1
+            if i in redo:
+                composite.setdefault(i, {})[j] = val
+            if j in redo:
+                composite.setdefault(j, {})[i] = -val
 
-    return rows
+        for r in redo:
+            # Q's arrows, relabelled by sigma_k (which permutes the
+            # processed vertices) within the processed block, as they are
+            # among the untouched vertices bar a frontier cycle's y-z
+            # arrow, cancelled when its x was mutated; only the frontier
+            # entries join the two blocks.  Frozen columns: the permuted
+            # co-framing on the processed vertices, a unit elsewhere, plus
+            # a frontier z vertex's base c-vector.  No zero is stored.
+            first = own[r]
+            if first <= k:
+                image = sigma[r] - 1
+                row = {inv[c] - 1: m for c, m in b0[image].items() if own[c] <= k}
+                row[n + image] = -1
+            elif first in frontier_cycles:
+                row = {c: m for c, m in b0[r].items() if own[c] > k and own[c] != first}
+                row[n + r] = 1
+                if e.cycle(first).z == r + 1:
+                    for u in _z_c_support(e, first):
+                        row[n + u - 1] = row.get(n + u - 1, 0) + 1
+            else:
+                row = {c: m for c, m in b0[r].items() if own[c] > k}
+                row[n + r] = 1
+            if r in composite:
+                row.update(composite[r])
+            # the mirror entries in the rows kept
+            for c in rows[r]:
+                if c < n and c not in row and c not in redo:
+                    del rows[c][r]
+            for c, val in row.items():
+                if c < n and c not in redo:
+                    rows[c][r] = -val
+            rows[r] = row
+        yield k, seq, pending, rows
 
 
 @dataclass(frozen=True)
@@ -269,15 +308,15 @@ def verify_model(e: EmbeddedQuiver) -> ModelReport:
     """Compare predicted and directly mutated matrices for every stage.
 
     The actual side is one walk from the framing over every stage's
-    mutations, on rows this call owns and mutates in place.
+    mutations, on rows this call owns and mutates in place, beside the
+    kept prediction.
     """
     n = e.quiver.n
     actual = _frame_rows(e.quiver)
     checks = []
-    for k, stage in enumerate(stage_table(e)):
-        for v in stage.sequence:
+    for k, seq, _, predicted in _kept_prediction(e):
+        for v in seq:
             _mutate_rows(actual, n, v, False)
-        predicted = _stage_rows(e, k, stage, pending_cycles(e, k))
         if predicted == actual:
             checks.append(StageCheck(k, True, None))
             continue

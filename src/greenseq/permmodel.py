@@ -2,28 +2,27 @@
 
 Each stage k >= 1 contributes the cyclic relabelling tau_k = (i_2 ... i_d)
 built from its mutation order (y_k, i_2, ..., i_d) with the first step
-dropped.  The cumulative permutation after stage k applies tau_k first,
-then tau_{k-1}, and so on down to tau_1; after the last stage it equals
-the permutation induced by the whole sequence, which is checked against
-ground truth in the test suite.
+dropped.  The cumulative permutation sigma_k after stage k applies tau_k
+first, then tau_{k-1}, and so on down to tau_1; after the last stage it
+equals the permutation induced by the whole sequence, which is checked
+against ground truth in the test suite.
 
-``stage_table`` is the one fold of the stages: it works out each stage's
-mutation order, tau_k, sigma_k and sigma_k^-1 once per embedding, and
-``stage_permutation``, ``predicted_matrix``, ``verify_model`` and
-``check_permutation_identities`` all read it.  The last numerically
-evaluates the fixed-point and action identities these permutations satisfy
-on a concrete embedding and reports any violation with a witness.
+``_stage_fold`` is the one fold of the stages, kept per embedding: each
+stage's mutation order and tau_k.  ``_sigma_stream`` walks it, changing
+sigma_k and its inverse in place in time linear in the stage, for
+``matrixmodel`` and for ``check_permutation_identities``, which evaluates
+the fixed-point and action identities these permutations satisfy on a
+concrete embedding and reports any violation with a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator
 
 from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
-    EmbeddingError,
     base_cycle,
     closing_vertex,
     descent_path,
@@ -32,44 +31,45 @@ from .embedding import (
 from .quiver import Permutation
 
 
-class Stage(NamedTuple):
-    """One stage's facts: its mutation order, tau_k, sigma_k and sigma_k^-1."""
-
-    sequence: tuple[int, ...]
-    tau: Permutation
-    sigma: Permutation
-    sigma_inv: Permutation
-
-
-def stage_table(e: EmbeddedQuiver) -> tuple[Stage, ...]:
-    """Every stage k = 0..n in one fold, worked out on first use and kept on
-    ``e``, so the stage models and the identity check share it.
-
-    tau_k cycles stage k's mutation order with the first step dropped (the
-    identity for stage 0, the single mutation at x1); sigma_k applies tau_k,
-    then sigma_{k-1}.
-    """
-    table = e._stage_table
-    if table is None:
+def _stage_fold(e: EmbeddedQuiver) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
+    """(mutation order, tau_k) for every stage k = 0..n, worked out on first
+    use and kept on ``e``.  tau_k cycles the order with its first step
+    dropped (the identity for stage 0, the single mutation at x1), kept as
+    the map of the points it moves to their images."""
+    fold = e._stage_fold
+    if fold is None:
         n = e.quiver.n
-        sigma = Permutation.identity(n)
         stages = []
         for k in range(e.n_cycles + 1):
             seq = stage_parts(e, k).sequence()
-            tau = Permutation.from_cycle(n, seq[1:])
-            sigma = tau.then(sigma)
-            stages.append(Stage(seq, tau, sigma, sigma.inverse()))
-        # racing threads build equal tables, so either may be kept
-        table = e._stage_table = tuple(stages)
-    return table
+            cycle = seq[1:]
+            tau = dict(zip(cycle, cycle[1:] + cycle[:1]))
+            if cycle and not (len(tau) == len(cycle) > 1 and min(tau) > 0 and max(tau) <= n):
+                # not a cycle on distinct vertices: what the general
+                # relabelling writes, or its refusal
+                images = enumerate(Permutation.from_cycle(n, cycle).images, start=1)
+                tau = {v: w for v, w in images if v != w}
+            stages.append((seq, tau))
+        # racing threads build equal folds, so either may be kept
+        fold = e._stage_fold = tuple(stages)
+    return fold
 
 
-def stage_permutation(e: EmbeddedQuiver, k: int) -> Permutation:
-    """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
-    # checked before indexing: table[-1] would read as the last stage
-    if not 0 <= k <= e.n_cycles:
-        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    return stage_table(e)[k].sigma
+def _sigma_stream(
+    e: EmbeddedQuiver,
+) -> Iterator[tuple[int, tuple[int, ...], dict[int, int], list[int], list[int]]]:
+    """Yield ``(k, sequence, tau, sigma, sigma_inv)`` for k = 0..n, the last
+    two listing the images of 1..n under sigma_k and its inverse: one pair
+    of lists, changed at each stage only where tau_k moves a point."""
+    n = e.quiver.n
+    sigma = list(range(1, n + 1))
+    inv = list(range(1, n + 1))
+    for k, (seq, tau) in enumerate(_stage_fold(e)):
+        moved = [sigma[w - 1] for w in tau.values()]
+        for v, image in zip(tau, moved):
+            sigma[v - 1] = image
+            inv[image - 1] = v
+        yield k, seq, tau, sigma, inv
 
 
 @dataclass(frozen=True)
@@ -131,21 +131,34 @@ class _Tally:
         return ClauseResult(self.family, self.clause, self.checked, tuple(self.violations))
 
 
+def _pool_size(lo: int, k: int, region: tuple[int, ...], excluded: set[int]) -> int:
+    """How many labels lie in lo..k or in ``region`` but not in ``excluded``."""
+    size = max(k - lo + 1, 0) + sum(1 for ell in region if not lo <= ell <= k)
+    return size - sum(1 for ell in excluded if lo <= ell <= k or ell in region)
+
+
 def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     """Evaluate the permutation identities clause by clause on ``e``.
 
-    One pass over the stages reads each stage's cycle, base cycle, descent
-    path, closing vertices and (when z_k has degree 2) northeast region once
-    and feeds every clause from them; the degree-2-y clause has its own
-    loop.  Pairs whose preconditions fail are skipped (counted as not
-    applicable), never as passes.
+    One pass streams sigma_k and its inverse over the stages and reads each
+    stage's cycle, base cycle, descent path, closing vertices and (when z_k
+    has degree 2) northeast region once, feeding every clause from them.
+    The fixed-point clauses count their pairs and look up only the stages
+    whose tau moves a checked vertex.  Pairs whose preconditions fail are
+    skipped (counted as not applicable), never as passes.
     """
     n = e.n_cycles
-    stages = stage_table(e)
-    taus = [s.tau.images for s in stages]
-    sigmas = [s.sigma.images for s in stages]
-    inv = [s.sigma_inv.images for s in stages]
     x1 = e.cycle(1).x
+    # for each vertex, the stages whose tau moves it, with its image there
+    moves: dict[int, list[tuple[int, int]]] = {}
+    for ell, (_, tau) in enumerate(_stage_fold(e)):
+        for v, w in tau.items():
+            moves.setdefault(v, []).append((ell, w))
+    # degree-2 y vertices, each with the labels whose y it is
+    free_y: dict[int, list[int]] = {}
+    for j in range(1, n + 1):
+        if e.child_at_y(j) is None:
+            free_y.setdefault(e.cycle(j).y, []).append(j)
 
     def y_expected(k: int, j_label: int) -> int:
         """Expected image of y_{j_label} under sigma_{k-1}^{-1}."""
@@ -165,7 +178,22 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
     )
     y_vertices = _Tally("inverse-action", "y-vertices")
     y_stability = _Tally("inverse-action", "y-stability")
-    for k in range(1, n + 1):
+    degree_2_y = _Tally("fixed-points", "degree-2-y")
+    unfixed: set[int] = set()  # degree-2 y vertices sigma_k moves
+    free_y_moved: list[tuple[int, int, int]] = []  # (label, k, image)
+    for k, _, tau, sigma, inv in _sigma_stream(e):
+        # degree-2 y vertices are fixed by every cumulative permutation;
+        # sigma_k moves one only if sigma_{k-1} did or tau_k moves it
+        for v in tau:
+            if v in free_y:
+                if sigma[v - 1] != v:
+                    unfixed.add(v)
+                else:
+                    unfixed.discard(v)
+        for v in unfixed:
+            free_y_moved.extend((j, k, sigma[v - 1]) for j in free_y[v])
+        if k == 0:
+            continue
         cyc = e.cycle(k)
         r = base_cycle(e, k)
         path = descent_path(e, k)
@@ -175,23 +203,33 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
 
         # fixed points of tau_l northeast of a descent path (z_k and the
         # path's x vertices; y_k itself can be moved by an upper child's
-        # stage), and of the closing vertex below a downward path's base
+        # stage), and of the closing vertex below a downward path's base:
+        # the labels l are those up to k or in the region, bar the path and
+        # its base, and only the stages moving a vertex can fail
         if e.child_at_z(k) is None:
-            region = set(northeast_region(e, k))
-            labels = sorted((region | set(range(1, k + 1))) - set(path) - {r})
-            for ell in labels:
-                tau = taus[ell]
-                for v in (cyc.z, *xs):
-                    path_support.expect(tau[v - 1], v, "k={} l={} v={}", k, ell, v)
+            region = northeast_region(e, k)
+            in_region = set(region)
+            excluded = {*path, r}
+            fixed = (cyc.z, *xs)
+            path_support.checked += _pool_size(1, k, region, excluded) * len(fixed)
+            hits = [
+                (ell, t, v, w) for t, v in enumerate(fixed) for ell, w in moves.get(v, ())
+                if (ell <= k or ell in in_region) and ell not in excluded
+            ]
+            hits.sort()
+            path_support.violations.extend(
+                f"k={k} l={ell} v={v}: got {w}, expected {v}" for ell, _, v, w in hits
+            )
             if not cyc.up and r != 1:
                 # the same labels with the pool's 1..k cut to r..k
-                for ell in labels:
-                    if ell >= r or ell in region:
-                        closing.expect(taus[ell][close_below - 1], close_below,
-                                       "k={} l={}", k, ell)
+                closing.checked += _pool_size(r, k, region, excluded)
+                closing.violations.extend(
+                    f"k={k} l={ell}: got {w}, expected {close_below}"
+                    for ell, w in moves.get(close_below, ())
+                    if (r <= ell <= k or ell in in_region) and ell not in excluded
+                )
 
         # action of sigma_k on the stage support
-        sigma = sigmas[k]
         if r == 1:
             act_i.expect(sigma[cyc.z - 1], x1, "k={} z", k)
             # the converse direction presupposes the stage closes at x1
@@ -215,20 +253,20 @@ def check_permutation_identities(e: EmbeddedQuiver) -> PermIdentityReport:
             act_v.expect(sigma[b - 1], a, "k={} j={} rev", k, j)
 
         # inverse action on the y vertices along the descent path; the case
-        # split sees only the processed part (cycles up to stage k-1)
+        # split sees only the processed part (cycles up to stage k-1), and
+        # sigma_{k-1}^-1 is sigma_k^-1 followed by tau_k
         for j_label in (r, *path):
             yv = e.cycle(j_label).y
-            before = inv[k - 1][yv - 1]
+            after = inv[yv - 1]
+            before = tau.get(after, after)
             y_vertices.expect(before, y_expected(k, j_label), "k={} label={}", k, j_label)
-            y_stability.expect(inv[k][yv - 1], before, "k={} label={}", k, j_label)
+            y_stability.expect(after, before, "k={} label={}", k, j_label)
 
-    # degree-2 y vertices are fixed by every cumulative permutation
-    degree_2_y = _Tally("fixed-points", "degree-2-y")
-    for j in range(1, n + 1):
-        if e.child_at_y(j) is None:
-            yv = e.cycle(j).y
-            for k in range(n + 1):
-                degree_2_y.expect(sigmas[k][yv - 1], yv, "y of T{}, sigma_{}", j, k)
+    degree_2_y.checked = sum(map(len, free_y.values())) * (n + 1)
+    free_y_moved.sort()
+    degree_2_y.violations.extend(
+        f"y of T{j}, sigma_{k}: got {w}, expected {e.cycle(j).y}" for j, k, w in free_y_moved
+    )
 
     tallies = (path_support, closing, act_i, act_ii, act_iii, act_iv, act_v,
                y_vertices, y_stability, degree_2_y)

@@ -50,22 +50,36 @@ class TypeAReport:
         raise KeyError(name)
 
 
-def oriented_triangles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
-    """All directed 3-cycles, as sorted vertex triples, sorted.
+def _oriented_cycles(
+    q: Quiver,
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
+    """All directed 3-cycles as sorted vertex triples, sorted, and those
+    whose arrows run against the sorted order.
 
     Each 3-cycle is read once, from the arrow a -> b leaving its smallest
     vertex a: the third vertex c is a neighbor of b above a with b -> c
-    and c -> a.
+    and c -> a, and the triple is listed again when c < b.
     """
     arrow = q.multiplicity
     out = []
+    flipped = []
     for a, b, _ in q.arrows:
         if a < b:
             for c in q.neighbors(b):
                 if c > a and arrow(b, c) and arrow(c, a):
-                    out.append((a, b, c) if b < c else (a, c, b))
+                    if b < c:
+                        out.append((a, b, c))
+                    else:
+                        tri = (a, c, b)
+                        out.append(tri)
+                        flipped.append(tri)
     out.sort()
-    return tuple(out)
+    return out, flipped
+
+
+def oriented_triangles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
+    """All directed 3-cycles, as sorted vertex triples, sorted."""
+    return tuple(_oriented_cycles(q)[0])
 
 
 def _non_triangle_cycle(
@@ -113,16 +127,22 @@ def _non_triangle_cycle(
 
 
 def _recognise(q: Quiver) -> tuple[
-    TypeAReport, tuple[tuple[int, int, int], ...], set[tuple[int, int]], dict[int, list[int]]
+    TypeAReport,
+    tuple[tuple[int, int, int], ...],
+    list[tuple[int, int, int]],
+    set[tuple[int, int]],
+    dict[int, list[int]],
 ]:
     """The four type-A conditions, plus the facts read on the way.
 
-    Returns ``(report, tris, tri_edges, by_vertex)``: the oriented 3-cycles,
-    their edges as sorted pairs, and for each vertex the indices into
-    ``tris`` of the 3-cycles through it.  ``tri_edges`` is complete whenever
-    condition i passes.
+    Returns ``(report, tris, flipped, tri_edges, by_vertex)``: the oriented
+    3-cycles as sorted triples, those among them whose arrows run a -> c ->
+    b -> a, their edges as sorted pairs, and for each vertex the indices
+    into ``tris`` of the 3-cycles through it.  ``tri_edges`` is complete
+    whenever condition i passes.
     """
-    tris = oriented_triangles(q)
+    tris, flipped = _oriented_cycles(q)
+    tris = tuple(tris)
     tri_edges: set[tuple[int, int]] = set()
 
     # (i) every underlying cycle is an oriented 3-cycle.
@@ -173,7 +193,7 @@ def _recognise(q: Quiver) -> tuple[
         ConditionResult("iv", witness_iv is None, witness_iv),
     )
     report = TypeAReport(all(c.passed for c in conditions), conditions)
-    return report, tris, tri_edges, by_vertex
+    return report, tris, flipped, tri_edges, by_vertex
 
 
 def is_type_a(q: Quiver) -> TypeAReport:
@@ -200,16 +220,18 @@ def type_a_report_text(report: TypeAReport) -> str:
 class CycleTree:
     """The 3-cycles of an irreducible type-A quiver and their sharing tree.
 
-    ``edges`` connect triangles that share a vertex, labelled by it, and
-    ``adjacency[i]`` lists node i's (other node index, shared vertex) pairs,
-    sorted.  Every vertex lies in at most two triangles and every arrow in
-    exactly one.
+    ``nodes`` are sorted vertex triples and ``oriented[i]`` is node i along
+    its arrows, from its smallest vertex.  ``edges`` connect triangles that
+    share a vertex, labelled by it, and ``adjacency[i]`` lists node i's
+    (other node index, shared vertex) pairs, sorted.  Every vertex lies in
+    at most two triangles and every arrow in exactly one.
     """
 
     quiver: Quiver
     nodes: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]  # (node index, node index, shared vertex)
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    oriented: tuple[tuple[int, int, int], ...]
 
     def degree(self, i: int) -> int:
         return len(self.adjacency[i])
@@ -229,7 +251,7 @@ def cycle_tree(q: Quiver) -> CycleTree:
     isolated, or the 3-cycles fall into several components.  Acyclic
     summands are the caller's job.
     """
-    report, tris, tri_edges, by_vertex = _recognise(q)
+    report, tris, flipped, tri_edges, by_vertex = _recognise(q)
     if not report.verdict:
         bad = next(c for c in report.conditions if not c.passed)
         raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}", bad)
@@ -252,7 +274,9 @@ def cycle_tree(q: Quiver) -> CycleTree:
     # when it has one edge fewer than nodes
     if len(edges) != len(tris) - 1:
         raise NotIrreducibleError("3-cycle sharing graph is disconnected")
-    return CycleTree(q, tris, tuple(edges), tuple(tuple(sorted(nb)) for nb in adj))
+    flipped = set(flipped)
+    oriented = tuple([(a, c, b) if (a, b, c) in flipped else (a, b, c) for a, b, c in tris])
+    return CycleTree(q, tris, tuple(edges), tuple(tuple(sorted(nb)) for nb in adj), oriented)
 
 
 def leaf_cycles(tree: CycleTree) -> tuple[tuple[int, int, int], ...]:

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import random
 import struct
+from typing import NamedTuple
 
 import greenseq as gs
 
@@ -307,6 +308,184 @@ def block_matrix(pm: gs.PredictedMatrix) -> tuple[tuple[int, ...], ...]:
     order = [v - 1 for v in pm.processed + pm.frontier + pm.rest]
     cols = order + [len(rows) + i for i in order]
     return tuple(tuple(rows[i][j] for j in cols) for i in order)
+
+
+class Stage(NamedTuple):
+    """One stage's facts: its mutation order, tau_k, sigma_k and sigma_k^-1."""
+
+    sequence: tuple[int, ...]
+    tau: gs.Permutation
+    sigma: gs.Permutation
+    sigma_inv: gs.Permutation
+
+
+def stage_table(e) -> tuple[Stage, ...]:
+    """Every stage k = 0..n with tau_k, sigma_k and sigma_k^-1 as whole
+    permutations: tau_k cycles stage k's mutation order with the first step
+    dropped, and sigma_k applies tau_k, then sigma_{k-1}."""
+    n = e.quiver.n
+    sigma = gs.Permutation.identity(n)
+    stages = []
+    for k in range(e.n_cycles + 1):
+        seq = gs.stage_parts(e, k).sequence()
+        tau = gs.Permutation.from_cycle(n, seq[1:])
+        sigma = tau.then(sigma)
+        stages.append(Stage(seq, tau, sigma, sigma.inverse()))
+    return tuple(stages)
+
+
+def stage_permutation(e, k: int) -> gs.Permutation:
+    """sigma_k: apply tau_k, then tau_{k-1}, ..., then tau_1."""
+    return stage_table(e)[k].sigma
+
+
+def stage_rows(e, k: int, stage: Stage | None = None) -> list[dict[int, int]]:
+    """Stage k's predicted sparse rows built whole from sigma_k, its
+    inverse and the stage's pending cycles: the reference for the
+    prediction that the package keeps from stage to stage."""
+    mm = gs.matrixmodel
+    if stage is None:
+        stage = stage_table(e)[k]
+    pending = gs.pending_cycles(e, k)
+    n = e.quiver.n
+    image, preimage = stage.sigma.images, stage.sigma_inv.images
+    owner = e.first_stage
+    frontier_cycles = mm._frontier_labels(e, k, pending)
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for s, d, m in e.quiver.arrows:
+        first_s, first_d = owner[s], owner[d]
+        if first_s <= k and first_d <= k:
+            i, j = preimage[s - 1], preimage[d - 1]
+        elif first_s > k and first_d > k and not first_s == first_d in frontier_cycles:
+            i, j = s, d
+        else:
+            continue
+        rows[i - 1][j - 1] = m
+        rows[j - 1][i - 1] = -m
+    for i, j, val in mm._frontier_entries(e, k, pending):
+        rows[i - 1][j - 1] = val
+        rows[j - 1][i - 1] = -val
+    for v, first in owner.items():
+        if first <= k:
+            rows[v - 1][n + image[v - 1] - 1] = -1
+        else:
+            rows[v - 1][n + v - 1] = 1
+    for i in frontier_cycles:
+        z = e.cycle(i).z
+        if owner[z] == i:
+            row = rows[z - 1]
+            for u in mm._z_c_support(e, i):
+                row[n + u - 1] = row.get(n + u - 1, 0) + 1
+    return rows
+
+
+def reference_verify_model(e) -> gs.ModelReport:
+    """``verify_model`` from whole permutations: each stage's prediction
+    built in full by ``stage_rows`` and compared with the framed quiver
+    mutated through the public ``apply_sequence``."""
+    n = e.quiver.n
+    state = gs.frame(e.quiver)
+    checks = []
+    for k, stage in enumerate(stage_table(e)):
+        state = gs.apply_sequence(state, stage.sequence)
+        predicted, actual = stage_rows(e, k, stage), list(state.sparse_rows)
+        diff = None
+        for r, (p_row, row) in enumerate(zip(predicted, actual)):
+            cols = sorted(j for j in p_row.keys() | row.keys() if p_row.get(j, 0) != row.get(j, 0))
+            if cols:
+                c = cols[0]
+                col_name = str(c + 1) if c < n else f"{c - n + 1}'"
+                diff = (str(r + 1), col_name, p_row.get(c, 0), row.get(c, 0))
+                break
+        checks.append(gs.matrixmodel.StageCheck(k, diff is None, diff))
+    return gs.ModelReport(tuple(checks))
+
+
+def reference_identities(e) -> gs.PermIdentityReport:
+    """``check_permutation_identities`` read off the table of whole
+    permutations, every pair of every clause checked one by one."""
+    pm = gs.permmodel
+    n = e.n_cycles
+    stages = stage_table(e)
+    taus = [s.tau.images for s in stages]
+    sigmas = [s.sigma.images for s in stages]
+    inv = [s.sigma_inv.images for s in stages]
+    x1 = e.cycle(1).x
+
+    def y_expected(k: int, j_label: int) -> int:
+        child = e.child_at_y(j_label)
+        if child is None or child > k - 1:
+            return e.cycle(j_label).y
+        end = pm._chain_end_below(e, child, k - 1)
+        if end != child:
+            return e.cycle(end).x
+        return gs.closing_vertex(e, j_label)
+
+    tallies = [pm._Tally(family, clause) for family, clause in (
+        ("fixed-points", "path-support"), ("fixed-points", "closing-vertex"),
+        ("stage-action", "i"), ("stage-action", "ii"), ("stage-action", "iii"),
+        ("stage-action", "iv"), ("stage-action", "v"), ("inverse-action", "y-vertices"),
+        ("inverse-action", "y-stability"), ("fixed-points", "degree-2-y"),
+    )]
+    path_support, closing, act_i, act_ii, act_iii, act_iv, act_v = tallies[:7]
+    y_vertices, y_stability, degree_2_y = tallies[7:]
+    for k in range(1, n + 1):
+        cyc = e.cycle(k)
+        r = gs.base_cycle(e, k)
+        path = gs.descent_path(e, k)
+        xs = [e.cycle(j).x for j in path]
+        close_k = gs.closing_vertex(e, k)
+        close_below = gs.closing_vertex(e, r - 1) if r != 1 else None
+        if e.child_at_z(k) is None:
+            region = set(gs.northeast_region(e, k))
+            labels = sorted((region | set(range(1, k + 1))) - set(path) - {r})
+            for ell in labels:
+                for v in (cyc.z, *xs):
+                    path_support.expect(taus[ell][v - 1], v, "k={} l={} v={}", k, ell, v)
+            if not cyc.up and r != 1:
+                for ell in labels:
+                    if ell >= r or ell in region:
+                        closing.expect(taus[ell][close_below - 1], close_below,
+                                       "k={} l={}", k, ell)
+        sigma = sigmas[k]
+        if r == 1:
+            act_i.expect(sigma[cyc.z - 1], x1, "k={} z", k)
+            if close_k == x1:
+                act_i.expect(sigma[x1 - 1], cyc.z, "k={} x1", k)
+        else:
+            act_i.expect(sigma[cyc.z - 1], e.cycle(r - 1).z, "k={}", k)
+            act_iii.expect(sigma[close_below - 1], cyc.x, "k={}", k)
+            if not cyc.up:
+                act_ii.expect(sigma[cyc.x - 1], e.cycle(r).x, "k={}", k)
+        act_iv.expect(sigma[close_k - 1], cyc.z, "k={}", k)
+        if cyc.up:
+            continue
+        d = len(path)
+        if r == 1:
+            pairs = [(j, xs[j - 1], xs[d - j]) for j in range(1, (d + 1) // 2 + 1)]
+        else:
+            pairs = [(j, xs[j - 1], xs[d + 1 - j]) for j in range(2, (d + 2) // 2 + 1)]
+        for j, a, b in pairs:
+            act_v.expect(sigma[a - 1], b, "k={} j={}", k, j)
+            act_v.expect(sigma[b - 1], a, "k={} j={} rev", k, j)
+        for j_label in (r, *path):
+            yv = e.cycle(j_label).y
+            before = inv[k - 1][yv - 1]
+            y_vertices.expect(before, y_expected(k, j_label), "k={} label={}", k, j_label)
+            y_stability.expect(inv[k][yv - 1], before, "k={} label={}", k, j_label)
+    for j in range(1, n + 1):
+        if e.child_at_y(j) is None:
+            yv = e.cycle(j).y
+            for k in range(n + 1):
+                degree_2_y.expect(sigmas[k][yv - 1], yv, "y of T{}, sigma_{}", j, k)
+    return gs.PermIdentityReport(tuple(t.result() for t in tallies))
+
+
+def one_swaps(e):
+    """Every mis-embedding made from ``e`` by swapping one cycle's y and z."""
+    for c in e.cycles:
+        swapped = gs.EmbeddedCycle(c.label, c.up, c.x, c.z, c.y, c.parent, c.parent_role)
+        yield gs.EmbeddedQuiver(e.quiver, [swapped if d is c else d for d in e.cycles])
 
 
 def stage_rotation(e, k: int) -> gs.Permutation:

@@ -12,7 +12,7 @@ import time
 
 import greenseq as gs
 from conftest import load
-from helpers import random_tree_quiver
+from helpers import random_tree_quiver, stage_permutation
 
 
 def _report(num: int, label: str, started: float, budget: float | None = None) -> None:
@@ -167,7 +167,7 @@ def test_criterion_09_construction_at_scale():
             assert trace.is_green
             assert set(gs.all_colors(trace.final_state)) == {"red"}
             assert trace.is_maximal
-            assert gs.stage_permutation(e, e.n_cycles) == trace.induced
+            assert stage_permutation(e, e.n_cycles) == trace.induced
             runs += 1
     assert runs >= 500
     _report(9, f"{runs} root choices: constructed sequence is maximal green", t0, budget=120.0)

@@ -2,9 +2,13 @@
 plain walks and real runtime checks.
 
 The engine stores matrices only as sparse rows; the dense view
-``ExtendedQuiver.rows`` is read in ``quiver.py`` alone.  The dense forms and
-the per-stage fold kept as references live in ``tests/helpers.py``, and must
-not come back into the package; nor may a second type-A recogniser beside
+``ExtendedQuiver.rows`` is read in ``quiver.py`` alone.  The stage models
+have one path: the stage fold holds each stage's mutation order and tau_k
+as its cycle, sigma_k is streamed from it in place, and the predicted
+matrix is kept from stage to stage.  The dense forms, the table of whole
+per-stage permutations and the full per-stage rebuild of the prediction,
+kept as references, live in ``tests/helpers.py``, and must not come back
+into the package; nor may a second type-A recogniser beside
 the one pass that ``is_type_a`` and ``cycle_tree`` share.  Every walk is
 iterative, so no input is bounded by the recursion limit, and no check is
 an ``assert``, which ``python -O`` strips.  The quiver builder that skips
@@ -29,6 +33,7 @@ MODULES = sorted(SRC.glob("*.py"))
 MOVED = {
     "b_matrix", "extended_part", "permute_b_matrix", "block_matrix",
     "rotation_table", "stage_rotation", "coframe", "pending_set", "_tree_shape",
+    "Stage", "stage_table", "stage_permutation", "_stage_rows",
 }
 
 # the unchecked quiver builder and the only scopes allowed to name it

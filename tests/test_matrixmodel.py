@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,9 +15,15 @@ from greenseq.cli import main
 from helpers import (
     b_matrix,
     block_matrix,
+    one_swaps,
     permutation_matrix,
     permute_b_matrix,
     random_tree_quiver,
+    reference_identities,
+    reference_verify_model,
+    stage_permutation,
+    stage_rows,
+    stage_table,
 )
 
 
@@ -157,7 +164,7 @@ class TestPredictedMatrix:
 
     def test_final_stage_is_permuted_coframing(self, t15, tree15):
         predicted = gs.predicted_matrix(t15, 15).state.rows
-        sigma = gs.stage_permutation(t15, 15)
+        sigma = stage_permutation(t15, 15)
         b0 = b_matrix(tree15)
         assert tuple(row[:31] for row in predicted) == permute_b_matrix(b0, sigma)
         assert tuple(row[31:] for row in predicted) == tuple(
@@ -195,7 +202,7 @@ class TestPredictedMatrix:
         for k in (0, 5, 9, 16):
             pm = gs.predicted_matrix(t16, k)
             rows = pm.state.rows
-            sigma = gs.stage_permutation(t16, k)
+            sigma = stage_permutation(t16, k)
             for i in pm.processed:
                 row = rows[i - 1][n:]
                 assert row[sigma.apply(i) - 1] == -1 and n - row.count(0) == 1
@@ -323,3 +330,99 @@ class TestVerifyModel:
                     assert gs.vertex_color(eq, j) == "red"
                 else:
                     assert gs.vertex_color(eq, j) == "green"
+
+
+class TestStreamedModel:
+    """The kept prediction and the streamed sigma_k against the references
+    built from whole permutations and full per-stage rebuilds."""
+
+    @staticmethod
+    def _same_as_references(e) -> tuple[bool, bool]:
+        table = stage_table(e)
+        for k, _, _, rows in gs.matrixmodel._kept_prediction(e):
+            assert rows == stage_rows(e, k, table[k]), k
+        model, perms = gs.verify_model(e), gs.check_permutation_identities(e)
+        assert model == reference_verify_model(e)
+        assert perms == reference_identities(e)
+        return model.ok, perms.ok
+
+    def test_random_embeddings_match_references(self):
+        rng = random.Random(171)
+        trees = embeddings = 0
+        while trees < 200:
+            q, _ = random_tree_quiver(rng, 14)
+            leaves = gs.leaf_cycles(gs.cycle_tree(q))
+            if len(leaves) < 2:
+                continue
+            trees += 1
+            for leaf in leaves[:3]:
+                assert self._same_as_references(gs.embed(q, leaf)) == (True, True)
+                embeddings += 1
+        assert embeddings >= 400
+
+    def test_swapped_embeddings_match_references(self, tree15, tree16):
+        # one cycle's y and z swapped: the stage models fail, and both
+        # reports fail the way the references do, witness for witness
+        rng = random.Random(172)
+        quivers = [tree15, tree16] + [random_tree_quiver(rng, 14)[0] for _ in range(40)]
+        swaps = 0
+        for q in quivers:
+            for bad in one_swaps(gs.embed(q)):
+                assert self._same_as_references(bad) != (True, True)
+                swaps += 1
+        assert swaps >= 300
+
+    def test_repeated_vertex_in_stage_matches_references(self, zigzag7):
+        # T2 made upward at x1 by hand: stage 2's order (4, 5, 1, 1) names
+        # x1 twice, and its relabelling is the one the general cycle writes
+        c1, c2, c3 = gs.embed(zigzag7, (1, 2, 3)).cycles
+        bad = gs.EmbeddedQuiver(zigzag7, [
+            c1, gs.EmbeddedCycle(2, True, c1.x, c2.y, c2.z, 1, "y"), c3,
+        ])
+        assert gs.stage_parts(bad, 2).sequence() == (4, 5, 1, 1)
+        assert gs.permmodel._stage_fold(bad)[2][1] == {5: 1, 1: 5}
+        assert self._same_as_references(bad) == (False, False)
+
+    def test_crafted_stages_match_references(self, t16, monkeypatch):
+        # stages 1 and 3 swap two degree-2 y vertices and stage 2 leaves
+        # them alone, so sigma_1 and sigma_2 move them and sigma_3 puts
+        # them back: a fold no embedding gives, read alike by both sides
+        free = [j for j in range(4, 17) if t16.child_at_y(j) is None]
+        v, w = t16.cycle(free[0]).y, t16.cycle(free[1]).y
+        real = gs.stage_parts
+
+        def crafted(e, k):
+            if k in (1, 3):
+                return gs.StageParts(k, (), (), (), (t16.cycle(k).y, v, w))
+            return real(e, k)
+
+        monkeypatch.setattr(gs.permmodel, "stage_parts", crafted)
+        monkeypatch.setattr(gs, "stage_parts", crafted)
+        e = gs.EmbeddedQuiver(t16.quiver, t16.cycles)
+        assert self._same_as_references(e) == (False, False)
+        moved = gs.check_permutation_identities(e).clauses[-1].violations
+        assert [text.split(":")[0] for text in moved] == [
+            f"y of T{free[0]}, sigma_1", f"y of T{free[0]}, sigma_2",
+            f"y of T{free[1]}, sigma_1", f"y of T{free[1]}, sigma_2",
+        ]
+
+    def test_predicted_matrix_is_the_full_build(self, t16):
+        table = stage_table(t16)
+        for k in range(t16.n_cycles + 1):
+            predicted = gs.predicted_matrix(t16, k).state
+            assert list(predicted.sparse_rows) == stage_rows(t16, k, table[k])
+
+    def test_model_check_memory_is_linear(self):
+        # 497 stages on 993 vertices: whole permutations per stage would
+        # hold about 35 MB
+        q, root = random_tree_quiver(random.Random(134), 700)
+        e = gs.embed(q, root)
+        assert q.n == 993
+        tracemalloc.start()
+        try:
+            report = gs.verify_model(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 8_000_000, f"traced peak {peak / 1e6:.1f} MB"

@@ -9,7 +9,7 @@ import threading
 import pytest
 
 import greenseq as gs
-from helpers import random_tree_quiver, stage_rotation
+from helpers import random_tree_quiver, stage_permutation, stage_rotation, stage_table
 
 
 class TestStageRotation:
@@ -38,14 +38,14 @@ class TestStageRotation:
 
 class TestStagePermutation:
     def test_zero_is_identity(self, t15):
-        assert gs.stage_permutation(t15, 0).is_identity()
+        assert stage_permutation(t15, 0).is_identity()
 
     def test_final_matches_induced(self, zigzag7, tree15, tree16):
         for q in (zigzag7, tree15, tree16):
             for leaf in gs.leaf_cycles(gs.cycle_tree(q)):
                 e = gs.embed(q, leaf)
                 seq = gs.associated_sequence(e)
-                assert gs.stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
+                assert stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
 
     def test_prefix_matches_subquiver_induced(self, t15, tree15):
         # the stage-k permutation equals the one induced on the subquiver
@@ -58,7 +58,7 @@ class TestStagePermutation:
             local = {v: i + 1 for i, v in enumerate(mapping)}
             prefix = [local[v] for j in range(k + 1) for v in gs.stage_parts(t15, j).sequence()]
             induced = gs.induced_permutation(sub, prefix)
-            sigma = gs.stage_permutation(t15, k)
+            sigma = stage_permutation(t15, k)
             for v in verts:
                 assert local[sigma.apply(v)] == induced.apply(local[v])
 
@@ -68,21 +68,28 @@ class TestStagePermutation:
             q, root = random_tree_quiver(rng, 10)
             e = gs.embed(q, root)
             seq = gs.associated_sequence(e)
-            assert gs.stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
+            assert stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
 
     def test_rotation_table_consistent(self, t16):
-        # each stage_table entry against tau_k rebuilt for its stage alone
-        table = gs.permmodel.stage_table(t16)
+        # each stage of the oracle table against tau_k rebuilt for its stage
+        # alone, and the package's fold and sigma stream against the table
+        table = stage_table(t16)
         assert len(table) == 17
         sigma = gs.Permutation.identity(t16.quiver.n)
         for k in range(17):
             tau = stage_rotation(t16, k)
             sigma = tau.then(sigma)
             assert table[k] == (gs.stage_parts(t16, k).sequence(), tau, sigma, sigma.inverse())
-            assert gs.stage_permutation(t16, k) == sigma
+        fold = gs.permmodel._stage_fold(t16)
+        for (seq, tau), stage in zip(fold, table, strict=True):
+            assert seq == stage.sequence
+            assert tau == {v: w for v, w in enumerate(stage.tau.images, 1) if v != w}
+        for k, seq, tau, sigma, inv in gs.permmodel._sigma_stream(t16):
+            assert (tuple(sigma), tuple(inv)) == (table[k].sigma.images, table[k].sigma_inv.images)
 
-    def test_stage_permutation_reads_one_table(self, t16, monkeypatch):
-        # sigma_k for every k folds the stages once, for the shared table
+    def test_stage_fold_built_once(self, t16, monkeypatch):
+        # the stage models and the identity check, and a prediction for
+        # every stage, fold the stages once, for the fold kept on t16
         calls = []
         original = gs.permmodel.stage_parts
 
@@ -91,18 +98,19 @@ class TestStagePermutation:
             return original(e, k)
 
         monkeypatch.setattr(gs.permmodel, "stage_parts", counted)
+        gs.verify_model(t16)
+        gs.check_permutation_identities(t16)
         for k in range(17):
-            gs.stage_permutation(t16, k)
+            gs.predicted_matrix(t16, k)
         assert calls == list(range(17))
 
     def test_out_of_range_stage_rejected(self, t15):
-        # sigma_k exists for k = 0..n only; with the table built, -1 must
+        # sigma_k exists for k = 0..n only; with the fold built, -1 must
         # still not read as the last stage
-        gs.stage_permutation(t15, 0)
+        gs.predicted_matrix(t15, 0)
         for k in (-1, t15.n_cycles + 1):
-            for stage_fact in (gs.stage_permutation, gs.predicted_matrix):
-                with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
-                    stage_fact(t15, k)
+            with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
+                gs.predicted_matrix(t15, k)
 
 
 class TestIdentityReport:
@@ -117,7 +125,7 @@ class TestIdentityReport:
         report = gs.check_permutation_identities(e)
         assert report.ok
         # base cycle is T1: its z and x swap under the full permutation
-        sigma = gs.stage_permutation(e, 1)
+        sigma = stage_permutation(e, 1)
         assert sigma.apply(e.cycle(1).z) == e.cycle(1).x
         assert sigma.apply(e.cycle(1).x) == e.cycle(1).z
 
@@ -137,11 +145,12 @@ class TestIdentityReport:
                 if e.child_at_y(j) is None:
                     yv = e.cycle(j).y
                     for k in range(e.n_cycles + 1):
-                        assert gs.stage_permutation(e, k).apply(yv) == yv
+                        assert stage_permutation(e, k).apply(yv) == yv
 
     def test_shared_embedding_across_threads(self, tree16):
-        # the stage table is filled on first use; threads racing to fill it
-        # must each read a whole table and report what one thread reports
+        # the stage fold and the per-cycle geometry are filled in on first
+        # use; threads racing to fill them must each read whole values and
+        # report what one thread reports
         want = (
             gs.verify_model(gs.embed(tree16, (1, 2, 3))).text(),
             gs.check_permutation_identities(gs.embed(tree16, (1, 2, 3))).text(),

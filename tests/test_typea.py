@@ -313,6 +313,19 @@ class TestOrientedTriangles:
 
 
 class TestCycleTree:
+    def test_orientation_follows_the_arrows(self):
+        # each node read along its arrows from its smallest vertex, as the
+        # recogniser found it, so that embed needs no arrow lookups
+        rng = random.Random(4422)
+        quivers = [random_tree_quiver(rng, 20)[0] for _ in range(60)]
+        quivers += [load(name) for name in ("zigzag7", "tree15", "tree16")]
+        for q in quivers:
+            tree = gs.cycle_tree(q)
+            assert len(tree.oriented) == len(tree.nodes)
+            for tri, (a, b, c) in zip(tree.nodes, tree.oriented):
+                assert tuple(sorted((a, b, c))) == tri and a == tri[0]
+                assert q.multiplicity(a, b) and q.multiplicity(b, c) and q.multiplicity(c, a)
+
     def test_single_triangle(self, a3cycle):
         tree = gs.cycle_tree(a3cycle)
         assert tree.nodes == ((1, 2, 3),)
