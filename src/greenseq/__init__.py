@@ -7,7 +7,6 @@ from .quiver import (
     QuiverError,
     QuiverParseError,
     SignCoherenceError,
-    all_colors,
     apply_sequence,
     frame,
     format_extended,
@@ -31,7 +30,6 @@ from .green import (
     first_mgs,
     exchange_graph,
     exchange_graph_dot,
-    induced_permutation,
     matrix_hash,
     verify_green,
 )
@@ -44,7 +42,6 @@ from .directsum import (
     decompose,
     decomposition_report,
     direct_sum,
-    net_arrows,
 )
 from .typea import (
     CycleTree,
@@ -76,12 +73,9 @@ from .embedding import (
 from .assocseq import PipelineResult, StageParts, associated_sequence, mgs_for_type_a, stage_parts
 from .permmodel import PermIdentityReport, check_permutation_identities
 from .matrixmodel import (
-    FrontierMatrix,
     ModelReport,
     PendingCycle,
     PredictedMatrix,
-    base_c_vector,
-    frontier_matrix,
     pending_cycles,
     predicted_matrix,
     verify_model,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .green import GreenTrace, _min_first_order, _successors, verify_green
-from .quiver import ExtendedQuiver, Quiver, QuiverError, subquiver
+from .quiver import Quiver, QuiverError, subquiver
 
 
 class DirectSumError(QuiverError):
@@ -63,17 +63,6 @@ def color_count(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> int:
         if seen[(a, b)] >= 2:
             raise DirectSumError(f"junction pair {a} -> {b} carries a double arrow")
     return len({a for a, _ in pairs})
-
-
-def net_arrows(state: Quiver | ExtendedQuiver, x: int, y: int, *, frozen: bool = False) -> int:
-    """Signed arrow count from x to y; y may address a frozen vertex."""
-    if isinstance(state, ExtendedQuiver):
-        return state.entry(x, y, frozen=frozen)
-    if frozen:
-        raise QuiverError("plain quivers have no frozen vertices")
-    if not (1 <= x <= state.n and 1 <= y <= state.n):
-        raise QuiverError(f"vertex pair ({x}, {y}) out of range 1..{state.n}")
-    return state.multiplicity(x, y) - state.multiplicity(y, x)
 
 
 # ---------------------------------------------------------------------------

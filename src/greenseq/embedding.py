@@ -174,20 +174,16 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
         raise EmbeddingError(f"root {root_tri} is not a leaf 3-cycle")
     root_idx = tree.nodes.index(root_tri)
 
-    if tree.degree(root_idx) == 0:
-        x1 = min(root_tri)
-        _, y1, z1 = tree.oriented[root_idx]
-        e = EmbeddedQuiver(q, [EmbeddedCycle(1, True, x1, y1, z1, None, None)])
-        validate_embedding(e)
-        return e
-
-    ((neighbor_idx, shared),) = tree.neighbors_of(root_idx)
+    # z1 is the vertex the root shares with its one neighbour; a lone
+    # 3-cycle takes the one before its smallest vertex, which becomes x1
+    neighbors = tree.neighbors_of(root_idx)
+    shared = neighbors[0][1] if neighbors else tree.oriented[root_idx][2]
     _, x1, y1 = _rotated_to(tree.oriented[root_idx], shared)
     cycles: list[EmbeddedCycle] = [EmbeddedCycle(1, True, x1, y1, shared, None, None)]
 
     # depth-first on an explicit stack, since a chain of 3-cycles may be
     # longer than the recursion limit; a cycle is labelled when it is popped
-    stack = [(neighbor_idx, shared, 1, "z", root_idx)]
+    stack = [(idx, v, 1, "z", root_idx) for idx, v in neighbors]
     while stack:
         tri_idx, attach_vertex, parent_label, parent_role, parent_idx = stack.pop()
         tri = tree.nodes[tri_idx]

@@ -133,14 +133,6 @@ def _read_final_permutation(q: Quiver, rows: Sequence[dict[int, int]]) -> Permut
     return sigma
 
 
-def induced_permutation(q: Quiver, seq: Sequence[int]) -> Permutation:
-    """Permutation sigma with final matrix [B_{Q sigma} | -M(sigma)]."""
-    trace = verify_green(q, seq)
-    if not trace.is_maximal:
-        raise NotMaximalGreenError(f"{trace.sequence} is not a maximal green sequence")
-    return trace.induced
-
-
 def _successors(q: Quiver) -> dict[int, list[int]]:
     succ: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}
     for s, d, _ in q.arrows:

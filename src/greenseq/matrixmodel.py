@@ -13,8 +13,10 @@ The prediction is kept as the walk keeps the actual state: one list of
 sparse rows, from the framing through every stage, with sigma_k streamed
 from ``permmodel``; a stage rebuilds only the rows whose role changes.
 ``predicted_matrix`` stops that walk at a stage, as an ``ExtendedQuiver``
-that compares with a mutated state by ``==``; ``verify_model`` compares
-the rows at every stage with direct mutation of rows it owns.
+that compares with a mutated state by ``==``: the composite entries are
+its ``entry(i, j)`` at frontier rows, and the c-vectors the frozen parts
+of those rows.  ``verify_model`` compares the rows at every stage with
+direct mutation of rows it owns.
 """
 
 from __future__ import annotations
@@ -65,34 +67,19 @@ def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
         chain = hanging_chain(e, m)
         if not chain or chain[0] != anchor + 1:
             raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
+        # the chain starts at T_{anchor+1}, so progress is absent only at k == anchor
         progress = max((s for s in chain if s <= k), default=None)
-        if progress is None and anchor != k:
-            raise EmbeddingError(f"pending T{m} has an unprocessed chain at stage {k}")
         case = 3 if progress is None else (2 if progress == chain[-1] else 1)
         entries.append(PendingCycle(m, anchor, chain, progress, case))
     return tuple(entries)
 
 
-@dataclass(frozen=True)
-class FrontierMatrix:
-    """The stage-k composite arrows incident to frontier vertices.
-
-    ``entries`` lists only the defining directed entries; the skew mirror is
-    implied.
-    """
-
-    n: int
-    entries: tuple[tuple[int, int, int], ...]  # (row vertex, col vertex, value)
-
-
-def frontier_matrix(e: EmbeddedQuiver, k: int) -> FrontierMatrix:
-    """Composite entries for stage k, per pending-cycle case and next cycle."""
-    return FrontierMatrix(e.quiver.n, _frontier_entries(e, k, pending_cycles(e, k)))
-
-
 def _frontier_entries(
     e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]
 ) -> tuple[tuple[int, int, int], ...]:
+    """The stage-k composite entries (row, column, value) at the frontier
+    vertices, per pending-cycle case and for T_{k+1}; each one's skew mirror
+    is implied."""
     entries: list[tuple[int, int, int]] = []
     for pc in pending:
         cm = e.cycle(pc.label)
@@ -126,25 +113,6 @@ def _frontier_labels(e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...
     if k < e.n_cycles:
         labels.add(k + 1)
     return labels
-
-
-def base_c_vector(e: EmbeddedQuiver, k: int, v: int) -> tuple[int, ...]:
-    """Frozen coordinates of a frontier vertex, without its own unit entry.
-
-    Zero for a y vertex.  For z of cycle i: a unit at x' of the base cycle,
-    one at z' of the cycle just below it when the base cycle is not T1, and
-    one per descent-path x vertex of stage i.
-    """
-    vec = [0] * e.quiver.n
-    for i in _frontier_labels(e, k, pending_cycles(e, k)):
-        cyc = e.cycle(i)
-        if v == cyc.y:
-            return tuple(vec)
-        if v == cyc.z:
-            for u in _z_c_support(e, i):
-                vec[u - 1] += 1
-            return tuple(vec)
-    raise EmbeddingError(f"vertex {v} is not a frontier y or z vertex at stage {k}")
 
 
 def _z_c_support(e: EmbeddedQuiver, i: int) -> list[int]:

@@ -415,11 +415,6 @@ def _row_color(row: dict[int, int], n: int, i: int) -> str:
     raise SignCoherenceError(f"frozen row of vertex {i} has mixed signs")
 
 
-def all_colors(eq: ExtendedQuiver) -> tuple[str, ...]:
-    n = eq.n
-    return tuple([_row_color(row, n, i) for i, row in enumerate(eq.sparse_rows, 1)])
-
-
 def green_vertices(eq: ExtendedQuiver) -> tuple[int, ...]:
     n = eq.n
     return tuple([i for i, row in enumerate(eq.sparse_rows, 1) if _row_color(row, n, i) == "green"])

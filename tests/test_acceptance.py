@@ -165,7 +165,7 @@ def test_criterion_09_construction_at_scale():
             seq = gs.associated_sequence(e)
             trace = gs.verify_green(q, seq)
             assert trace.is_green
-            assert set(gs.all_colors(trace.final_state)) == {"red"}
+            assert gs.green_vertices(trace.final_state) == ()
             assert trace.is_maximal
             assert stage_permutation(e, e.n_cycles) == trace.induced
             runs += 1

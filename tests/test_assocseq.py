@@ -87,7 +87,7 @@ class TestAssociatedSequence:
                 e = gs.embed(q, leaf)
                 trace = gs.verify_green(q, gs.associated_sequence(e))
                 assert trace.is_green
-                assert set(gs.all_colors(trace.final_state)) == {"red"}
+                assert gs.green_vertices(trace.final_state) == ()
 
     def test_b_part_constant_along_descent_path(self):
         # every cycle on a descent path, and the base cycle itself, shares

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -54,6 +55,16 @@ class TestEmbed:
         e = gs.embed(a3cycle)
         c = e.cycle(1)
         assert (c.x, c.y, c.z) == (1, 2, 3) and c.up
+
+    @pytest.mark.parametrize("walk", list(itertools.permutations((1, 2, 3))))
+    def test_lone_cycle_every_relabelling(self, walk):
+        # x1 is the smallest vertex and y1 its successor, whichever way
+        # the arrows run, with the root given or not
+        q = gs.Quiver.from_arrows(3, [(walk[i], walk[(i + 1) % 3]) for i in range(3)])
+        y = walk[(walk.index(1) + 1) % 3]
+        expected = (gs.EmbeddedCycle(1, True, 1, y, 5 - y, None, None),)
+        assert gs.embed(q).cycles == expected
+        assert gs.embed(q, (3, 1, 2)).cycles == expected
 
     def test_default_root_smallest_leaf(self, zigzag7):
         assert gs.embed(zigzag7) == gs.embed(zigzag7, (1, 2, 3))
@@ -144,8 +155,6 @@ class TestEmbed:
     def test_standard_labelling_is_unique(self):
         # among all label orders of a small tree, exactly the constructed
         # one survives the replay validator
-        import itertools
-
         rng = random.Random(33)
         for _ in range(25):
             q, root = random_tree_quiver(rng, 5)

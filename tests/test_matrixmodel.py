@@ -78,42 +78,78 @@ class TestPendingCycles:
         assert gs.pending_cycles(t15, 0) == ()
         assert gs.pending_cycles(t15, 15) == ()
 
+    def test_chain_must_start_after_its_anchor(self, t16):
+        # swapping the labels T5 and T9 makes T9 the y-child of T4, so the
+        # chain of the pending T16 no longer starts at T5
+        swap = {5: 9, 9: 5}
+        cycles = sorted(
+            (
+                gs.EmbeddedCycle(
+                    swap.get(c.label, c.label), c.up, c.x, c.y, c.z,
+                    swap.get(c.parent, c.parent), c.parent_role,
+                )
+                for c in t16.cycles
+            ),
+            key=lambda c: c.label,
+        )
+        bad = gs.EmbeddedQuiver(t16.quiver, cycles)
+        for k in range(4):
+            gs.pending_cycles(bad, k)
+        with pytest.raises(gs.EmbeddingError, match=r"^pending T16 has no chain starting at T5$"):
+            gs.pending_cycles(bad, 4)
+
 
 class TestFrontierMatrix:
+    """The composite entries, read at the frontier rows of the prediction."""
+
     def test_stage_zero_entries(self, t15):
-        fm = gs.frontier_matrix(t15, 0)
+        pm = gs.predicted_matrix(t15, 0)
         first = t15.cycle(1)
-        assert set(fm.entries) == {
+        inner = pm.processed + pm.frontier
+        entries = {
+            (i, j, pm.state.entry(i, j)) for i in pm.frontier for j in inner if pm.state.entry(i, j)
+        }
+        assert entries == {
             (first.y, first.x, 1),
             (first.z, first.x, -1),
         }
 
     def test_final_stage_empty(self, t15):
-        assert gs.frontier_matrix(t15, 15).entries == ()
+        assert gs.predicted_matrix(t15, 15).frontier == ()
 
     def test_case1_entry_tracks_next_chain_cycle(self, t16):
         # stage 9: the pending cycle anchored at T4 has chain (5, 12, 13, 14)
         # with only label 5 processed, so its y row points at z of T12
-        fm = dict(((i, j), v) for i, j, v in gs.frontier_matrix(t16, 9).entries)
+        state = gs.predicted_matrix(t16, 9).state
         y16, z12 = t16.cycle(16).y, t16.cycle(12).z
-        assert fm[(y16, z12)] == -1
+        assert state.entry(y16, z12) == -1
 
     def test_downward_next_cycle_entries(self, t15):
         # at stage 1 the next cycle T2 is downward: its z row points at x2
-        fm = dict(((i, j), v) for i, j, v in gs.frontier_matrix(t15, 1).entries)
+        state = gs.predicted_matrix(t15, 1).state
         c2 = t15.cycle(2)
-        assert fm[(c2.z, c2.x)] == -1
-        assert fm[(c2.y, gs.closing_vertex(t15, 2))] == 1
+        assert state.entry(c2.z, c2.x) == -1
+        assert state.entry(c2.y, gs.closing_vertex(t15, 2)) == 1
 
 
 class TestCVectors:
+    """Base c-vectors: the frozen part of a frontier row in the prediction,
+    without the vertex's own unit."""
+
+    @staticmethod
+    def _base_c_vector(e, k, v):
+        state = gs.predicted_matrix(e, k).state
+        vec = [state.entry(v, j, frozen=True) for j in range(1, e.quiver.n + 1)]
+        vec[v - 1] -= 1
+        return tuple(vec)
+
     def test_y_rows_are_zero(self, t15):
         for k in range(15):
             nxt = t15.cycle(k + 1)
-            assert gs.base_c_vector(t15, k, nxt.y) == (0,) * 31
+            assert self._base_c_vector(t15, k, nxt.y) == (0,) * 31
 
     def test_first_stage_z_row(self, t15):
-        vec = gs.base_c_vector(t15, 0, t15.cycle(1).z)
+        vec = self._base_c_vector(t15, 0, t15.cycle(1).z)
         expected = [0] * 31
         expected[t15.cycle(1).x - 1] = 1
         assert vec == tuple(expected)
@@ -121,25 +157,23 @@ class TestCVectors:
     def test_descent_stage_support(self, t15):
         # z of stage 7 collects x of the base cycle, z one below it, and the
         # descent path's x vertices
-        vec = gs.base_c_vector(t15, 6, t15.cycle(7).z)
+        vec = self._base_c_vector(t15, 6, t15.cycle(7).z)
         support = {i + 1 for i, c in enumerate(vec) if c}
         assert support == {4, 5, 9, 7}
 
-    def test_non_frontier_vertex_rejected(self, t15):
-        with pytest.raises(gs.EmbeddingError):
-            gs.base_c_vector(t15, 0, t15.cycle(5).y)
-
-    def test_matches_true_c_vector(self, t16, tree16):
-        # frozen rows of the true mutated matrix equal the model vector plus
-        # the unit at the vertex's own frozen companion
-        eq = gs.frame(tree16)
-        for k in range(17):
-            eq = gs.apply_sequence(eq, gs.stage_parts(t16, k).sequence())
-            for pc in gs.pending_cycles(t16, k):
-                for v in (t16.cycle(pc.label).y, t16.cycle(pc.label).z):
-                    expected = list(gs.base_c_vector(t16, k, v))
-                    expected[v - 1] += 1
-                    assert eq.rows[v - 1][33:] == tuple(expected)
+    def test_matches_true_c_vector(self, t16):
+        # the predicted frozen row of every frontier vertex, its base
+        # c-vector plus its own unit, equals the row that mutation gives
+        rng = random.Random(104)
+        cases = [t16] + [gs.embed(*random_tree_quiver(rng, 12)) for _ in range(50)]
+        for e in cases:
+            n = e.quiver.n
+            eq = gs.frame(e.quiver)
+            for k in range(e.n_cycles + 1):
+                eq = gs.apply_sequence(eq, gs.stage_parts(e, k).sequence())
+                pm = gs.predicted_matrix(e, k)
+                for v in pm.frontier:
+                    assert pm.state.rows[v - 1][n:] == eq.rows[v - 1][n:]
 
 
 class TestPredictedMatrix:
@@ -324,12 +358,12 @@ class TestVerifyModel:
             eq = gs.apply_sequence(eq, gs.stage_parts(t16, k).sequence())
             pm = gs.predicted_matrix(t16, k)
             processed = set(pm.processed)
-            for i, j, _ in gs.frontier_matrix(t16, k).entries:
+            for i in pm.frontier:
                 assert gs.vertex_color(eq, i) == "green"
-                if j in processed:
-                    assert gs.vertex_color(eq, j) == "red"
-                else:
-                    assert gs.vertex_color(eq, j) == "green"
+                for j in range(1, 34):
+                    if pm.state.entry(i, j):
+                        expected = "red" if j in processed else "green"
+                        assert gs.vertex_color(eq, j) == expected
 
 
 class TestStreamedModel:

@@ -45,7 +45,7 @@ class TestStagePermutation:
             for leaf in gs.leaf_cycles(gs.cycle_tree(q)):
                 e = gs.embed(q, leaf)
                 seq = gs.associated_sequence(e)
-                assert stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
+                assert stage_permutation(e, e.n_cycles) == gs.verify_green(q, seq).induced
 
     def test_prefix_matches_subquiver_induced(self, t15, tree15):
         # the stage-k permutation equals the one induced on the subquiver
@@ -57,7 +57,7 @@ class TestStagePermutation:
             sub, mapping = gs.subquiver(tree15, verts)
             local = {v: i + 1 for i, v in enumerate(mapping)}
             prefix = [local[v] for j in range(k + 1) for v in gs.stage_parts(t15, j).sequence()]
-            induced = gs.induced_permutation(sub, prefix)
+            induced = gs.verify_green(sub, prefix).induced
             sigma = stage_permutation(t15, k)
             for v in verts:
                 assert local[sigma.apply(v)] == induced.apply(local[v])
@@ -68,7 +68,7 @@ class TestStagePermutation:
             q, root = random_tree_quiver(rng, 10)
             e = gs.embed(q, root)
             seq = gs.associated_sequence(e)
-            assert stage_permutation(e, e.n_cycles) == gs.induced_permutation(q, seq)
+            assert stage_permutation(e, e.n_cycles) == gs.verify_green(q, seq).induced
 
     def test_rotation_table_consistent(self, t16):
         # each stage of the oracle table against tau_k rebuilt for its stage

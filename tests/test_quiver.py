@@ -160,10 +160,11 @@ class TestExtended:
     def test_frame_triangle(self, a3cycle):
         eq = gs.frame(a3cycle)
         assert extended_part(eq) == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        assert gs.all_colors(eq) == ("green", "green", "green")
+        assert tuple(gs.vertex_color(eq, i) for i in (1, 2, 3)) == ("green", "green", "green")
 
     def test_coframe_all_red(self, a3cycle):
-        assert gs.all_colors(coframe(a3cycle)) == ("red", "red", "red")
+        eq = coframe(a3cycle)
+        assert tuple(gs.vertex_color(eq, i) for i in (1, 2, 3)) == ("red", "red", "red")
 
     def test_matrix_mutation_involution(self, zigzag7):
         eq = gs.frame(zigzag7)
