@@ -71,8 +71,7 @@ def positive_int(text: str) -> int:
 
 
 def _seq_line(seq, paper_order: bool) -> str:
-    shown = tuple(reversed(seq)) if paper_order else tuple(seq)
-    return " ".join(str(v) for v in shown)
+    return " ".join(map(str, reversed(seq) if paper_order else seq))
 
 
 def cmd_mutate(args) -> int:
@@ -152,14 +151,12 @@ def cmd_enumerate(args) -> int:
         sys.stderr.write("input is not type A: pass --max-len to bound the search\n")
         return 2
     except green.DepthGuardExceeded as exc:
-        sys.stdout.write(f"mgs count>={len(exc.partial)} (depth guard {exc.max_len} hit)\n")
-        for seq in exc.partial:
-            sys.stdout.write(_seq_line(seq, args.paper_order) + "\n")
-        return 1
-    sys.stdout.write(f"mgs count={len(census)}\n")
-    for seq in census:
-        sys.stdout.write(_seq_line(seq, args.paper_order) + "\n")
-    return 0
+        census, code = exc.partial, 1
+        head = f"mgs count>={len(census)} (depth guard {exc.max_len} hit)\n"
+    else:
+        code, head = 0, f"mgs count={len(census)}\n"
+    sys.stdout.writelines([head] + [_seq_line(seq, args.paper_order) + "\n" for seq in census])
+    return code
 
 
 def cmd_graph(args) -> int:

@@ -7,9 +7,16 @@ then the co-framing with the mutable vertices permuted by the induced sigma.
 ``GreenTrace``: where the walk first met a red vertex, its final state, and
 sigma when the sequence is maximal.  It keeps no state on the way, so it
 mutates rows of its own in place and wraps them into one ``ExtendedQuiver``
-at the end, or at the violating step.  The searches keep every state they
-reach and go through ``matrix_mutate``, whose new states copy only the rows
-they change.
+at the end, or at the violating step.
+
+The census search and the exchange graph walk one store of green states,
+``_GreenStates``: every state a call reaches from the framing, held once and
+keyed by its c-vectors, each interned to a small id whose colour is read
+once.  A mutation re-keys only the rows whose c-vector it changes, and a
+state is mutated, through ``matrix_mutate``, at most once per green vertex:
+the search walks the store depth first, ``exchange_graph`` breadth first.
+States whose keys meet must have equal rows, so deduplication stays exact.
+The DOT names hash each state's rows through one int64 buffer.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import hashlib
 import heapq
 from array import array
 from dataclasses import dataclass
-from typing import Collection, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .quiver import (
     ExtendedQuiver,
@@ -30,7 +37,6 @@ from .quiver import (
     _mutate_rows,
     _row_color,
     frame,
-    green_vertices,
     matrix_mutate,
 )
 from .typea import NotTypeAError, is_type_a
@@ -177,37 +183,127 @@ def acyclic_mgs(q: Quiver) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _c_vector(row: dict[int, int], n: int) -> frozenset[tuple[int, int]]:
+    """The c-vector of a sparse row of an n-vertex state: its frozen part."""
+    return frozenset([(j, v) for j, v in row.items() if j >= n])
+
+
+class _GreenStates:
+    """Every state one call reaches from frame(q) by green moves, each once.
+
+    A state is an ``ExtendedQuiver`` keyed by its c-vectors: entry r of its
+    key is the id under which the c-vector of row r was interned.  Each
+    distinct c-vector's colour is read once, when it is interned, so a
+    mixed-sign one still raises ``SignCoherenceError``, and a state's green
+    vertices are read from its key.  ``move(s, idx)`` mutates state s at its
+    idx-th green vertex through ``matrix_mutate`` the first time it is asked
+    and remembers the result, so every state is mutated at most once per
+    green vertex.  States are numbered in the order they are first reached;
+    state 0 is the framing.  Two states meet only when their keys do, and
+    then their rows must be equal too, or the store raises QuiverError:
+    deduplication stays exact on the matrix.
+    """
+
+    __slots__ = ("n", "states", "keys", "greens", "moves", "_index", "_ids", "_green", "_neg")
+
+    def __init__(self, q: Quiver) -> None:
+        self.n = q.n
+        root = frame(q)
+        self._ids: dict[frozenset[tuple[int, int]], int] = {}
+        self._green: list[bool] = []  # by c-vector id
+        self._neg: dict[int, int] = {}  # c-vector id -> id of its negative
+        key = tuple([self._intern(row, i) for i, row in enumerate(root.sparse_rows)])
+        greens = tuple([i for i, c in enumerate(key, 1) if self._green[c]])
+        self.states = [root]
+        self.keys = [key]
+        self.greens = [greens]
+        self.moves = [[-1] * len(greens)]
+        self._index = {key: 0}
+
+    def _intern(self, row: dict[int, int], i: int) -> int:
+        """Id of the c-vector of ``row``, the row of vertex i + 1."""
+        c = _c_vector(row, self.n)
+        cid = self._ids.get(c)
+        if cid is None:
+            cid = self._ids[c] = len(self._green)
+            self._green.append(_row_color(row, self.n, i + 1) == "green")
+        return cid
+
+    def move(self, s: int, idx: int) -> int:
+        """The state reached from state s by mutating its idx-th green vertex."""
+        moves = self.moves[s]
+        t = moves[idx]
+        if t >= 0:
+            return t
+        eq = self.states[s]
+        k = self.greens[s][idx]
+        nxt = matrix_mutate(eq, k)
+        rows = nxt.sparse_rows
+        key = list(self.keys[s])
+        # k is green, so its c-vector is positive: mutation negates it, and
+        # adds |b_ki| times it to the c-vector of each row i with b_ki < 0;
+        # every other c-vector stays as it was
+        for i, u in eq.sparse_rows[k - 1].items():
+            if u < 0 and i < self.n:
+                key[i] = self._intern(rows[i], i)
+        c = key[k - 1]
+        neg = self._neg.get(c)
+        if neg is None:
+            neg = self._neg[c] = self._intern(rows[k - 1], k - 1)
+            self._neg[neg] = c
+        key[k - 1] = neg
+        key = tuple(key)
+        t = self._index.get(key)
+        if t is None:
+            t = self._index[key] = len(self.states)
+            green = self._green
+            greens = tuple([i for i, c in enumerate(key, 1) if green[c]])
+            self.states.append(nxt)
+            self.keys.append(key)
+            self.greens.append(greens)
+            self.moves.append([-1] * len(greens))
+        elif self.states[t].sparse_rows != rows:
+            raise QuiverError("two green states share their c-vectors but not their matrix")
+        moves[idx] = t
+        return t
+
+
 def _green_search(q: Quiver, max_len: int | None) -> Iterator[tuple[int, ...]]:
     """Maximal green sequences of ``q`` in lexicographic order.
 
-    Depth-first search over green moves from the framing, trying green
-    vertices in ascending order; no maximal sequence extends another, so
-    this meets them in lexicographic order.  Hitting ``max_len`` on a branch
+    Depth-first walk over the green states of ``q``, trying green vertices
+    in ascending order; no maximal sequence extends another, so this meets
+    them in lexicographic order.  A state reached again by another path
+    reuses the moves found from it before.  Hitting ``max_len`` on a branch
     that still has a green vertex raises DepthGuardExceeded carrying the
     sequences yielded so far.
     """
     found: list[tuple[int, ...]] = []
-    root = frame(q)
-    stack: list[list] = [[root, green_vertices(root), 0]]
+    store = _GreenStates(q)
+    greens, moves = store.greens, store.moves
+    path = [0]  # state ids from the framing
+    tried = [0]  # moves tried so far from each state on the path
     prefix: list[int] = []
-    while stack:
-        top = stack[-1]
-        eq, greens, idx = top
-        if not greens:
+    while path:
+        s = path[-1]
+        idx = tried[-1]
+        ks = greens[s]
+        if not ks:
             found.append(tuple(prefix))
             yield found[-1]
-        if not greens or idx >= len(greens):
-            stack.pop()
+        if idx >= len(ks):
+            path.pop()
+            tried.pop()
             if prefix:
                 prefix.pop()
             continue
         if max_len is not None and len(prefix) >= max_len:
             raise DepthGuardExceeded(max_len, tuple(found))
-        top[2] += 1
-        k = greens[idx]
-        prefix.append(k)
-        nxt = matrix_mutate(eq, k)
-        stack.append([nxt, green_vertices(nxt), 0])
+        tried[-1] = idx + 1
+        t = moves[s][idx]
+        prefix.append(ks[idx])
+        path.append(t if t >= 0 else store.move(s, idx))
+        tried.append(0)
 
 
 def enumerate_mgs(q: Quiver, max_len: int | None = None) -> tuple[tuple[int, ...], ...]:
@@ -293,28 +389,21 @@ class ExchangeGraphSlice:
 
 def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
     """Breadth-first closure of green moves with exact-matrix deduplication."""
-    start = frame(q)
-    nodes: list[ExtendedQuiver] = [start]
-    index: dict[ExtendedQuiver, int] = {start: 0}
+    store = _GreenStates(q)
     edges: list[tuple[int, int, int]] = []
     sinks: list[int] = []
-    # ``nodes`` is the queue too: a new node is appended and visited in turn
-    for i, eq in enumerate(nodes):
-        greens = green_vertices(eq)
+    # the store numbers states as they are reached, so its lists are the
+    # queue too: a new state is appended and visited in turn
+    for i, greens in enumerate(store.greens):
         if not greens:
             sinks.append(i)
             continue
-        for k in greens:
-            nxt = matrix_mutate(eq, k)
-            j = index.get(nxt)
-            if j is None:
-                if len(nodes) >= max_nodes:
-                    raise NodeBoundExceeded(f"more than {max_nodes} nodes reachable")
-                j = len(nodes)
-                nodes.append(nxt)
-                index[nxt] = j
+        for idx, k in enumerate(greens):
+            j = store.move(i, idx)
+            if j >= max_nodes:
+                raise NodeBoundExceeded(f"more than {max_nodes} nodes reachable")
             edges.append((i, k, j))
-    return ExchangeGraphSlice(q, tuple(nodes), tuple(edges), 0, tuple(sorted(sinks)))
+    return ExchangeGraphSlice(q, tuple(store.states), tuple(edges), 0, tuple(sinks))
 
 
 def matrix_hash(eq: ExtendedQuiver) -> str:
@@ -325,25 +414,56 @@ def matrix_hash(eq: ExtendedQuiver) -> str:
     entry outside int64 hashes its ``format_extended`` text after a ``big``
     tag instead.
     """
-    header = f"extb {eq.n} {eq.m}\n".encode()
-    digest = hashlib.sha256(header)
-    zeros = array("q", [0]) * (eq.n + eq.m)
-    try:
-        for row in eq.sparse_rows:
-            cells = zeros[:]
-            for j, v in row.items():
-                cells[j] = v
-            digest.update(cells)
-    except OverflowError:
-        digest = hashlib.sha256(header + b"big\n")
-        for line in _extended_lines(eq):
-            digest.update(line.encode())
-    return digest.hexdigest()[:16]
+    return _matrix_hashes((eq,))[0]
+
+
+# Most int64 bytes ``_matrix_hashes`` gathers before it feeds the hasher:
+# all of a state at census sizes, and a bounded buffer however large n is.
+_HASH_BLOCK = 1 << 16
+
+
+def _matrix_hashes(states: Iterable[ExtendedQuiver]) -> list[str]:
+    """``matrix_hash`` of each of ``states``.
+
+    The header is hashed once per shape and copied per state.  A state's
+    rows are written into one zeroed int64 buffer, fed to the hasher each
+    time it fills.
+    """
+    shape = None
+    names = []
+    for eq in states:
+        if (eq.n, eq.m) != shape:
+            shape = (eq.n, eq.m)
+            header = hashlib.sha256(f"extb {eq.n} {eq.m}\n".encode())
+            width = eq.n + eq.m
+            block = width * max(1, min(eq.n, _HASH_BLOCK // (8 * width)))
+            zeros = array("q", bytes(8 * block))
+        digest = header.copy()
+        cells = zeros[:]
+        base = 0
+        try:
+            for row in eq.sparse_rows:
+                if base == block:
+                    digest.update(cells)
+                    cells = zeros[:]
+                    base = 0
+                for j, v in row.items():
+                    cells[base + j] = v
+                base += width
+        except OverflowError:
+            digest = header.copy()
+            digest.update(b"big\n")
+            for line in _extended_lines(eq):
+                digest.update(line.encode())
+        else:
+            digest.update(memoryview(cells)[:base])
+        names.append(digest.hexdigest()[:16])
+    return names
 
 
 def exchange_graph_dot(slice_: ExchangeGraphSlice) -> str:
     """DOT text for the slice; nodes named by content hash, edges by vertex."""
-    names = [matrix_hash(node) for node in slice_.nodes]
+    names = _matrix_hashes(slice_.nodes)
     sink_set = set(slice_.sinks)
     lines = ["digraph exchange {"]
     for i in sorted(range(len(names)), key=lambda i: names[i]):

@@ -6,7 +6,9 @@ import hashlib
 import itertools
 import random
 import struct
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+from hypothesis import strategies as st
 
 import greenseq as gs
 
@@ -25,6 +27,23 @@ def random_quiver(rng: random.Random, max_n: int = 12, max_mult: int = 2) -> gs.
                 else:
                     arrows.append((j, i, mult))
     return gs.Quiver.from_arrows(n, arrows)
+
+
+MULTS = st.sampled_from([0, 0, 1, 2, 3, 2**40])
+
+
+@st.composite
+def wild_quivers(draw, max_n: int = 5) -> gs.Quiver:
+    """Hypothesis quivers on up to ``max_n`` vertices with multiplicities of
+    2 and more and with 2^40 arrows, whose entries soon pass int64."""
+    n = draw(st.integers(1, max_n))
+    arrows = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            m = draw(MULTS)
+            if m:
+                arrows.append((i, j, m) if draw(st.booleans()) else (j, i, m))
+    return gs.Quiver(n, tuple(arrows))
 
 
 def dense_mutate(rows, k):
@@ -542,3 +561,59 @@ def smallest_source_order(q: gs.Quiver) -> tuple[int, ...]:
             return tuple(order)
         order.append(min(sources))
         left.remove(order[-1])
+
+
+def reference_green_search(q: gs.Quiver, max_len: int | None) -> Iterator[tuple[int, ...]]:
+    """Maximal green sequences of ``q`` in lexicographic order, by a
+    depth-first search that mutates a fresh state for every path and reads
+    all colours of each: the oracle for the search over the green-state
+    store, which mutates each state once per green vertex."""
+    found: list[tuple[int, ...]] = []
+    root = gs.frame(q)
+    stack: list[list] = [[root, gs.green_vertices(root), 0]]
+    prefix: list[int] = []
+    while stack:
+        top = stack[-1]
+        eq, greens, idx = top
+        if not greens:
+            found.append(tuple(prefix))
+            yield found[-1]
+        if not greens or idx >= len(greens):
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        if max_len is not None and len(prefix) >= max_len:
+            raise gs.DepthGuardExceeded(max_len, tuple(found))
+        top[2] += 1
+        k = greens[idx]
+        prefix.append(k)
+        nxt = gs.matrix_mutate(eq, k)
+        stack.append([nxt, gs.green_vertices(nxt), 0])
+
+
+def reference_exchange_graph(q: gs.Quiver, max_nodes: int = 10000) -> gs.ExchangeGraphSlice:
+    """Breadth-first closure of green moves, deduplicated by hashing whole
+    ``ExtendedQuiver`` states and reading all colours of each new one: the
+    oracle for ``exchange_graph``."""
+    start = gs.frame(q)
+    nodes: list[gs.ExtendedQuiver] = [start]
+    index: dict[gs.ExtendedQuiver, int] = {start: 0}
+    edges: list[tuple[int, int, int]] = []
+    sinks: list[int] = []
+    for i, eq in enumerate(nodes):
+        greens = gs.green_vertices(eq)
+        if not greens:
+            sinks.append(i)
+            continue
+        for k in greens:
+            nxt = gs.matrix_mutate(eq, k)
+            j = index.get(nxt)
+            if j is None:
+                if len(nodes) >= max_nodes:
+                    raise gs.NodeBoundExceeded(f"more than {max_nodes} nodes reachable")
+                j = len(nodes)
+                nodes.append(nxt)
+                index[nxt] = j
+            edges.append((i, k, j))
+    return gs.ExchangeGraphSlice(q, tuple(nodes), tuple(edges), 0, tuple(sorted(sinks)))

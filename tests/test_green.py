@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 import time
 from array import array
 from itertools import chain
@@ -291,6 +292,31 @@ class TestDot:
         assert max(max(row) for row in eq.rows) >= 2**63
         payload = b"extb 2 2\nbig\n" + gs.format_extended(eq).encode()
         assert gs.matrix_hash(eq) == hashlib.sha256(payload).hexdigest()[:16]
+
+    def test_dot_names_are_dense_hashes(self):
+        slice_ = gs.exchange_graph(load("zig5"))
+        names = [dense_matrix_hash(node) for node in slice_.nodes]
+        dot = gs.exchange_graph_dot(slice_)
+        assert sorted(re.findall(r'^  "(\w+)" \[label="\1"', dot, re.M)) == sorted(names)
+        assert f'  "{names[0]}" [label="{names[0]}", role="source"];' in dot
+        assert sorted(re.findall(r'^  "(\w+)" -> "(\w+)" \[label="(\d+)"\];$', dot, re.M)) == sorted(
+            (names[src], names[dst], str(k)) for src, k, dst in slice_.edges)
+
+    def test_dot_hashes_mixed_states_like_the_dense_oracle(self):
+        # a state past int64 between states that pack, and a 210-vertex
+        # path whose rows fill the hash buffer many times over
+        big_q = gs.Quiver(2, ((1, 2, 2**40),))
+        path = gs.Quiver.from_arrows(210, [(i, i + 1) for i in range(1, 210)])
+        nodes = (
+            gs.frame(big_q), gs.apply_sequence(gs.frame(big_q), (2, 1)),
+            gs.matrix_mutate(gs.frame(big_q), 1), gs.frame(path),
+            gs.apply_sequence(gs.frame(path), range(1, 210, 3)),
+        )
+        assert max(nodes[1].rows[-1]) >= 2**63
+        slice_ = gs.ExchangeGraphSlice(big_q, nodes, (), 0, ())
+        names = re.findall(r'^  "(\w+)" \[label="\1"', gs.exchange_graph_dot(slice_), re.M)
+        assert sorted(names) == sorted(map(dense_matrix_hash, nodes))
+        assert [gs.matrix_hash(eq) for eq in nodes] == list(map(dense_matrix_hash, nodes))
 
     def test_dot_structure(self, a3cycle):
         slice_ = gs.exchange_graph(a3cycle)

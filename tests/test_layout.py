@@ -52,6 +52,9 @@ UNNAMED_EXPORTS = {
                    "test of the paper's example reads",
     "oriented_triangles": "the public face of the recogniser's 3-cycle scan, "
                           "tested against brute force on arbitrary quivers",
+    "green_vertices": "the green vertices of any one state; the green-state store "
+                      "reads them from interned c-vectors, and the reference "
+                      "walks in the tests read them this way",
 }
 
 # the unchecked quiver builder and the only scopes allowed to name it

@@ -21,21 +21,7 @@ from hypothesis import strategies as st
 import greenseq as gs
 from conftest import FIXTURES
 from greenseq.cli import main
-from helpers import dense_mutate
-
-MULTS = st.sampled_from([0, 0, 1, 2, 3, 2**40])
-
-
-@st.composite
-def wild_quivers(draw, max_n: int = 5) -> gs.Quiver:
-    n = draw(st.integers(1, max_n))
-    arrows = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            m = draw(MULTS)
-            if m:
-                arrows.append((i, j, m) if draw(st.booleans()) else (j, i, m))
-    return gs.Quiver(n, tuple(arrows))
+from helpers import dense_mutate, wild_quivers
 
 
 def dense_fold(q: gs.Quiver, seq) -> list[list[int]]:
