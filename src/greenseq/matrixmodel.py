@@ -89,11 +89,10 @@ def _frontier_entries(
         closing = closing_vertex(e, pc.anchor) if pc.progress is None else e.cycle(pc.progress).z
         entries.append((cm.y, closing, 1))
         entries.append((cm.z, cm.x, -1))
-        if pc.case == 1:
-            nxt = pc.chain[pc.chain.index(pc.progress) + 1]
-            entries.append((cm.y, e.cycle(nxt).z, -1))
-        elif pc.case == 3:
-            entries.append((cm.y, e.cycle(pc.chain[0]).z, -1))
+        if pc.case != 2:
+            # z of the first chain cycle not yet processed
+            nxt = 0 if pc.progress is None else pc.chain.index(pc.progress) + 1
+            entries.append((cm.y, e.cycle(pc.chain[nxt]).z, -1))
     if k < e.n_cycles:
         nc = e.cycle(k + 1)
         entries.append((nc.y, closing_vertex(e, k + 1), 1))

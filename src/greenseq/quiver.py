@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, Sized
 
 
 class QuiverError(Exception):
@@ -52,8 +52,11 @@ MAX_INPUT_BYTES = 2**23
 
 def _exact_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
     """``values`` as plain ints, each taken by ``operator.index``; a value
-    it refuses (a float, a string) raises QuiverError naming the value."""
-    values = tuple(values)
+    it refuses (a float, a string) or a non-iterable ``values`` raises QuiverError naming it."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise QuiverError(f"{values!r} is not a sequence of {what} values") from None
     try:
         return tuple(map(operator.index, values))
     except TypeError:
@@ -88,7 +91,10 @@ class Quiver:
             raise QuiverError(f"vertex count must be positive, got {n}")
         mult: dict[tuple[int, int], int] = {}
         for arrow in self.arrows:
-            src, dst, m = _exact_ints(arrow, "arrow entry")
+            entry = _exact_ints(arrow, "arrow entry")
+            if len(entry) != 3:
+                raise QuiverError(f"arrow entry {arrow!r} is not (src, dst, mult)")
+            src, dst, m = entry
             if src == dst:
                 raise QuiverError(f"loop at vertex {src}")
             if not (1 <= src <= n and 1 <= dst <= n):
@@ -112,7 +118,7 @@ class Quiver:
         """
         counts: dict[tuple[int, int], int] = {}
         for item in arrows:
-            if len(item) not in (2, 3):
+            if not isinstance(item, Sized) or len(item) not in (2, 3):
                 raise QuiverError(f"arrow entry {item!r} is not (src, dst) or (src, dst, mult)")
             src, dst, mult = _exact_ints(item, "arrow entry") + (1,) * (3 - len(item))
             if mult < 1:
@@ -229,7 +235,7 @@ class ExtendedQuiver:
     matrix.
     """
 
-    __slots__ = ("n", "m", "sparse_rows", "_hash")
+    __slots__ = ("n", "m", "sparse_rows")
 
     def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]) -> None:
         n, m = _exact_ints((n, m), "matrix size")
@@ -264,12 +270,7 @@ class ExtendedQuiver:
         return (self.n, self.m, self.sparse_rows) == (other.n, other.m, other.sparse_rows)
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:  # not hashed yet
-            rows = tuple(map(frozenset, map(dict.items, self.sparse_rows)))
-            _set_hash(self, hash((self.n, self.m, rows)))
-            return self._hash
+        return hash((self.n, self.m, tuple(map(frozenset, map(dict.items, self.sparse_rows)))))
 
     def __repr__(self) -> str:
         return f"ExtendedQuiver(n={self.n}, m={self.m}, rows={self.rows!r})"
@@ -314,7 +315,6 @@ class ExtendedQuiver:
 _set_n = ExtendedQuiver.n.__set__
 _set_m = ExtendedQuiver.m.__set__
 _set_rows = ExtendedQuiver.sparse_rows.__set__
-_set_hash = ExtendedQuiver._hash.__set__
 
 
 def _frame_rows(q: Quiver) -> list[dict[int, int]]:
@@ -331,6 +331,7 @@ def frame(q: Quiver) -> ExtendedQuiver:
     return ExtendedQuiver._trusted(q.n, q.n, tuple(_frame_rows(q)))
 
 
+# `shared` stays: matrix_mutate copying rows for an in-place kernel ran census-small x0.90
 def _mutate_rows(rows: list[dict[int, int]], n: int, k: int, shared: bool) -> None:
     """Matrix mutation at mutable vertex ``k``, in place on the list ``rows``.
 

@@ -11,6 +11,7 @@ glued at shared vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .quiver import Quiver, QuiverError
 
@@ -50,36 +51,29 @@ class TypeAReport:
         raise KeyError(name)
 
 
-def _oriented_cycles(
-    q: Quiver,
-) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]:
-    """All directed 3-cycles as sorted vertex triples, sorted, and those
-    whose arrows run against the sorted order.
+def _oriented_cycles(q: Quiver) -> list[tuple[tuple[int, int, int], tuple[int, int, int]]]:
+    """All directed 3-cycles, each as its sorted vertex triple paired with
+    the cycle along its arrows from its smallest vertex, sorted.
 
     Each 3-cycle is read once, from the arrow a -> b leaving its smallest
     vertex a: the third vertex c is a neighbor of b above a with b -> c
-    and c -> a, and the triple is listed again when c < b.
+    and c -> a.
     """
     arrow = q.multiplicity
     out = []
-    flipped = []
     for a, b, _ in q.arrows:
         if a < b:
             for c in q.neighbors(b):
                 if c > a and arrow(b, c) and arrow(c, a):
-                    if b < c:
-                        out.append((a, b, c))
-                    else:
-                        tri = (a, c, b)
-                        out.append(tri)
-                        flipped.append(tri)
-    out.sort()
-    return out, flipped
+                    cyc = (a, b, c)
+                    out.append((cyc if b < c else (a, c, b), cyc))
+    out.sort(key=itemgetter(0))
+    return out
 
 
 def oriented_triangles(q: Quiver) -> tuple[tuple[int, int, int], ...]:
     """All directed 3-cycles, as sorted vertex triples, sorted."""
-    return tuple(_oriented_cycles(q)[0])
+    return tuple([tri for tri, _ in _oriented_cycles(q)])
 
 
 def _non_triangle_cycle(
@@ -129,20 +123,20 @@ def _non_triangle_cycle(
 def _recognise(q: Quiver) -> tuple[
     TypeAReport,
     tuple[tuple[int, int, int], ...],
-    list[tuple[int, int, int]],
+    tuple[tuple[int, int, int], ...],
     set[tuple[int, int]],
     dict[int, list[int]],
 ]:
     """The four type-A conditions, plus the facts read on the way.
 
-    Returns ``(report, tris, flipped, tri_edges, by_vertex)``: the oriented
-    3-cycles as sorted triples, those among them whose arrows run a -> c ->
-    b -> a, their edges as sorted pairs, and for each vertex the indices
+    Returns ``(report, tris, oriented, tri_edges, by_vertex)``: the oriented
+    3-cycles as sorted triples, each along its arrows from its smallest
+    vertex, their edges as sorted pairs, and for each vertex the indices
     into ``tris`` of the 3-cycles through it.  ``tri_edges`` is complete
     whenever condition i passes.
     """
-    tris, flipped = _oriented_cycles(q)
-    tris = tuple(tris)
+    cycles = _oriented_cycles(q)
+    tris = tuple([tri for tri, _ in cycles])
     tri_edges: set[tuple[int, int]] = set()
 
     # (i) every underlying cycle is an oriented 3-cycle.
@@ -193,7 +187,7 @@ def _recognise(q: Quiver) -> tuple[
         ConditionResult("iv", witness_iv is None, witness_iv),
     )
     report = TypeAReport(all(c.passed for c in conditions), conditions)
-    return report, tris, flipped, tri_edges, by_vertex
+    return report, tris, tuple([cyc for _, cyc in cycles]), tri_edges, by_vertex
 
 
 def is_type_a(q: Quiver) -> TypeAReport:
@@ -251,7 +245,7 @@ def cycle_tree(q: Quiver) -> CycleTree:
     isolated, or the 3-cycles fall into several components.  Acyclic
     summands are the caller's job.
     """
-    report, tris, flipped, tri_edges, by_vertex = _recognise(q)
+    report, tris, oriented, tri_edges, by_vertex = _recognise(q)
     if not report.verdict:
         bad = next(c for c in report.conditions if not c.passed)
         raise NotTypeAError(f"condition {bad.name} fails: {bad.witness}", bad)
@@ -274,8 +268,6 @@ def cycle_tree(q: Quiver) -> CycleTree:
     # when it has one edge fewer than nodes
     if len(edges) != len(tris) - 1:
         raise NotIrreducibleError("3-cycle sharing graph is disconnected")
-    flipped = set(flipped)
-    oriented = tuple([(a, c, b) if (a, b, c) in flipped else (a, b, c) for a, b, c in tris])
     return CycleTree(q, tris, tuple(edges), tuple(tuple(sorted(nb)) for nb in adj), oriented)
 
 

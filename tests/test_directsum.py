@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -330,3 +331,115 @@ class TestConcatMgs:
             seqs = [gs.first_mgs(dec.part(p)[0]) for p in range(len(dec.summands))]
             seq = gs.concat_mgs(dec, seqs).sequence
             assert gs.verify_green(q, seq).is_maximal
+
+    def test_sequence_count_must_match_summands(self):
+        dec = gs.decompose(gs.Quiver.from_arrows(2, [(1, 2)]))
+        with pytest.raises(gs.DirectSumError, match=r"^expected 2 sequences, got 1$"):
+            gs.concat_mgs(dec, ((1,),))
+
+    def test_local_vertex_out_of_range(self):
+        dec = gs.decompose(gs.Quiver.from_arrows(4, [(1, 2), (2, 3), (3, 1), (3, 4)]))
+        assert dec.summands == ((1, 2, 3), (4,))
+        with pytest.raises(gs.QuiverError, match=r"^vertex 2 out of range 1\.\.1$"):
+            gs.concat_mgs(dec, ((1, 2, 3, 1), (2,)))
+        # the range is checked before any walk: an out-of-range vertex in a
+        # later summand is reported ahead of an earlier summand that is not
+        # maximal, and ahead of a red step before it in its own summand
+        with pytest.raises(gs.QuiverError, match=r"^vertex 2 out of range 1\.\.1$"):
+            gs.concat_mgs(dec, ((1,), (2,)))
+        with pytest.raises(gs.QuiverError, match=r"^vertex 0 out of range 1\.\.3$"):
+            gs.concat_mgs(dec, ((1, 1, 0), (1,)))
+
+    def test_whole_walk_failure_is_reported_when_every_part_passes(self, monkeypatch):
+        # the direct-sum theorem rules this out; a walk of the sum that
+        # disagrees with its parts is reported as such, not passed
+        dec = gs.decompose(gs.Quiver.from_arrows(2, [(1, 2)]))
+        walk = gs.directsum.verify_green
+
+        def whole_not_maximal(q, seq):
+            trace = walk(q, seq)
+            return dataclasses.replace(trace, induced=None) if q is dec.quiver else trace
+
+        monkeypatch.setattr(gs.directsum, "verify_green", whole_not_maximal)
+        msg = r"^concatenation failed to verify on the full quiver$"
+        with pytest.raises(gs.directsum.SummandNotGreenError, match=msg):
+            gs.concat_mgs(dec, ((1,), (1,)))
+
+    def test_whole_walk_decides_on_random_decompositions(self):
+        # the concatenation verifies exactly when every part's sequence is
+        # maximal on its part; otherwise the first part that is not is named
+        rng = random.Random(57)
+        quivers = [random_quiver(rng, max_n=6) for _ in range(60)]
+        for _ in range(20):
+            parts = [random_tree_quiver(rng, 3)[0] for _ in range(rng.randint(2, 3))]
+            q = parts[0]
+            for part in parts[1:]:
+                sources = rng.sample(range(1, q.n + 1), rng.randint(1, min(2, q.n)))
+                pairs = sorted({(a, q.n + rng.randint(1, part.n)) for a in sources})
+                q = gs.direct_sum(q, part, pairs)
+            quivers.append(q)
+        checked = passed = summed = 0
+        for q in quivers:
+            dec = gs.decompose(q)
+            subs = [dec.part(p)[0] for p in range(len(dec.summands))]
+            options = [_candidate_sequences(rng, sub) for sub in subs]
+            for _ in range(12):
+                seqs = [rng.choice(opts) for opts in options]
+                bad = [p for p, (sub, seq) in enumerate(zip(subs, seqs))
+                       if not gs.verify_green(sub, seq).is_maximal]
+                checked += 1
+                if bad:
+                    msg = rf"^sequence for summand {bad[0] + 1} is not a maximal green sequence$"
+                    with pytest.raises(gs.directsum.SummandNotGreenError, match=msg):
+                        gs.concat_mgs(dec, seqs)
+                else:
+                    whole = gs.concat_mgs(dec, seqs)
+                    assert whole.is_maximal
+                    assert whole.sequence == tuple(
+                        verts[k - 1] for verts, seq in zip(dec.summands, seqs) for k in seq
+                    )
+                    passed += 1
+                    summed += len(subs) > 1
+        assert checked == 12 * len(quivers) and 0 < summed < passed < checked
+
+    def test_pipeline_walks_the_sum_once(self, monkeypatch):
+        # on success mgs_for_type_a builds each summand's subquiver once, to
+        # construct its sequence, and makes one verifying walk, of the sum
+        a3 = load("a3cycle")
+        q = gs.direct_sum(a3, load("zig5"), [(1, 4), (2, 6)])
+        q = gs.direct_sum(q, a3, [(1, q.n + 1), (5, q.n + 2)])
+        walks, built = [], []
+        walk, build = gs.directsum.verify_green, gs.directsum.subquiver
+
+        def counted_walk(quiver, seq):
+            walks.append(quiver)
+            return walk(quiver, seq)
+
+        def counted_build(quiver, vertices):
+            built.append(tuple(vertices))
+            return build(quiver, vertices)
+
+        monkeypatch.setattr(gs.directsum, "verify_green", counted_walk)
+        monkeypatch.setattr(gs.directsum, "subquiver", counted_build)
+        result = gs.mgs_for_type_a(q)
+        assert len(result.decomposition.summands) == 3
+        assert result.trace.is_maximal and walks == [q]
+        assert built == list(result.decomposition.summands)
+
+
+def _candidate_sequences(rng: random.Random, q: gs.Quiver) -> list[tuple[int, ...]]:
+    """Sequences for ``q``: random green walks (maximal when they end all
+    red), their proper prefixes, and each with a repeated, so red, step."""
+    out = []
+    for _ in range(4):
+        eq, seq = gs.frame(q), []
+        while len(seq) < 4 * q.n and (greens := gs.green_vertices(eq)):
+            k = rng.choice(greens)
+            eq = gs.matrix_mutate(eq, k)
+            seq.append(k)
+        out.append(tuple(seq))
+        if seq:
+            out.append(tuple(seq[:rng.randrange(len(seq))]))
+            i = rng.randrange(len(seq))
+            out.append(tuple(seq[:i + 1] + seq[i:]))
+    return out

@@ -202,6 +202,51 @@ class TestEmbed:
             done += 1
 
 
+class TestValidatorRefusals:
+    # hand-built embeddings whose roles follow the arrows, each refused by
+    # the replay for one reason
+    TWO_AT_Z = gs.Quiver.from_arrows(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 3)])
+    T1 = gs.EmbeddedCycle(1, True, 1, 2, 3, None, None)
+
+    def refused(self, q, cycles, msg):
+        with pytest.raises(gs.EmbeddingError, match=rf"^{msg}$"):
+            gs.validate_embedding(gs.EmbeddedQuiver(q, cycles))
+
+    def test_attached_t1(self):
+        q = gs.Quiver.from_arrows(3, [(1, 2), (2, 3), (3, 1)])
+        cycles = [gs.EmbeddedCycle(1, True, 1, 2, 3, 1, "z")]
+        self.refused(q, cycles, "T1 must be upward-pointing and unattached")
+
+    def test_parent_not_earlier(self):
+        cycles = [self.T1, gs.EmbeddedCycle(2, False, 3, 4, 5, 2, "z")]
+        self.refused(self.TWO_AT_Z, cycles, "T2 must attach to an earlier cycle")
+
+    def test_x_not_shared_with_parent(self):
+        # T2's roles turned once along its arrows: x is 4, not z1 = 3
+        cycles = [self.T1, gs.EmbeddedCycle(2, False, 4, 5, 3, 1, "z")]
+        self.refused(self.TWO_AT_Z, cycles, "T2 does not share its x vertex with the parent")
+
+    def test_orientation_against_attachment_side(self):
+        cycles = [self.T1, gs.EmbeddedCycle(2, True, 3, 4, 5, 1, "z")]
+        self.refused(self.TWO_AT_Z, cycles, "T2 orientation disagrees with its attachment side")
+
+    def test_t2_at_y_of_t1(self):
+        q = gs.Quiver.from_arrows(5, [(1, 2), (2, 3), (3, 1), (2, 4), (4, 5), (5, 2)])
+        cycles = [self.T1, gs.EmbeddedCycle(2, True, 2, 4, 5, 1, "y")]
+        self.refused(q, cycles, "T2 must be downward-pointing at z of T1")
+
+    def test_upward_cycle_not_continuing_the_previous_one(self):
+        # T2 = (3, 4, 2) leaves outlets 4 and 2, and 2 is also y1: an upward
+        # T3 hung there from T1 passes the outlet test but not continuity
+        q = gs.Quiver.from_arrows(4, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 2)])
+        cycles = [
+            self.T1,
+            gs.EmbeddedCycle(2, False, 3, 4, 2, 1, "z"),
+            gs.EmbeddedCycle(3, True, 2, 3, 1, 1, "y"),
+        ]
+        self.refused(q, cycles, "upward T3 must continue the previous cycle")
+
+
 class TestOutlets:
     def test_chain10(self, echain10):
         assert gs.validate_embedding(echain10) == (20, 21, 13, 9, 7, 5)

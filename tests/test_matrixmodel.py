@@ -349,6 +349,27 @@ class TestVerifyModel:
             ]
             assert check.first_diff == (diffs[0] if diffs else None)
 
+    def test_report_text_names_each_first_difference(self, t15):
+        cycles = [
+            gs.EmbeddedCycle(c.label, c.up, c.x, c.z, c.y, c.parent, c.parent_role)
+            if c.label == 11 else c
+            for c in t15.cycles
+        ]
+        report = gs.verify_model(gs.EmbeddedQuiver(t15.quiver, cycles))
+        lines = report.text().splitlines()
+        assert len(lines) == 16 and not report.ok
+        for check, line in zip(report.checks, lines):
+            if check.ok:
+                assert line == f"k={check.k} model==actual: true"
+            else:
+                row, col, model, actual = check.first_diff
+                assert line == (
+                    f"k={check.k} model==actual: false ({row}, {col}): "
+                    f"model={model} actual={actual}"
+                )
+        report = gs.ModelReport((gs.matrixmodel.StageCheck(3, False, ("7", "2'", 1, -1)),))
+        assert report.text() == "k=3 model==actual: false (7, 2'): model=1 actual=-1\n"
+
     def test_red_green_interface_interpretation(self, t16, tree16):
         # frontier rows into the processed block connect a green frontier
         # vertex to red processed vertices; frontier-frontier and

@@ -322,6 +322,65 @@ class TestExactValuesAtTheBoundary:
             gs.Quiver.from_arrows(3, [(1, 2, 1.5)])
 
 
+class TestMalformedEntries:
+    # an entry of the wrong shape is refused with a QuiverError naming it,
+    # not a ValueError or TypeError from unpacking it
+
+    def test_quiver_refuses_an_arrow_without_multiplicity(self):
+        msg = r"^arrow entry \(1, 2\) is not \(src, dst, mult\)$"
+        with pytest.raises(gs.QuiverError, match=msg):
+            gs.Quiver(2, ((1, 2),))
+
+    def test_from_arrows_refuses_an_entry_that_is_not_a_sequence(self):
+        with pytest.raises(gs.QuiverError, match=r"^arrow entry 5 is not \(src, dst\)"):
+            gs.Quiver.from_arrows(3, [5])
+
+    def test_direct_sum_refuses_a_short_gluing_pair(self):
+        one = gs.Quiver(1, ())
+        msg = r"^gluing pair \(1,\) is not \(source, target\)$"
+        with pytest.raises(gs.DirectSumError, match=msg):
+            gs.direct_sum(one, one, [(1,)])
+
+    def test_extended_quiver_refuses_a_row_that_is_not_a_sequence(self):
+        with pytest.raises(gs.QuiverError, match=r"^5 is not a sequence of matrix entry values$"):
+            gs.ExtendedQuiver(1, 1, [5])
+
+    def test_permutation_refuses_images_that_are_not_a_sequence(self):
+        msg = r"^5 is not a sequence of permutation image values$"
+        with pytest.raises(gs.QuiverError, match=msg):
+            gs.Permutation(5)
+
+
+class TestRefusals:
+    # each refusal names its reason, word for word
+
+    def test_extended_quiver_refuses_a_wrong_shape(self):
+        with pytest.raises(gs.QuiverError, match=r"^matrix is not 2 x 4$"):
+            gs.ExtendedQuiver(2, 2, [[0, 1, 1, 0]])
+        with pytest.raises(gs.QuiverError, match=r"^matrix is not 2 x 4$"):
+            gs.ExtendedQuiver(2, 2, [[0, 1, 1, 0], [-1, 0, 0]])
+
+    def test_extended_quiver_refuses_a_block_that_is_not_skew_symmetric(self):
+        with pytest.raises(gs.QuiverError, match=r"^mutable block is not skew-symmetric$"):
+            gs.ExtendedQuiver(2, 0, [[0, 1], [1, 0]])
+        with pytest.raises(gs.QuiverError, match=r"^mutable block is not skew-symmetric$"):
+            gs.ExtendedQuiver(1, 1, [[2, 1]])
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_quiver_refuses_a_non_positive_vertex_count(self, n):
+        with pytest.raises(gs.QuiverError, match=rf"^vertex count must be positive, got {n}$"):
+            gs.Quiver(n, ())
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_quiver_refuses_a_multiplicity_below_one(self, m):
+        with pytest.raises(gs.QuiverError, match=rf"^arrow 1 -> 2 has multiplicity {m}$"):
+            gs.Quiver(2, ((1, 2, m),))
+
+    def test_quiver_refuses_a_duplicate_arrow(self):
+        with pytest.raises(gs.QuiverError, match=r"^duplicate arrow entry 1 -> 2$"):
+            gs.Quiver(3, ((1, 2, 1), (2, 3, 1), (1, 2, 2)))
+
+
 class TestPermutation:
     def test_from_cycle_and_apply(self):
         p = gs.Permutation.from_cycle(4, (3, 1))
