@@ -72,13 +72,6 @@ from .embedding import (
 )
 from .assocseq import PipelineResult, StageParts, associated_sequence, mgs_for_type_a, stage_parts
 from .permmodel import PermIdentityReport, check_permutation_identities
-from .matrixmodel import (
-    ModelReport,
-    PendingCycle,
-    PredictedMatrix,
-    pending_cycles,
-    predicted_matrix,
-    verify_model,
-)
+from .matrixmodel import ModelReport, verify_model
 
 __version__ = "0.1.0"

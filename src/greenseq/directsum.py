@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Sized
 
 from .green import GreenTrace, _min_first_order, _successors, verify_green
-from .quiver import Quiver, QuiverError, subquiver
+from .quiver import Quiver, QuiverError, _exact_ints, subquiver
 
 
 class DirectSumError(QuiverError):
@@ -49,6 +49,8 @@ def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver
             raise DirectSumError(
                 f"gluing target {b} is not a shifted vertex of the second summand"
             )
+        # after the range checks, so an out-of-range float keeps their message
+        a, b = _exact_ints(pair, "gluing end")
         counts[(a, b)] = counts.get((a, b), 0) + 1
     return Quiver(n1 + n2, tuple((s, d, m) for (s, d), m in counts.items()))
 
@@ -90,23 +92,9 @@ class Decomposition:
     colors: tuple[int, ...]
     irreducible: tuple[bool, ...]
 
-    def summand_of(self, v: int) -> int:
-        for p, verts in enumerate(self.summands):
-            if v in verts:
-                return p
-        raise QuiverError(f"vertex {v} not in any summand")
-
     def part(self, p: int) -> tuple[Quiver, tuple[int, ...]]:
         """Summand ``p`` as a quiver on 1..size, plus its global vertex ids."""
         return subquiver(self.quiver, self.summands[p])
-
-    def color_counts(self) -> tuple[int, ...]:
-        """Distinct cross-arrow sources per summand (its t towards later parts)."""
-        position = {v: p for p, verts in enumerate(self.summands) for v in verts}
-        sources: list[set[int]] = [set() for _ in self.summands]
-        for src, _, _ in self.cross_arrows:
-            sources[position[src]].add(src)
-        return tuple(len(s) for s in sources)
 
 
 def _strongly_connected_components(adj: dict[int, list[int]]) -> list[list[int]]:
@@ -232,8 +220,9 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> Gree
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"
         )
+    steps = [_exact_ints(seq, "vertex") for seq in per_summand]
     out = []
-    for verts, seq in zip(dec.summands, per_summand):
+    for verts, seq in zip(dec.summands, steps):
         for k in seq:
             if not 1 <= k <= len(verts):
                 raise QuiverError(f"vertex {k} out of range 1..{len(verts)}")
@@ -241,7 +230,7 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> Gree
     whole = verify_green(dec.quiver, out)
     if whole.is_maximal:
         return whole
-    for p, seq in enumerate(per_summand):
+    for p, seq in enumerate(steps):
         if not verify_green(dec.part(p)[0], seq).is_maximal:
             raise SummandNotGreenError(
                 f"sequence for summand {p + 1} is not a maximal green sequence"

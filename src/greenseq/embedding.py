@@ -106,7 +106,6 @@ class EmbeddedQuiver:
             self.first_stage.setdefault(c.x, c.parent or 0)
             for v in (c.y, c.z) if c.up else (c.z, c.y):
                 self.first_stage.setdefault(v, c.label)
-        self._standard_order = tuple(self.first_stage)
         self._geometry: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
         self._stage_fold = None
         self._outlets: tuple[int, ...] | None = None
@@ -139,10 +138,6 @@ class EmbeddedQuiver:
         if not isinstance(other, EmbeddedQuiver):
             return NotImplemented
         return self.quiver == other.quiver and self.cycles == other.cycles
-
-    def standard_order(self) -> tuple[int, ...]:
-        """All vertices in the standard ordering."""
-        return self._standard_order
 
 
 # ---------------------------------------------------------------------------

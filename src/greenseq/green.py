@@ -32,6 +32,7 @@ from .quiver import (
     Permutation,
     Quiver,
     QuiverError,
+    _exact_ints,
     _extended_lines,
     _frame_rows,
     _mutate_rows,
@@ -93,10 +94,11 @@ def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
     """Apply ``seq`` to frame(q), checking each mutated vertex is green and,
     at the end, whether every vertex is red with its induced permutation.
 
-    A vertex outside 1..n is refused as ``vertex_color`` refuses it, before
-    anything is mutated.  The walk's rows are its own until wrapped.
+    A step that is not an integer, or a vertex outside 1..n, is refused as
+    ``vertex_color`` refuses it, before anything is mutated.  The walk's
+    rows are its own until wrapped.
     """
-    seq = tuple(seq)
+    seq = _exact_ints(seq, "vertex")
     n = q.n
     rows = _frame_rows(q)
     for index, k in enumerate(seq, start=1):

@@ -9,14 +9,14 @@ original ones; its arrows into the processed part and among itself follow a
 short list of composite entries; its c-vectors have an explicit closed
 form.
 
-The prediction is kept as the walk keeps the actual state: one list of
-sparse rows, from the framing through every stage, with sigma_k streamed
-from ``permmodel``; a stage rebuilds only the rows whose role changes.
-``predicted_matrix`` stops that walk at a stage, as an ``ExtendedQuiver``
-that compares with a mutated state by ``==``: the composite entries are
-its ``entry(i, j)`` at frontier rows, and the c-vectors the frozen parts
-of those rows.  ``verify_model`` compares the rows at every stage with
-direct mutation of rows it owns.
+``_kept_prediction`` is the one reading of this model: it keeps the
+prediction as the walk keeps the actual state, one list of sparse rows
+from the framing through every stage, with sigma_k streamed from
+``permmodel`` and the pending cycles worked out as their anchors are
+processed; a stage rebuilds only the rows whose role changes.  The
+composite entries are the rows' entries at frontier rows, and the
+c-vectors the frozen parts of those rows.  ``verify_model`` compares the
+rows at every stage with direct mutation of rows it owns.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .embedding import (
     hanging_chain,
 )
 from .permmodel import _sigma_stream
-from .quiver import ExtendedQuiver, _frame_rows, _mutate_rows
+from .quiver import _frame_rows, _mutate_rows
 
 
 @dataclass(frozen=True)
@@ -44,34 +44,21 @@ class PendingCycle:
     ``chain`` is the run of cycles over the anchor (its y-child, then
     z-children); ``progress`` is the largest chain label already processed
     at the stage in question, absent exactly when the anchor is the current
-    stage.  ``case`` records whether the chain is partially processed (1),
-    fully processed (2), or untouched (3).
+    stage.
     """
 
     label: int
     anchor: int
     chain: tuple[int, ...]
     progress: int | None
-    case: int
 
-
-def pending_cycles(e: EmbeddedQuiver, k: int) -> tuple[PendingCycle, ...]:
-    """Pending cycles at stage k: anchor processed, own y and z not."""
-    if not 0 <= k <= e.n_cycles:
-        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    entries = []
-    for m in e.pending:
-        anchor = e.cycle(m).parent
-        if not anchor <= k < m:
-            continue
-        chain = hanging_chain(e, m)
-        if not chain or chain[0] != anchor + 1:
-            raise EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
-        # the chain starts at T_{anchor+1}, so progress is absent only at k == anchor
-        progress = max((s for s in chain if s <= k), default=None)
-        case = 3 if progress is None else (2 if progress == chain[-1] else 1)
-        entries.append(PendingCycle(m, anchor, chain, progress, case))
-    return tuple(entries)
+    @property
+    def case(self) -> int:
+        """Whether the chain is partially processed (1), fully processed
+        (2), or untouched (3)."""
+        if self.progress is None:
+            return 3
+        return 2 if self.progress == self.chain[-1] else 1
 
 
 def _frontier_entries(
@@ -106,14 +93,6 @@ def _frontier_entries(
     return tuple(sorted(entries))
 
 
-def _frontier_labels(e: EmbeddedQuiver, k: int, pending: tuple[PendingCycle, ...]) -> set[int]:
-    """Labels of the stage-k frontier cycles: the pending ones and T_{k+1}."""
-    labels = {pc.label for pc in pending}
-    if k < e.n_cycles:
-        labels.add(k + 1)
-    return labels
-
-
 def _z_c_support(e: EmbeddedQuiver, i: int) -> list[int]:
     """The frozen coordinates counted in the base c-vector of z_i, one each
     (repeats add up): x of the base cycle, z of the cycle just below it
@@ -126,52 +105,21 @@ def _z_c_support(e: EmbeddedQuiver, i: int) -> list[int]:
     return support
 
 
-@dataclass(frozen=True)
-class PredictedMatrix:
-    """Assembled stage-k prediction with its three-way vertex split.
-
-    ``state`` is the predicted framed state in natural vertex order, equal
-    to ``frame(Q)`` mutated along stages 0..k when the model holds; the
-    three splits list vertices in the standard ordering.
-    """
-
-    k: int
-    processed: tuple[int, ...]
-    frontier: tuple[int, ...]
-    rest: tuple[int, ...]
-    state: ExtendedQuiver
-
-
-def predicted_matrix(e: EmbeddedQuiver, k: int) -> PredictedMatrix:
-    """Predicted extended matrix after stages 0..k, assembled from parts."""
-    if not 0 <= k <= e.n_cycles:
-        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    for stage, _, pending, rows in _kept_prediction(e):
-        if stage == k:
-            break
-    frontier_cycles = _frontier_labels(e, k, pending)
-    owner = e.first_stage
-    std = e.standard_order()
-    # lists, not generators: CPython builds tuple(generator) by resizing,
-    # and once freed such tuples pile up in its tuple free lists
-    processed = tuple([v for v in std if owner[v] <= k])
-    front = tuple([v for v in std if owner[v] in frontier_cycles])
-    rest = tuple([v for v in std if owner[v] > k and owner[v] not in frontier_cycles])
-    n = e.quiver.n
-    return PredictedMatrix(k, processed, front, rest, ExtendedQuiver._trusted(n, n, tuple(rows)))
-
-
 def _kept_prediction(
     e: EmbeddedQuiver,
 ) -> Iterator[tuple[int, tuple[int, ...], tuple[PendingCycle, ...], list[dict[int, int]]]]:
     """Yield ``(k, sequence, pending, rows)`` for k = 0..n: stage k's
-    mutation order, pending cycles and predicted sparse rows, one list
-    changed in place from the framing on (nothing processed, no frontier).
+    mutation order, pending cycles (by label) and predicted sparse rows,
+    one list changed in place from the framing on (nothing processed, no
+    frontier).
 
-    Only the rows of vertices moved by tau_k, first mutated at stage k, or
-    in T_k, T_{k+1} or a pending cycle that starts, ends or moves on can
-    change outside the columns of such rows, so a stage rebuilds those
-    rows whole and rewrites their mirror entries by skew-symmetry.
+    A pending cycle enters at its anchor's stage, where its hanging chain
+    is read and checked, moves on at each stage of that chain, and leaves
+    at its own label.  Only the rows of vertices moved by tau_k, first
+    mutated at stage k, or in T_k, T_{k+1} or a pending cycle that enters,
+    leaves or moves on can change outside the columns of such rows, so a
+    stage rebuilds those rows whole and rewrites their mirror entries by
+    skew-symmetry.
     """
     q = e.quiver
     n = q.n
@@ -185,18 +133,35 @@ def _kept_prediction(
     for s, d, m in q.arrows:
         b0[s - 1][d - 1] = m
         b0[d - 1][s - 1] = -m
+    # pending labels by the stage they enter at; a label at or below its
+    # anchor's is never pending
+    entering: dict[int, list[int]] = {}
+    for m in e.pending:
+        anchor = e.cycle(m).parent
+        if anchor < m:
+            entering.setdefault(anchor, []).append(m)
+    active: dict[int, PendingCycle] = {}
     rows = _frame_rows(q)
-    was_pending: set[tuple[int, int | None]] = set()
     for k, seq, tau, sigma, inv in _sigma_stream(e):
-        pending = pending_cycles(e, k)
-        frontier_cycles = _frontier_labels(e, k, pending)
+        # a pending cycle's label and progress fix its entries; one that
+        # leaves is T_k, whose rows are rebuilt anyway
+        active.pop(k, None)
+        changed = []
+        for m, pc in active.items():
+            if k in pc.chain:
+                active[m] = PendingCycle(m, pc.anchor, pc.chain, k)
+                changed.append(m)
+        for m in entering.get(k, ()):
+            chain = hanging_chain(e, m)
+            if not chain or chain[0] != k + 1:
+                raise EmbeddingError(f"pending T{m} has no chain starting at T{k + 1}")
+            active[m] = PendingCycle(m, k, chain, max((s for s in chain if s <= k), default=None))
+            changed.append(m)
+        pending = tuple(active[m] for m in sorted(active))
         redo = {v - 1 for v in tau}
         redo.update(roles.get(k, ()), roles.get(k + 1, ()))
-        # a pending cycle's label and progress fix its entries
-        now_pending = {(pc.label, pc.progress) for pc in pending}
-        for label, _ in now_pending ^ was_pending:
-            redo.update(roles[label])
-        was_pending = now_pending
+        for m in changed:
+            redo.update(roles[m])
         # frontier entries of the rows to rebuild, both directions, later
         # ones overwriting
         composite: dict[int, dict[int, int]] = {}
@@ -221,7 +186,7 @@ def _kept_prediction(
                 image = sigma[r] - 1
                 row = {inv[c] - 1: m for c, m in b0[image].items() if own[c] <= k}
                 row[n + image] = -1
-            elif first in frontier_cycles:
+            elif first == k + 1 or first in active:
                 row = {c: m for c, m in b0[r].items() if own[c] > k and own[c] != first}
                 row[n + r] = 1
                 if e.cycle(first).z == r + 1:

@@ -126,9 +126,6 @@ class Quiver:
             counts[(src, dst)] = counts.get((src, dst), 0) + mult
         return cls(n, tuple((s, d, m) for (s, d), m in counts.items()))
 
-    def arrow_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self._mult)
-
     def multiplicity(self, src: int, dst: int) -> int:
         return self._mult.get((src, dst), 0)
 
@@ -174,6 +171,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     at k, (3) cancel any 2-cycles.  Implemented directly on arrow counts so
     it stays an independent cross-check of the matrix formula.
     """
+    (k,) = _exact_ints((k,), "mutation vertex")
     if not (1 <= k <= q.n):
         raise QuiverError(f"mutation vertex {k} out of range 1..{q.n}")
     net: dict[tuple[int, int], int] = {}
@@ -206,7 +204,12 @@ def subquiver(q: Quiver, vertices: Sequence[int]) -> tuple[Quiver, tuple[int, ..
     """Full subquiver on ``vertices``, relabelled 1..len ascending.
 
     Returns the subquiver and the tuple mapping new index -> old vertex.
+    A vertex that is not an integer in 1..n is refused.
     """
+    vertices = _exact_ints(vertices, "vertex")
+    for v in vertices:
+        if not 1 <= v <= q.n:
+            raise QuiverError(f"vertex {v} out of range 1..{q.n}")
     order = tuple(sorted(set(vertices)))
     index = {v: i + 1 for i, v in enumerate(order)}
     arrows = [
@@ -470,9 +473,6 @@ class Permutation:
         for i, v in enumerate(self.images):
             images[v - 1] = i + 1
         return Permutation(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(v == i + 1 for i, v in enumerate(self.images))
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its minimum, sorted by minimum."""

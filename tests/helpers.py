@@ -320,13 +320,80 @@ def coframe(q: gs.Quiver) -> gs.ExtendedQuiver:
     ])
 
 
-def block_matrix(pm: gs.PredictedMatrix) -> tuple[tuple[int, ...], ...]:
+class PredictedStage(NamedTuple):
+    """One stage of the kept prediction, copied out of the walk: the
+    stage's mutation order, its pending cycles, the predicted framed state
+    in natural vertex order and the three-way vertex split, each part in
+    the standard ordering."""
+
+    k: int
+    sequence: tuple[int, ...]
+    pending: tuple
+    state: gs.ExtendedQuiver
+    processed: tuple[int, ...]
+    frontier: tuple[int, ...]
+    rest: tuple[int, ...]
+
+
+def predicted_stages(e) -> list[PredictedStage]:
+    """Every stage k = 0..n of ``matrixmodel._kept_prediction``, read from
+    one pass of the walk; each stage's rows are copied through the checked
+    dense constructor, and the split is read from ``e.first_stage`` and the
+    stage's pending labels."""
+    n = e.quiver.n
+    owner = e.first_stage
+    std = tuple(owner)  # first_stage is keyed in the standard ordering
+    out = []
+    for k, seq, pending, rows in gs.matrixmodel._kept_prediction(e):
+        dense = [[row.get(j, 0) for j in range(2 * n)] for row in rows]
+        frontier_cycles = frontier_labels(e, k, pending)
+        out.append(PredictedStage(
+            k, seq, pending, gs.ExtendedQuiver(n, n, dense),
+            tuple(v for v in std if owner[v] <= k),
+            tuple(v for v in std if owner[v] in frontier_cycles),
+            tuple(v for v in std if owner[v] > k and owner[v] not in frontier_cycles),
+        ))
+    return out
+
+
+def walk_pending(e) -> list[tuple]:
+    """The pending cycles of every stage k = 0..n, read from one pass of
+    ``matrixmodel._kept_prediction``."""
+    return [pending for _, _, pending, _ in gs.matrixmodel._kept_prediction(e)]
+
+
+def frontier_labels(e, k: int, pending) -> set[int]:
+    """Labels of the stage-k frontier cycles: the pending ones and T_{k+1}."""
+    labels = {pc.label for pc in pending}
+    if k < e.n_cycles:
+        labels.add(k + 1)
+    return labels
+
+
+def block_matrix(stage: PredictedStage) -> tuple[tuple[int, ...], ...]:
     """The predicted dense matrix with rows and columns reordered to the
     processed/frontier/rest split in the standard ordering."""
-    rows = pm.state.rows
-    order = [v - 1 for v in pm.processed + pm.frontier + pm.rest]
+    rows = stage.state.rows
+    order = [v - 1 for v in stage.processed + stage.frontier + stage.rest]
     cols = order + [len(rows) + i for i in order]
     return tuple(tuple(rows[i][j] for j in cols) for i in order)
+
+
+def reference_pending_cycles(e, k: int) -> tuple:
+    """Pending cycles at stage k by a scan of every pending label: anchor
+    processed, own y and z not.  The reference for the pending cycles the
+    walk works out as their anchors are processed."""
+    entries = []
+    for m in e.pending:
+        anchor = e.cycle(m).parent
+        if not anchor <= k < m:
+            continue
+        chain = gs.hanging_chain(e, m)
+        if not chain or chain[0] != anchor + 1:
+            raise gs.EmbeddingError(f"pending T{m} has no chain starting at T{anchor + 1}")
+        progress = max((s for s in chain if s <= k), default=None)
+        entries.append(gs.matrixmodel.PendingCycle(m, anchor, chain, progress))
+    return tuple(entries)
 
 
 class Stage(NamedTuple):
@@ -360,16 +427,17 @@ def stage_permutation(e, k: int) -> gs.Permutation:
 
 def stage_rows(e, k: int, stage: Stage | None = None) -> list[dict[int, int]]:
     """Stage k's predicted sparse rows built whole from sigma_k, its
-    inverse and the stage's pending cycles: the reference for the
-    prediction that the package keeps from stage to stage."""
+    inverse and the stage's pending cycles found by the reference scan:
+    the reference for the prediction that the package keeps from stage to
+    stage."""
     mm = gs.matrixmodel
     if stage is None:
         stage = stage_table(e)[k]
-    pending = gs.pending_cycles(e, k)
+    pending = reference_pending_cycles(e, k)
     n = e.quiver.n
     image, preimage = stage.sigma.images, stage.sigma_inv.images
     owner = e.first_stage
-    frontier_cycles = mm._frontier_labels(e, k, pending)
+    frontier_cycles = frontier_labels(e, k, pending)
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for s, d, m in e.quiver.arrows:
         first_s, first_d = owner[s], owner[d]
@@ -548,6 +616,16 @@ def mutual_reachability_classes(adj: dict[int, list[int]]) -> list[list[int]]:
         reach[v] = seen
     classes = {tuple(w for w in sorted(adj) if w in reach[v] and v in reach[w]) for v in adj}
     return sorted(map(list, classes))
+
+
+def color_counts(dec: gs.Decomposition) -> tuple[int, ...]:
+    """Colours per summand: the distinct colours of the cross arrows whose
+    source lies in it, read from ``dec.colors``."""
+    position = {v: p for p, verts in enumerate(dec.summands) for v in verts}
+    colors: list[set[int]] = [set() for _ in dec.summands]
+    for (src, _, _), color in zip(dec.cross_arrows, dec.colors):
+        colors[position[src]].add(color)
+    return tuple(map(len, colors))
 
 
 def smallest_source_order(q: gs.Quiver) -> tuple[int, ...]:

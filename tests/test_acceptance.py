@@ -12,7 +12,7 @@ import time
 
 import greenseq as gs
 from conftest import load
-from helpers import random_tree_quiver, stage_permutation
+from helpers import random_tree_quiver, stage_permutation, walk_pending
 
 
 def _report(num: int, label: str, started: float, budget: float | None = None) -> None:
@@ -122,8 +122,7 @@ def test_criterion_07_pending_tables(t16):
     stage_table = {}
     anchors = {}
     cases = {11: {}, 12: {}, 16: {}}
-    for k in range(1, 17):
-        entries = gs.pending_cycles(t16, k)
+    for k, entries in enumerate(walk_pending(t16)[1:], start=1):
         stage_table.setdefault(tuple(pc.label for pc in entries), []).append(k)
         for pc in entries:
             anchors[pc.label] = (pc.anchor, pc.chain[0])

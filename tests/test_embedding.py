@@ -359,7 +359,7 @@ class TestStoredGeometry:
             assert gs.hanging_chain(e, k) == walked_hanging_chain(e, k)
             assert gs.closing_vertex(e, k) == walked_closing_vertex(e, k)
         assert e.pending == walked_pending_set(e)
-        assert e.standard_order() == walked_standard_order(e)
+        assert tuple(e.first_stage) == walked_standard_order(e)
 
     def test_random_trees_every_root(self):
         rng = random.Random(41)

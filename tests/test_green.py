@@ -70,7 +70,7 @@ class TestMaximality:
 
     def test_a1(self):
         trace = gs.verify_green(gs.Quiver(1, ()), (1,))
-        assert trace.is_maximal and trace.induced.is_identity()
+        assert trace.is_maximal and trace.induced == gs.Permutation.identity(1)
 
     def test_zigzag_thirteen_step(self, zigzag7):
         seq = (1, 2, 3, 1, 4, 5, 3, 1, 6, 7, 5, 3, 1)

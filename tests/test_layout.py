@@ -1,24 +1,27 @@
-"""Package layout: one matrix format, one stage fold, one type-A recogniser,
-plain walks and real runtime checks.
+"""Package layout: one matrix format, one stage fold, one stage walk, one
+type-A recogniser, plain walks and real runtime checks.
 
 The engine stores matrices only as sparse rows; the dense view
 ``ExtendedQuiver.rows`` is read in ``quiver.py`` alone.  The stage models
 have one path: the stage fold holds each stage's mutation order and tau_k
-as its cycle, sigma_k is streamed from it in place, and the predicted
-matrix is kept from stage to stage.  The dense forms, the table of whole
-per-stage permutations and the full per-stage rebuild of the prediction,
-kept as references, live in ``tests/helpers.py``, and must not come back
-into the package; nor may a second type-A recogniser beside
-the one pass that ``is_type_a`` and ``cycle_tree`` share.  Every walk is
-iterative, so no input is bounded by the recursion limit, and no check is
-an ``assert``, which ``python -O`` strips.  The quiver builder that skips
-the constructor's checks is reached only from the constructor, after them,
-and from the parser, which makes them line by line.  The one mutation
-kernel, which changes rows in place, is reached only from ``quiver.py``
-and from the two walks that own their rows, in ``green.py`` and
-``matrixmodel.py``.  Every function or class the package exports is named
-somewhere in it outside its own definition, or has a stated reason to stay
-public.
+as its cycle, sigma_k is streamed from it in place, and one walk keeps the
+predicted matrix and the pending cycles from stage to stage; no reader
+replays it for one stage.  The dense forms, the table of whole per-stage
+permutations, the per-stage scan of the pending cycles and the full
+per-stage rebuild of the prediction, kept as references, live in
+``tests/helpers.py``, and must not come back into the package; nor may a
+second type-A recogniser beside the one pass that ``is_type_a`` and
+``cycle_tree`` share.  Every walk is iterative, so no input is bounded by
+the recursion limit, and no check is an ``assert``, which ``python -O``
+strips.  The quiver builder that skips the constructor's checks is reached
+only from the constructor, after them, and from the parser, which makes
+them line by line.  The one mutation kernel, which changes rows in place,
+is reached only from ``quiver.py`` and from the two walks that own their
+rows, in ``green.py`` and ``matrixmodel.py``.  Every function or class the
+package exports is named somewhere in it outside its own definition, and
+every public method or property of an exported class is read as an
+attribute somewhere in it outside its own definition, or each has a stated
+reason to stay public.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ MOVED = {
     "rotation_table", "stage_rotation", "coframe", "pending_set", "_tree_shape",
     "Stage", "stage_table", "stage_permutation", "_stage_rows",
     "frontier_matrix", "FrontierMatrix", "base_c_vector", "induced_permutation",
-    "all_colors", "net_arrows",
+    "all_colors", "net_arrows", "predicted_matrix", "PredictedMatrix", "pending_cycles",
+    "_frontier_labels", "arrow_dict", "is_identity", "summand_of", "color_counts",
+    "standard_order",
 }
 
 # exported functions and classes that nothing else in the package names,
@@ -55,6 +60,28 @@ UNNAMED_EXPORTS = {
     "green_vertices": "the green vertices of any one state; the green-state store "
                       "reads them from interned c-vectors, and the reference "
                       "walks in the tests read them this way",
+}
+
+# public methods and properties of exported classes that nothing else in
+# the package reads as an attribute, each with the reason it stays public
+UNREAD_MEMBERS = {
+    "Quiver.from_arrows": "the constructor that takes (src, dst) pairs and sums "
+                          "repeated entries, the way the README and the tests "
+                          "build quivers",
+    "ExtendedQuiver.entry": "one entry of a state, range-checked, in the paper's "
+                            "1-based vertex names: a composite entry or a c-vector "
+                            "coordinate read without the sparse layout",
+    "Permutation.identity": "the identity on 1..n, the induced permutation of a "
+                            "maximal green sequence that returns every vertex home",
+    "Permutation.then": "composition in the right-action order the paper writes "
+                        "sigma_k in; the whole-permutation reference fold composes "
+                        "with it",
+    "EmbeddedCycle.triple": "a cycle's vertex set in the recogniser's sorted form, "
+                            "which matches an embedded cycle to the 3-cycle it "
+                            "came from",
+    "ExchangeGraphSlice.iso_class_count": "the cluster count of a small exchange "
+                                          "graph, kept until the cluster quotient "
+                                          "gives it a caller or replaces it",
 }
 
 # the unchecked quiver builder and the only scopes allowed to name it
@@ -79,6 +106,26 @@ def test_modules_found():
     assert {p.name for p in MODULES} >= {"quiver.py", "green.py", "matrixmodel.py", "permmodel.py"}
 
 
+def _exports() -> list[tuple[str, ast.FunctionDef | ast.ClassDef]]:
+    """(home module file, definition) of every function and class that
+    ``__init__.py`` exports."""
+    found = []
+    for node in _tree(SRC / "__init__.py").body:
+        if isinstance(node, ast.ImportFrom):
+            home = f"{node.module}.py"
+            defs = {
+                d.name: d for d in _tree(SRC / home).body
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef))
+            }
+            found += [(home, defs[a.name]) for a in node.names if a.name in defs]
+    return found
+
+
+def _span(d: ast.AST) -> tuple[int, int]:
+    """First and last line of a definition, its decorators included."""
+    return min([d.lineno] + [dec.lineno for dec in d.decorator_list]), d.end_lineno
+
+
 def test_every_export_is_named_in_the_package():
     # a function or class that __init__.py exports is named, in code or in
     # prose, somewhere in the package outside its own definition, or it
@@ -88,28 +135,44 @@ def test_every_export_is_named_in_the_package():
         for p in MODULES if p.name != "__init__.py"
     }
     unnamed = []
-    for node in _tree(SRC / "__init__.py").body:
-        if not isinstance(node, ast.ImportFrom):
-            continue
-        home = f"{node.module}.py"
-        defs = {
-            d.name: d for d in _tree(SRC / home).body
-            if isinstance(d, (ast.FunctionDef, ast.ClassDef))
-        }
-        for alias in node.names:
-            d = defs.get(alias.name)
-            if d is None:
-                continue
-            start = min([d.lineno] + [dec.lineno for dec in d.decorator_list])
-            word = re.compile(rf"\b{alias.name}\b")
-            if not any(
-                word.search(line)
-                for name, text in lines.items()
-                for i, line in enumerate(text, 1)
-                if not (name == home and start <= i <= d.end_lineno)
-            ):
-                unnamed.append(alias.name)
+    for home, d in _exports():
+        start, end = _span(d)
+        word = re.compile(rf"\b{d.name}\b")
+        if not any(
+            word.search(line)
+            for name, text in lines.items()
+            for i, line in enumerate(text, 1)
+            if not (name == home and start <= i <= end)
+        ):
+            unnamed.append(d.name)
     assert sorted(unnamed) == sorted(UNNAMED_EXPORTS)
+
+
+def test_every_public_member_is_read_in_the_package():
+    # a public method or property of an exported class is read as an
+    # attribute (``x.name``) somewhere in the package outside its own
+    # definition, or it has a reason to stay public
+    reads = {
+        p.name: [(node.lineno, node.attr) for node in ast.walk(_tree(p))
+                 if isinstance(node, ast.Attribute)]
+        for p in MODULES
+    }
+    unread = []
+    for home, cls in _exports():
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for d in cls.body:
+            if not isinstance(d, ast.FunctionDef) or d.name.startswith("_"):
+                continue
+            start, end = _span(d)
+            if not any(
+                attr == d.name
+                for name, found in reads.items()
+                for line, attr in found
+                if not (name == home and start <= line <= end)
+            ):
+                unread.append(f"{cls.name}.{d.name}")
+    assert sorted(unread) == sorted(UNREAD_MEMBERS)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "quiver.py"], ids=lambda p: p.name)

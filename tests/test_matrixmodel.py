@@ -1,4 +1,5 @@
-"""Pending cycles, frontier entries, c-vectors, and predicted matrices."""
+"""Pending cycles, frontier entries, c-vectors, and predicted matrices,
+read from the one walk of the stage model."""
 
 from __future__ import annotations
 
@@ -18,16 +19,21 @@ from helpers import (
     one_swaps,
     permutation_matrix,
     permute_b_matrix,
+    predicted_stages,
     random_tree_quiver,
     reference_identities,
+    reference_pending_cycles,
     reference_verify_model,
     stage_permutation,
     stage_rows,
     stage_table,
+    walk_pending,
 )
 
 
 class TestPendingCycles:
+    """The pending cycles the walk works out, stage by stage."""
+
     def test_pending_set_614(self, t16):
         assert t16.pending == (11, 12, 16)
 
@@ -42,45 +48,44 @@ class TestPendingCycles:
             (11, 12, 16): (8, 9, 10),
         }
         table = {}
-        for k in range(1, 17):
-            labels = tuple(pc.label for pc in gs.pending_cycles(t16, k))
-            table.setdefault(labels, []).append(k)
+        for k, pending in enumerate(walk_pending(t16)[1:], start=1):
+            table.setdefault(tuple(pc.label for pc in pending), []).append(k)
         assert {labels: tuple(ks) for labels, ks in table.items()} == expected
 
     def test_anchors_and_chain_starts_614(self, t16):
         rows = {}
-        for k in range(1, 17):
-            for pc in gs.pending_cycles(t16, k):
+        for pending in walk_pending(t16):
+            for pc in pending:
                 rows[pc.label] = (pc.anchor, pc.chain[0])
         assert rows == {11: (8, 9), 12: (5, 6), 16: (4, 5)}
 
     def test_chains_614(self, t16):
-        chains = {}
-        for pc in gs.pending_cycles(t16, 10):
-            chains[pc.label] = pc.chain
+        chains = {pc.label: pc.chain for pc in walk_pending(t16)[10]}
         assert chains == {11: (9, 10), 12: (6,), 16: (5, 12, 13, 14)}
 
     def test_case_tables_614(self, t16):
         cases = {11: {}, 12: {}, 16: {}}
-        for k in range(1, 17):
-            for pc in gs.pending_cycles(t16, k):
+        for k, pending in enumerate(walk_pending(t16)):
+            for pc in pending:
                 cases[pc.label][k] = pc.case
         assert cases[11] == {8: 3, 9: 1, 10: 2}
         assert cases[12] == {5: 3, **{k: 2 for k in range(6, 12)}}
         assert cases[16] == {4: 3, **{k: 1 for k in range(5, 14)}, 14: 2, 15: 2}
 
     def test_progress_absent_iff_anchor_is_stage(self, t16):
-        for k in range(1, 17):
-            for pc in gs.pending_cycles(t16, k):
+        for k, pending in enumerate(walk_pending(t16)):
+            for pc in pending:
                 assert (pc.progress is None) == (pc.anchor == k)
 
     def test_stage_zero_and_final_empty(self, t15):
-        assert gs.pending_cycles(t15, 0) == ()
-        assert gs.pending_cycles(t15, 15) == ()
+        pending = walk_pending(t15)
+        assert len(pending) == 16
+        assert pending[0] == pending[15] == ()
 
     def test_chain_must_start_after_its_anchor(self, t16):
         # swapping the labels T5 and T9 makes T9 the y-child of T4, so the
-        # chain of the pending T16 no longer starts at T5
+        # chain of the pending T16 no longer starts at T5: the walk yields
+        # stages 0-3 and refuses T16 as it enters, at its anchor's stage
         swap = {5: 9, 9: 5}
         cycles = sorted(
             (
@@ -93,17 +98,19 @@ class TestPendingCycles:
             key=lambda c: c.label,
         )
         bad = gs.EmbeddedQuiver(t16.quiver, cycles)
-        for k in range(4):
-            gs.pending_cycles(bad, k)
+        walk = gs.matrixmodel._kept_prediction(bad)
+        assert [next(walk)[0] for _ in range(4)] == [0, 1, 2, 3]
         with pytest.raises(gs.EmbeddingError, match=r"^pending T16 has no chain starting at T5$"):
-            gs.pending_cycles(bad, 4)
+            next(walk)
+        with pytest.raises(gs.EmbeddingError, match=r"^pending T16 has no chain starting at T5$"):
+            gs.verify_model(bad)
 
 
 class TestFrontierMatrix:
     """The composite entries, read at the frontier rows of the prediction."""
 
     def test_stage_zero_entries(self, t15):
-        pm = gs.predicted_matrix(t15, 0)
+        pm = predicted_stages(t15)[0]
         first = t15.cycle(1)
         inner = pm.processed + pm.frontier
         entries = {
@@ -115,18 +122,18 @@ class TestFrontierMatrix:
         }
 
     def test_final_stage_empty(self, t15):
-        assert gs.predicted_matrix(t15, 15).frontier == ()
+        assert predicted_stages(t15)[15].frontier == ()
 
     def test_case1_entry_tracks_next_chain_cycle(self, t16):
         # stage 9: the pending cycle anchored at T4 has chain (5, 12, 13, 14)
         # with only label 5 processed, so its y row points at z of T12
-        state = gs.predicted_matrix(t16, 9).state
+        state = predicted_stages(t16)[9].state
         y16, z12 = t16.cycle(16).y, t16.cycle(12).z
         assert state.entry(y16, z12) == -1
 
     def test_downward_next_cycle_entries(self, t15):
         # at stage 1 the next cycle T2 is downward: its z row points at x2
-        state = gs.predicted_matrix(t15, 1).state
+        state = predicted_stages(t15)[1].state
         c2 = t15.cycle(2)
         assert state.entry(c2.z, c2.x) == -1
         assert state.entry(c2.y, gs.closing_vertex(t15, 2)) == 1
@@ -137,19 +144,17 @@ class TestCVectors:
     without the vertex's own unit."""
 
     @staticmethod
-    def _base_c_vector(e, k, v):
-        state = gs.predicted_matrix(e, k).state
-        vec = [state.entry(v, j, frozen=True) for j in range(1, e.quiver.n + 1)]
+    def _base_c_vector(pm, v):
+        vec = [pm.state.entry(v, j, frozen=True) for j in range(1, pm.state.n + 1)]
         vec[v - 1] -= 1
         return tuple(vec)
 
     def test_y_rows_are_zero(self, t15):
-        for k in range(15):
-            nxt = t15.cycle(k + 1)
-            assert self._base_c_vector(t15, k, nxt.y) == (0,) * 31
+        for pm in predicted_stages(t15)[:15]:
+            assert self._base_c_vector(pm, t15.cycle(pm.k + 1).y) == (0,) * 31
 
     def test_first_stage_z_row(self, t15):
-        vec = self._base_c_vector(t15, 0, t15.cycle(1).z)
+        vec = self._base_c_vector(predicted_stages(t15)[0], t15.cycle(1).z)
         expected = [0] * 31
         expected[t15.cycle(1).x - 1] = 1
         assert vec == tuple(expected)
@@ -157,7 +162,7 @@ class TestCVectors:
     def test_descent_stage_support(self, t15):
         # z of stage 7 collects x of the base cycle, z one below it, and the
         # descent path's x vertices
-        vec = self._base_c_vector(t15, 6, t15.cycle(7).z)
+        vec = self._base_c_vector(predicted_stages(t15)[6], t15.cycle(7).z)
         support = {i + 1 for i, c in enumerate(vec) if c}
         assert support == {4, 5, 9, 7}
 
@@ -169,9 +174,8 @@ class TestCVectors:
         for e in cases:
             n = e.quiver.n
             eq = gs.frame(e.quiver)
-            for k in range(e.n_cycles + 1):
-                eq = gs.apply_sequence(eq, gs.stage_parts(e, k).sequence())
-                pm = gs.predicted_matrix(e, k)
+            for pm in predicted_stages(e):
+                eq = gs.apply_sequence(eq, pm.sequence)
                 for v in pm.frontier:
                     assert pm.state.rows[v - 1][n:] == eq.rows[v - 1][n:]
 
@@ -179,25 +183,27 @@ class TestCVectors:
 class TestPredictedMatrix:
     def test_stage_zero_direct(self, a3cycle):
         e = gs.embed(a3cycle)
-        predicted = gs.predicted_matrix(e, 0)
+        predicted = predicted_stages(e)[0]
         actual = gs.matrix_mutate(gs.frame(a3cycle), 1)
         assert predicted.state == actual
         assert predicted.state.rows == actual.rows
 
     def test_state_equals_mutation_every_stage(self, tree16):
-        # the public prediction, not only verify_model's rows, is the framed
-        # quiver mutated along stages 0..k
+        # every stage the walk yields, not only the comparison verify_model
+        # makes, is the framed quiver mutated along stages 0..k
         rng = random.Random(103)
         cases = [gs.embed(tree16, leaf) for leaf in gs.leaf_cycles(gs.cycle_tree(tree16))]
         cases += [gs.embed(*random_tree_quiver(rng, 12)) for _ in range(20)]
         for e in cases:
             eq = gs.frame(e.quiver)
-            for k in range(e.n_cycles + 1):
-                eq = gs.apply_sequence(eq, gs.stage_parts(e, k).sequence())
-                assert gs.predicted_matrix(e, k).state == eq
+            stages = predicted_stages(e)
+            assert [pm.k for pm in stages] == list(range(e.n_cycles + 1))
+            for pm in stages:
+                eq = gs.apply_sequence(eq, gs.stage_parts(e, pm.k).sequence())
+                assert pm.state == eq
 
     def test_final_stage_is_permuted_coframing(self, t15, tree15):
-        predicted = gs.predicted_matrix(t15, 15).state.rows
+        predicted = predicted_stages(t15)[15].state.rows
         sigma = stage_permutation(t15, 15)
         b0 = b_matrix(tree15)
         assert tuple(row[:31] for row in predicted) == permute_b_matrix(b0, sigma)
@@ -206,14 +212,13 @@ class TestPredictedMatrix:
         )
 
     def test_block_split_sizes(self, t16):
-        pm = gs.predicted_matrix(t16, 8)
+        pm = predicted_stages(t16)[8]
         assert len(pm.processed) == 2 * 8 + 1
-        pending = {pc.label for pc in gs.pending_cycles(t16, 8)}
-        assert len(pm.frontier) == 2 * (len(pending) + 1)
+        assert len(pm.frontier) == 2 * (len(pm.pending) + 1)
         assert len(pm.processed) + len(pm.frontier) + len(pm.rest) == 33
 
     def test_block_matrix_reorders(self, t16):
-        pm = gs.predicted_matrix(t16, 8)
+        pm = predicted_stages(t16)[8]
         block = block_matrix(pm)
         order = pm.processed + pm.frontier + pm.rest
         for a, va in enumerate(order):
@@ -222,8 +227,9 @@ class TestPredictedMatrix:
 
     def test_zero_blocks(self, t16):
         # processed rows never touch rest columns and vice versa
+        stages = predicted_stages(t16)
         for k in (3, 8, 12):
-            pm = gs.predicted_matrix(t16, k)
+            pm = stages[k]
             rows = pm.state.rows
             for i in pm.processed:
                 for j in pm.rest:
@@ -233,8 +239,9 @@ class TestPredictedMatrix:
         # frozen columns: processed rows carry only the negated permutation
         # entry, frontier rows their c-vector plus a unit, rest rows a unit
         n = 33
+        stages = predicted_stages(t16)
         for k in (0, 5, 9, 16):
-            pm = gs.predicted_matrix(t16, k)
+            pm = stages[k]
             rows = pm.state.rows
             sigma = stage_permutation(t16, k)
             for i in pm.processed:
@@ -302,27 +309,33 @@ class TestVerifyModel:
 
     def test_stage_facts_built_once_per_model_check(self, monkeypatch):
         # one model-check --permutations run builds each stage's sequence
-        # once, for the table both checks share, and its pending cycles once
-        parts, pending = [], []
+        # once, for the fold both checks share, streams sigma_k once per
+        # check, and reads each pending cycle's chain once, as it enters
+        parts, chains, streams = [], [], []
 
         def counting(calls, original):
-            def counted(e, k):
-                calls.append(k)
-                return original(e, k)
+            def counted(e, *args):
+                calls.append(args)
+                return original(e, *args)
             return counted
 
         monkeypatch.setattr(
             gs.permmodel, "stage_parts", counting(parts, gs.permmodel.stage_parts)
         )
         monkeypatch.setattr(
-            gs.matrixmodel, "pending_cycles", counting(pending, gs.matrixmodel.pending_cycles)
+            gs.matrixmodel, "hanging_chain", counting(chains, gs.matrixmodel.hanging_chain)
         )
+        stream = counting(streams, gs.permmodel._sigma_stream)
+        monkeypatch.setattr(gs.permmodel, "_sigma_stream", stream)
+        monkeypatch.setattr(gs.matrixmodel, "_sigma_stream", stream)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["model-check", str(FIXTURES / "tree16.quiver"), "--permutations"])
         assert code == 0 and out.getvalue().endswith("result: all identities hold\n")
-        assert parts == list(range(17))
-        assert pending == list(range(17))
+        assert parts == [(k,) for k in range(17)]
+        # T16, T12 and T11 enter at the stages of their anchors T4, T5, T8
+        assert chains == [(16,), (12,), (11,)]
+        assert len(streams) == 2  # verify_model's walk and the identity check
 
     def test_detects_wrong_prediction(self, t15):
         # breaking one orientation flips frontier entries: the comparison
@@ -339,9 +352,9 @@ class TestVerifyModel:
         # the sparse comparison names the row-major first differing entry
         # of the dense prediction and the dense mutated state
         eq = gs.frame(t15.quiver)
-        for check in report.checks:
-            eq = gs.apply_sequence(eq, gs.stage_parts(bad, check.k).sequence())
-            predicted = gs.predicted_matrix(bad, check.k).state.rows
+        for check, pm in zip(report.checks, predicted_stages(bad), strict=True):
+            eq = gs.apply_sequence(eq, pm.sequence)
+            predicted = pm.state.rows
             diffs = [
                 (str(r + 1), str(c + 1) if c < 31 else f"{c - 30}'", p, v)
                 for r, (p_row, row) in enumerate(zip(predicted, eq.rows))
@@ -375,9 +388,8 @@ class TestVerifyModel:
         # vertex to red processed vertices; frontier-frontier and
         # frontier-rest entries connect green pairs
         eq = gs.frame(tree16)
-        for k in range(17):
-            eq = gs.apply_sequence(eq, gs.stage_parts(t16, k).sequence())
-            pm = gs.predicted_matrix(t16, k)
+        for pm in predicted_stages(t16):
+            eq = gs.apply_sequence(eq, pm.sequence)
             processed = set(pm.processed)
             for i in pm.frontier:
                 assert gs.vertex_color(eq, i) == "green"
@@ -394,7 +406,8 @@ class TestStreamedModel:
     @staticmethod
     def _same_as_references(e) -> tuple[bool, bool]:
         table = stage_table(e)
-        for k, _, _, rows in gs.matrixmodel._kept_prediction(e):
+        for k, _, pending, rows in gs.matrixmodel._kept_prediction(e):
+            assert pending == reference_pending_cycles(e, k), k
             assert rows == stage_rows(e, k, table[k]), k
         model, perms = gs.verify_model(e), gs.check_permutation_identities(e)
         assert model == reference_verify_model(e)
@@ -462,10 +475,10 @@ class TestStreamedModel:
         ]
 
     def test_predicted_matrix_is_the_full_build(self, t16):
+        # the stages as the tests copy them out of the walk
         table = stage_table(t16)
-        for k in range(t16.n_cycles + 1):
-            predicted = gs.predicted_matrix(t16, k).state
-            assert list(predicted.sparse_rows) == stage_rows(t16, k, table[k])
+        for pm in predicted_stages(t16):
+            assert list(pm.state.sparse_rows) == stage_rows(t16, pm.k, table[pm.k])
 
     def test_model_check_memory_is_linear(self):
         # 497 stages on 993 vertices: whole permutations per stage would

@@ -9,12 +9,18 @@ import threading
 import pytest
 
 import greenseq as gs
-from helpers import random_tree_quiver, stage_permutation, stage_rotation, stage_table
+from helpers import (
+    random_tree_quiver,
+    stage_permutation,
+    stage_rotation,
+    stage_table,
+    walk_pending,
+)
 
 
 class TestStageRotation:
     def test_stage_zero_identity(self, t15):
-        assert stage_rotation(t15, 0).is_identity()
+        assert stage_rotation(t15, 0) == gs.Permutation.identity(31)
 
     def test_zigzag_stage_one(self, zigzag7):
         e = gs.embed(zigzag7, (1, 2, 3))
@@ -38,7 +44,7 @@ class TestStageRotation:
 
 class TestStagePermutation:
     def test_zero_is_identity(self, t15):
-        assert stage_permutation(t15, 0).is_identity()
+        assert stage_permutation(t15, 0) == gs.Permutation.identity(31)
 
     def test_final_matches_induced(self, zigzag7, tree15, tree16):
         for q in (zigzag7, tree15, tree16):
@@ -88,8 +94,8 @@ class TestStagePermutation:
             assert (tuple(sigma), tuple(inv)) == (table[k].sigma.images, table[k].sigma_inv.images)
 
     def test_stage_fold_built_once(self, t16, monkeypatch):
-        # the stage models and the identity check, and a prediction for
-        # every stage, fold the stages once, for the fold kept on t16
+        # the stage models and the identity check, and a second walk of
+        # the prediction, fold the stages once, for the fold kept on t16
         calls = []
         original = gs.permmodel.stage_parts
 
@@ -100,17 +106,16 @@ class TestStagePermutation:
         monkeypatch.setattr(gs.permmodel, "stage_parts", counted)
         gs.verify_model(t16)
         gs.check_permutation_identities(t16)
-        for k in range(17):
-            gs.predicted_matrix(t16, k)
+        assert len(walk_pending(t16)) == 17
         assert calls == list(range(17))
 
     def test_out_of_range_stage_rejected(self, t15):
-        # sigma_k exists for k = 0..n only; with the fold built, -1 must
-        # still not read as the last stage
-        gs.predicted_matrix(t15, 0)
+        # sigma_k exists for k = 0..n only: the walk yields those stages,
+        # and with the fold built, -1 must still not read as the last stage
+        assert [k for k, *_ in gs.permmodel._sigma_stream(t15)] == list(range(16))
         for k in (-1, t15.n_cycles + 1):
             with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
-                gs.predicted_matrix(t15, k)
+                gs.stage_parts(t15, k)
 
 
 class TestIdentityReport:

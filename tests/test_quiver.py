@@ -71,7 +71,7 @@ class TestQuiverBasics:
 
     def test_from_arrows_sums_repeats(self):
         q = gs.Quiver.from_arrows(3, [(1, 2), (1, 2), (2, 3, 2)])
-        assert q.arrow_dict() == {(1, 2): 2, (2, 3): 2}
+        assert q.arrows == ((1, 2, 2), (2, 3, 2))
 
     def test_adjacency_matches_arrow_scan(self):
         rng = random.Random(31)
@@ -341,6 +341,41 @@ class TestMalformedEntries:
         with pytest.raises(gs.DirectSumError, match=msg):
             gs.direct_sum(one, one, [(1,)])
 
+    def test_direct_sum_names_a_float_gluing_end(self):
+        # the end is named, not the arrow of the sum it would become; out
+        # of range, a float keeps the range message
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(gs.QuiverError, match=r"^gluing end 1\.0 is not an integer$"):
+            gs.direct_sum(path, path, [(1.0, 5)])
+        with pytest.raises(gs.QuiverError, match=r"^gluing end 5\.0 is not an integer$"):
+            gs.direct_sum(path, path, [(1, 5.0)])
+        msg = r"^gluing source 9\.0 is not a vertex of the first summand$"
+        with pytest.raises(gs.DirectSumError, match=msg):
+            gs.direct_sum(path, path, [(9.0, 5)])
+
+    @pytest.mark.parametrize("vertices, msg", [
+        ([9], r"^vertex 9 out of range 1\.\.3$"),
+        ([2, 0], r"^vertex 0 out of range 1\.\.3$"),
+        ([1, 2.5], r"^vertex 2\.5 is not an integer$"),
+        (5, r"^5 is not a sequence of vertex values$"),
+    ], ids=["above", "zero", "float", "not-a-sequence"])
+    def test_subquiver_refuses_a_vertex_outside_the_quiver(self, vertices, msg):
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(gs.QuiverError, match=msg):
+            gs.subquiver(path, vertices)
+
+    @pytest.mark.parametrize("call, msg", [
+        (lambda q: gs.verify_green(q, ["a"]), r"^vertex 'a' is not an integer$"),
+        (lambda q: gs.verify_green(q, [1, 1.0]), r"^vertex 1\.0 is not an integer$"),
+        (lambda q: gs.mutate(q, "1"), r"^mutation vertex '1' is not an integer$"),
+        (lambda q: gs.concat_mgs(gs.decompose(q), [[1], ["a"], [1]]),
+         r"^vertex 'a' is not an integer$"),
+    ], ids=["verify-str", "verify-float", "mutate-str", "concat-str"])
+    def test_non_integer_steps_are_refused(self, call, msg):
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(gs.QuiverError, match=msg):
+            call(path)
+
     def test_extended_quiver_refuses_a_row_that_is_not_a_sequence(self):
         with pytest.raises(gs.QuiverError, match=r"^5 is not a sequence of matrix entry values$"):
             gs.ExtendedQuiver(1, 1, [5])
@@ -397,7 +432,7 @@ class TestPermutation:
             images = list(range(1, 9))
             rng.shuffle(images)
             p = gs.Permutation(tuple(images))
-            assert p.then(p.inverse()).is_identity()
+            assert p.then(p.inverse()) == gs.Permutation.identity(8)
 
     def test_cycle_string(self):
         assert gs.Permutation.identity(3).cycle_string() == "()"
@@ -417,7 +452,7 @@ class TestPermutation:
 class TestTextFormat:
     def test_parse_basics(self):
         q = gs.parse_quiver("# comment\n\nquiver 3\narrow 1 2\narrow 1 2\narrow 2 3 2\n")
-        assert q.arrow_dict() == {(1, 2): 2, (2, 3): 2}
+        assert q.arrows == ((1, 2, 2), (2, 3, 2))
 
     def test_parse_rejects_two_cycle_naming_pair(self):
         with pytest.raises(gs.QuiverParseError, match="2-cycle between 1 and 2"):
@@ -494,8 +529,9 @@ class TestTextFormat:
         q = gs.parse_quiver(text)
         checked = gs.Quiver(q.n, q.arrows)
         assert q == want == checked
-        assert list(q.arrow_dict().items()) == list(checked.arrow_dict().items())
-        assert list(q.arrow_dict().items()) == list(want.arrow_dict().items())
+        assert q.arrows == checked.arrows == want.arrows
+        for s, d, m in want.arrows:
+            assert q.multiplicity(s, d) == checked.multiplicity(s, d) == m
         for v in range(1, q.n + 1):
             assert q.neighbors(v) == checked.neighbors(v) == want.neighbors(v)
 
@@ -507,7 +543,7 @@ class TestTextFormat:
             rng.shuffle(shuffled)
             again = gs.Quiver(q.n, tuple(shuffled))
             assert again.arrows == tuple(sorted(shuffled))
-            assert list(again.arrow_dict()) == sorted(again.arrow_dict())
+            assert all(again.multiplicity(s, d) == m for s, d, m in shuffled)
             for v in range(1, q.n + 1):
                 assert again.neighbors(v) == q.neighbors(v)
 
