@@ -55,14 +55,14 @@ class Branch:
 class EmbeddedQuiver:
     """Embedded irreducible type-A quiver: labelled, oriented 3-cycles.
 
-    Construction works out, once, the facts every stage reads: each cycle's
-    base cycle, the pending set (``pending``), and the stage that first
-    mutates each vertex (``first_stage``, keyed in standard order).  Each
-    cycle's descent path, hanging chain and closing vertex are kept by the
-    first call that asks for one of them, and the stage fold by
-    ``permmodel``'s first use of it, so ``embed`` alone pays for neither;
-    the outlet list is kept by the first ``validate_embedding`` that
-    accepts the embedding.
+    Construction works out, once, the facts every stage reads: the
+    pending set (``pending``) and the stage that first mutates each vertex
+    (``first_stage``, keyed in standard order).  Each cycle's base cycle,
+    descent path, hanging chain and closing vertex come from one climb of
+    its parents, kept by the first call that asks for one of them, and the
+    stage fold by ``permmodel``'s first use of it, so ``embed`` alone pays
+    for neither; the outlet list is kept by the first
+    ``validate_embedding`` that accepts the embedding.
     """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
@@ -78,26 +78,15 @@ class EmbeddedQuiver:
                 else:
                     self._child_z[c.parent] = c.label
 
-        # one pass, parents before children whatever the labels (a
-        # relabelled embedding may put a child first)
-        self._base: dict[int, int] = {}
         pending = []
-        stack = [c.label for c in self.cycles if c.parent is None]
-        while stack:
-            j = stack.pop()
-            c = self._by_label[j]
-            p = c.parent
+        for c in self.cycles:
             if c.up:
-                self._base[j] = j
-            elif p is None:
-                raise EmbeddingError(f"downward T{j} has no parent")
-            else:
-                self._base[j] = p if self._by_label[p].up else self._base[p]
-                if c.parent_role == "z" and self.is_branching(p):
-                    pending.append(j)
-            for child in (self._child_y[j], self._child_z[j]):
-                if child is not None:
-                    stack.append(child)
+                continue
+            if c.parent is None:
+                raise EmbeddingError(f"downward T{c.label} has no parent")
+            # a parent label with no cycle is refused by the walks that read it
+            if c.parent_role == "z" and c.parent in self._by_label and self.is_branching(c.parent):
+                pending.append(c.label)
         self.pending: tuple[int, ...] = tuple(sorted(pending))
         # x1 is mutated at stage 0, y_k and z_k first at stage k, and every
         # other x is the parent's y or z
@@ -106,7 +95,7 @@ class EmbeddedQuiver:
             self.first_stage.setdefault(c.x, c.parent or 0)
             for v in (c.y, c.z) if c.up else (c.z, c.y):
                 self.first_stage.setdefault(v, c.label)
-        self._geometry: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self._geometry: dict[int, tuple[int, tuple[int, ...], tuple[int, ...], int]] = {}
         self._stage_fold = None
         self._outlets: tuple[int, ...] | None = None
 
@@ -269,19 +258,24 @@ def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
 # Descent paths, hanging chains, closing vertices
 
 
-def _geometry(e: EmbeddedQuiver, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """T_k's descent path, hanging chain and closing vertex, worked out on
-    first use and kept on ``e``."""
-    geo = e._geometry.get(k)
+def _geometry(e: EmbeddedQuiver, k: int) -> tuple[int, tuple[int, ...], tuple[int, ...], int]:
+    """T_k's base cycle, descent path, hanging chain and closing vertex,
+    worked out together on first use and kept on ``e``.  A climb that
+    meets more downward cycles than ``e`` has is on a parent loop, and
+    is refused."""
+    c = e.cycle(k)
+    geo = e._geometry.get(c.label)
     if geo is None:
-        c = e.cycle(k)
         if c.up:
-            geo = ((), (), c.x)
+            geo = (c.label, (), (), c.x)
         else:
-            base = e._base[k]
-            path = [k]
-            while (parent := e.cycle(path[-1]).parent) != base:
-                path.append(parent)
+            path = [c.label]
+            base = c.parent
+            while not e.cycle(base).up:
+                if len(path) == e.n_cycles:
+                    raise EmbeddingError(f"the parents of T{c.label} form a loop")
+                path.append(base)
+                base = e.cycle(base).parent
             # the chain hangs from the highest label with a y-child among
             # the base cycle and the path bar T_k
             chain = []
@@ -292,9 +286,9 @@ def _geometry(e: EmbeddedQuiver, k: int) -> tuple[tuple[int, ...], tuple[int, ..
                 while (nxt := e.child_at_z(chain[-1])) is not None:
                     chain.append(nxt)
             closing = e.cycle(chain[-1]).z if chain else e.cycle(base).x
-            geo = (tuple(path), tuple(chain), closing)
+            geo = (base, tuple(path), tuple(chain), closing)
         # racing threads work out equal values, so either may be kept
-        e._geometry[k] = geo
+        e._geometry[c.label] = geo
     return geo
 
 
@@ -304,12 +298,12 @@ def descent_path(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     Empty when T_k is upward; otherwise starts at k and walks parents while
     they are downward-pointing.
     """
-    return _geometry(e, k)[0]
+    return _geometry(e, k)[1]
 
 
 def base_cycle(e: EmbeddedQuiver, k: int) -> int:
     """The nearest upward-pointing cycle at or below T_k along parents."""
-    return e._base[e.cycle(k).label]
+    return _geometry(e, k)[0]
 
 
 def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
@@ -320,7 +314,7 @@ def hanging_chain(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:
     takes that y-child, and follows z-children as far as they go.  Empty for
     upward T_k and when no such y vertex exists.
     """
-    return _geometry(e, k)[1]
+    return _geometry(e, k)[2]
 
 
 def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
@@ -329,7 +323,7 @@ def closing_vertex(e: EmbeddedQuiver, k: int) -> int:
     x_k for an upward cycle; for a downward cycle, x of the base cycle when
     nothing hangs over the path, else z of the last chain cycle.
     """
-    return _geometry(e, k)[2]
+    return _geometry(e, k)[3]
 
 
 def northeast_region(e: EmbeddedQuiver, k: int) -> tuple[int, ...]:

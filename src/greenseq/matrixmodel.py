@@ -83,13 +83,12 @@ def _frontier_entries(
     if k < e.n_cycles:
         nc = e.cycle(k + 1)
         entries.append((nc.y, closing_vertex(e, k + 1), 1))
-        if not nc.up:
+        # an upward T_{k+1} meets the vertex closing stage k; at stage 0
+        # that is x1, the x of T_{k+1} = T1
+        if not nc.up or k == 0:
             entries.append((nc.z, nc.x, -1))
-        elif k >= 1:
-            entries.append((nc.z, closing_vertex(e, k), -1))
         else:
-            # the only mutation so far is the one at x1
-            entries.append((nc.z, e.cycle(1).x, -1))
+            entries.append((nc.z, closing_vertex(e, k), -1))
     return tuple(sorted(entries))
 
 
@@ -124,8 +123,12 @@ def _kept_prediction(
     q = e.quiver
     n = q.n
     owner = e.first_stage
-    # rows and columns are 0-based below, as in the sparse rows
-    own = [owner[v] for v in range(1, n + 1)]
+    # rows and columns are 0-based below, as in the sparse rows; a vertex
+    # beyond n is refused by the stage fold
+    try:
+        own = [owner[v] for v in range(1, n + 1)]
+    except KeyError as exc:
+        raise EmbeddingError(f"vertex {exc.args[0]} lies on no cycle") from None
     roles: dict[int, set[int]] = {c.label: {c.y - 1, c.z - 1} for c in e.cycles}
     for v, first in owner.items():
         roles.setdefault(first, set()).add(v - 1)

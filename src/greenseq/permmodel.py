@@ -23,19 +23,21 @@ from typing import Iterator
 from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
+    EmbeddingError,
     base_cycle,
     closing_vertex,
     descent_path,
     northeast_region,
 )
-from .quiver import Permutation
 
 
 def _stage_fold(e: EmbeddedQuiver) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
     """(mutation order, tau_k) for every stage k = 0..n, worked out on first
     use and kept on ``e``.  tau_k cycles the order with its first step
     dropped (the identity for stage 0, the single mutation at x1), kept as
-    the map of the points it moves to their images."""
+    the map of the points it moves to their images; a vertex named twice
+    takes its last image.  An order that names a vertex outside 1..n, or
+    whose cycle is not a permutation, is refused."""
     fold = e._stage_fold
     if fold is None:
         n = e.quiver.n
@@ -44,12 +46,9 @@ def _stage_fold(e: EmbeddedQuiver) -> tuple[tuple[tuple[int, ...], dict[int, int
             seq = stage_parts(e, k).sequence()
             cycle = seq[1:]
             tau = dict(zip(cycle, cycle[1:] + cycle[:1]))
-            if cycle and not (len(tau) == len(cycle) > 1 and min(tau) > 0 and max(tau) <= n):
-                # not a cycle on distinct vertices: what the general
-                # relabelling writes, or its refusal
-                images = enumerate(Permutation.from_cycle(n, cycle).images, start=1)
-                tau = {v: w for v, w in images if v != w}
-            stages.append((seq, tau))
+            if not (1 <= min(seq) and max(seq) <= n and tau.keys() == set(tau.values())):
+                raise EmbeddingError(f"stage {k} order {seq} does not permute vertices of 1..{n}")
+            stages.append((seq, {v: w for v, w in tau.items() if v != w}))
         # racing threads build equal folds, so either may be kept
         fold = e._stage_fold = tuple(stages)
     return fold

@@ -449,14 +449,6 @@ class Permutation:
     def identity(cls, n: int) -> "Permutation":
         return cls(tuple(range(1, n + 1)))
 
-    @classmethod
-    def from_cycle(cls, n: int, cycle: Sequence[int]) -> "Permutation":
-        """Permutation of 1..n mapping cycle[t] to cycle[t+1] (cyclically)."""
-        images = list(range(1, n + 1))
-        for t, v in enumerate(cycle):
-            images[v - 1] = cycle[(t + 1) % len(cycle)]
-        return cls(tuple(images))
-
     @property
     def n(self) -> int:
         return len(self.images)

@@ -396,6 +396,16 @@ def reference_pending_cycles(e, k: int) -> tuple:
     return tuple(entries)
 
 
+def from_cycle(n: int, cycle) -> gs.Permutation:
+    """Permutation of 1..n mapping cycle[t] to cycle[t+1] (cyclically); a
+    vertex named twice takes its last image.  The reference relabelling
+    for the package's stage fold, written apart from it."""
+    images = list(range(1, n + 1))
+    for t, v in enumerate(cycle):
+        images[v - 1] = cycle[(t + 1) % len(cycle)]
+    return gs.Permutation(tuple(images))
+
+
 class Stage(NamedTuple):
     """One stage's facts: its mutation order, tau_k, sigma_k and sigma_k^-1."""
 
@@ -414,7 +424,7 @@ def stage_table(e) -> tuple[Stage, ...]:
     stages = []
     for k in range(e.n_cycles + 1):
         seq = gs.stage_parts(e, k).sequence()
-        tau = gs.Permutation.from_cycle(n, seq[1:])
+        tau = from_cycle(n, seq[1:])
         sigma = tau.then(sigma)
         stages.append(Stage(seq, tau, sigma, sigma.inverse()))
     return tuple(stages)
@@ -579,7 +589,7 @@ def stage_rotation(e, k: int) -> gs.Permutation:
     """tau_k rebuilt for one stage: the cycle on stage k's mutation order
     with the first step dropped (the identity for stage 0, the single
     mutation at x1)."""
-    return gs.Permutation.from_cycle(e.quiver.n, gs.stage_parts(e, k).sequence()[1:])
+    return from_cycle(e.quiver.n, gs.stage_parts(e, k).sequence()[1:])
 
 
 def format_extended_dense(eq: gs.ExtendedQuiver) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -460,3 +461,40 @@ class TestReport:
         # refused again: a replay that fails keeps nothing
         with pytest.raises(gs.EmbeddingError):
             gs.embedding_report(bad)
+
+
+class TestHandBuiltRefusals:
+    """Hand-built embeddings the stage walks cannot read are refused as
+    EmbeddingError, naming what is wrong."""
+
+    @staticmethod
+    def zigzag_with(zigzag7, label, **fields):
+        cycles = [
+            dataclasses.replace(c, **fields) if c.label == label else c
+            for c in gs.embed(zigzag7, (1, 2, 3)).cycles
+        ]
+        return gs.EmbeddedQuiver(zigzag7, cycles)
+
+    def test_parent_loop(self, zigzag7):
+        # T2 hangs from T3 and T3 from T2: no climb reaches an upward cycle
+        loop = self.zigzag_with(zigzag7, 2, parent=3)
+        for read in (
+            lambda e: gs.base_cycle(e, 2), gs.associated_sequence, gs.verify_model,
+            gs.check_permutation_identities,
+        ):
+            with pytest.raises(gs.EmbeddingError, match="^the parents of T2 form a loop$"):
+                read(loop)
+
+    def test_stage_vertex_beyond_n(self, zigzag7):
+        bad = self.zigzag_with(zigzag7, 3, z=9)
+        message = r"^stage 3 order \(6, 9, 5, 3, 1\) does not permute vertices of 1\.\.7$"
+        with pytest.raises(gs.EmbeddingError, match=message):
+            gs.check_permutation_identities(bad)
+
+    def test_vertex_on_no_cycle(self, zigzag7):
+        # T3's y moved off the quiver leaves vertex 6 on no cycle
+        bad = self.zigzag_with(zigzag7, 3, y=9)
+        with pytest.raises(gs.EmbeddingError, match="^vertex 6 lies on no cycle$"):
+            gs.verify_model(bad)
+        with pytest.raises(gs.EmbeddingError, match=r"^stage 3 order \(9, 7, 5, 3, 1\)"):
+            gs.check_permutation_identities(bad)

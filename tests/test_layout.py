@@ -45,7 +45,7 @@ MOVED = {
     "frontier_matrix", "FrontierMatrix", "base_c_vector", "induced_permutation",
     "all_colors", "net_arrows", "predicted_matrix", "PredictedMatrix", "pending_cycles",
     "_frontier_labels", "arrow_dict", "is_identity", "summand_of", "color_counts",
-    "standard_order",
+    "standard_order", "from_cycle",
 }
 
 # exported functions and classes that nothing else in the package names,

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import greenseq as gs
 from conftest import load
 from helpers import (
-    b_matrix, coframe, dense_mutate, extended_part, format_extended_dense, random_quiver,
-    reference_parse_quiver,
+    b_matrix, coframe, dense_mutate, extended_part, format_extended_dense, from_cycle,
+    random_quiver, reference_parse_quiver,
 )
 
 
@@ -418,12 +418,12 @@ class TestRefusals:
 
 class TestPermutation:
     def test_from_cycle_and_apply(self):
-        p = gs.Permutation.from_cycle(4, (3, 1))
+        p = from_cycle(4, (3, 1))
         assert p.apply(3) == 1 and p.apply(1) == 3 and p.apply(2) == 2
 
     def test_then_order(self):
-        first = gs.Permutation.from_cycle(3, (1, 2))
-        second = gs.Permutation.from_cycle(3, (2, 3))
+        first = from_cycle(3, (1, 2))
+        second = from_cycle(3, (2, 3))
         assert first.then(second).apply(1) == 3  # 1 -> 2 -> 3
 
     def test_inverse_roundtrip(self):
