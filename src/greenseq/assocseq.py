@@ -26,7 +26,7 @@ from .embedding import (
     embed,
 )
 from .green import GreenTrace, NotAcyclicError, acyclic_mgs
-from .quiver import Quiver
+from .quiver import Quiver, _index
 from .typea import NotTypeAError
 
 
@@ -46,6 +46,7 @@ class StageParts:
 
 def stage_parts(e: EmbeddedQuiver, k: int) -> StageParts:
     """Parts of stage k; stage 0 is the single mutation at x1."""
+    k = _index(k, "stage")
     if not 0 <= k <= e.n_cycles:
         raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
     if k == 0:

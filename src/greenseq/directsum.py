@@ -43,9 +43,9 @@ def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver
         if not isinstance(pair, Sized) or len(pair) != 2:
             raise DirectSumError(f"gluing pair {pair!r} is not (source, target)")
         a, b = pair
-        if not 1 <= a <= n1:
+        if not _between(1, a, n1):
             raise DirectSumError(f"gluing source {a} is not a vertex of the first summand")
-        if not n1 + 1 <= b <= n1 + n2:
+        if not _between(n1 + 1, b, n1 + n2):
             raise DirectSumError(
                 f"gluing target {b} is not a shifted vertex of the second summand"
             )
@@ -53,6 +53,14 @@ def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver
         a, b = _exact_ints(pair, "gluing end")
         counts[(a, b)] = counts.get((a, b), 0) + 1
     return Quiver(n1 + n2, tuple((s, d, m) for (s, d), m in counts.items()))
+
+
+def _between(lo: int, v: object, hi: int) -> bool:
+    """lo <= v <= hi, and false for a value that does not compare with ints."""
+    try:
+        return lo <= v <= hi
+    except TypeError:
+        return False
 
 
 def color_count(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> int:
@@ -216,6 +224,8 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> Gree
     theorem it is maximal exactly when every part is, so the parts are walked
     only after it fails, to name the first that is not.
     """
+    if not isinstance(per_summand, Sized):
+        raise DirectSumError(f"{per_summand!r} is not a sequence of per-summand sequences")
     if len(per_summand) != len(dec.summands):
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"

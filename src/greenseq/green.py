@@ -34,6 +34,7 @@ from .quiver import (
     QuiverError,
     _exact_ints,
     _extended_lines,
+    _index,
     _frame_rows,
     _mutate_rows,
     _row_color,
@@ -276,6 +277,8 @@ def _green_search(q: Quiver, max_len: int | None) -> Iterator[tuple[int, ...]]:
     that still has a green vertex raises DepthGuardExceeded carrying the
     sequences yielded so far.
     """
+    if max_len is not None:
+        max_len = _index(max_len, "max_len")
     found: list[tuple[int, ...]] = []
     store = _GreenStates(q)
     greens, moves = store.greens, store.moves
@@ -383,6 +386,7 @@ class ExchangeGraphSlice:
 
 def exchange_graph(q: Quiver, max_nodes: int = 10000) -> ExchangeGraphSlice:
     """Breadth-first closure of green moves with exact-matrix deduplication."""
+    max_nodes = _index(max_nodes, "max_nodes")
     store = _GreenStates(q)
     edges: list[tuple[int, int, int]] = []
     sinks: list[int] = []

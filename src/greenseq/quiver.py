@@ -50,21 +50,33 @@ MAX_VERTICES = 10**5
 MAX_INPUT_BYTES = 2**23
 
 
-def _exact_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
-    """``values`` as plain ints, each taken by ``operator.index``; a value
-    it refuses (a float, a string) or a non-iterable ``values`` raises QuiverError naming it."""
+def _sequence(values: Iterable[object], what: str) -> tuple[object, ...]:
+    """``values`` as a tuple; a non-iterable ``values`` raises QuiverError
+    naming it."""
     try:
-        values = tuple(values)
+        return tuple(values)
     except TypeError:
         raise QuiverError(f"{values!r} is not a sequence of {what} values") from None
+
+
+def _index(value: object, what: str) -> int:
+    """``value`` as a plain int by ``operator.index``; a value it refuses
+    (a float, a string) raises QuiverError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise QuiverError(f"{what} {value!r} is not an integer") from None
+
+
+def _exact_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """``values`` as plain ints, each taken as ``_index`` takes it, refused
+    as ``_sequence`` and ``_index`` refuse them."""
+    values = _sequence(values, what)
     try:
         return tuple(map(operator.index, values))
     except TypeError:
         for v in values:
-            try:
-                operator.index(v)
-            except TypeError:
-                raise QuiverError(f"{what} {v!r} is not an integer") from None
+            _index(v, what)
         raise
 
 
@@ -90,7 +102,7 @@ class Quiver:
         if n < 1:
             raise QuiverError(f"vertex count must be positive, got {n}")
         mult: dict[tuple[int, int], int] = {}
-        for arrow in self.arrows:
+        for arrow in _sequence(self.arrows, "arrow"):
             entry = _exact_ints(arrow, "arrow entry")
             if len(entry) != 3:
                 raise QuiverError(f"arrow entry {arrow!r} is not (src, dst, mult)")
@@ -117,7 +129,7 @@ class Quiver:
         pair are rejected, not cancelled.
         """
         counts: dict[tuple[int, int], int] = {}
-        for item in arrows:
+        for item in _sequence(arrows, "arrow"):
             if not isinstance(item, Sized) or len(item) not in (2, 3):
                 raise QuiverError(f"arrow entry {item!r} is not (src, dst) or (src, dst, mult)")
             src, dst, mult = _exact_ints(item, "arrow entry") + (1,) * (3 - len(item))
@@ -171,7 +183,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     at k, (3) cancel any 2-cycles.  Implemented directly on arrow counts so
     it stays an independent cross-check of the matrix formula.
     """
-    (k,) = _exact_ints((k,), "mutation vertex")
+    k = _index(k, "mutation vertex")
     if not (1 <= k <= q.n):
         raise QuiverError(f"mutation vertex {k} out of range 1..{q.n}")
     net: dict[tuple[int, int], int] = {}
@@ -242,7 +254,7 @@ class ExtendedQuiver:
 
     def __init__(self, n: int, m: int, rows: Sequence[Sequence[int]]) -> None:
         n, m = _exact_ints((n, m), "matrix size")
-        dense = tuple(_exact_ints(row, "matrix entry") for row in rows)
+        dense = tuple(_exact_ints(row, "matrix entry") for row in _sequence(rows, "matrix row"))
         if len(dense) != n or any(len(row) != n + m for row in dense):
             raise QuiverError(f"matrix is not {n} x {n + m}")
         if any(dense[i][j] != -dense[j][i] for i in range(n) for j in range(i + 1)):
@@ -297,6 +309,7 @@ class ExtendedQuiver:
 
         Raises QuiverError for i outside 1..n or j outside 1..n (1..m if frozen).
         """
+        i, j = _exact_ints((i, j), "vertex")
         if not 1 <= i <= self.n:
             raise QuiverError(f"vertex {i} out of range 1..{self.n}")
         if frozen and not 1 <= j <= self.m:
@@ -376,7 +389,7 @@ def matrix_mutate(eq: ExtendedQuiver, k: int) -> ExtendedQuiver:
     """Mutate the extended matrix at mutable vertex ``k``; the new state
     shares every row it does not change with ``eq``."""
     rows = list(eq.sparse_rows)
-    _mutate_rows(rows, eq.n, k, True)
+    _mutate_rows(rows, eq.n, _index(k, "mutation vertex"), True)
     return ExtendedQuiver._trusted(eq.n, eq.m, tuple(rows))
 
 
@@ -387,13 +400,14 @@ def apply_sequence(eq: ExtendedQuiver, seq: Sequence[int]) -> ExtendedQuiver:
     place, so no state is built per step and ``eq`` is left as it was.
     """
     rows = list(map(dict.copy, eq.sparse_rows))
-    for k in seq:
+    for k in _exact_ints(seq, "mutation vertex"):
         _mutate_rows(rows, eq.n, k, False)
     return ExtendedQuiver._trusted(eq.n, eq.m, tuple(rows))
 
 
 def vertex_color(eq: ExtendedQuiver, i: int) -> str:
     """'green' or 'red' for mutable vertex i, from the sign of its frozen row."""
+    i = _index(i, "vertex")
     if not (1 <= i <= eq.n):
         raise QuiverError(f"vertex {i} out of range 1..{eq.n}")
     return _row_color(eq.sparse_rows[i - 1], eq.n, i)

@@ -199,6 +199,10 @@ class TestExitCodes:
         assert captured.err.startswith("usage: ")
         assert f"argument --max-nodes: must be >= 1, got {bad}" in captured.err
 
+    def test_bad_sequence_exits_two(self):
+        code, out, err = run("verify", FIXTURES / "a3cycle.quiver", "--seq", "1 x")
+        assert (code, out) == (2, "") and "bad mutation sequence '1 x'" in err
+
     def test_bad_root_exits_two(self):
         code, _, err = run("embed", FIXTURES / "zigzag7.quiver", "--root", "1,2")
         assert code == 2 and "root" in err

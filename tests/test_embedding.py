@@ -74,6 +74,10 @@ class TestEmbed:
         with pytest.raises(gs.EmbeddingError, match="not a leaf"):
             gs.embed(zigzag7, (3, 4, 5))
 
+    def test_root_that_is_not_a_triple_rejected(self, zigzag7):
+        with pytest.raises(gs.EmbeddingError, match=r"^root must be a vertex triple, got \(1, 2\)$"):
+            gs.embed(zigzag7, (1, 2))
+
     def test_non_type_a_rejected(self):
         with pytest.raises(gs.NotTypeAError):
             gs.embed(gs.Quiver.from_arrows(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))

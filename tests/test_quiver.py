@@ -376,6 +376,46 @@ class TestMalformedEntries:
         with pytest.raises(gs.QuiverError, match=msg):
             call(path)
 
+    @pytest.mark.parametrize("call, msg", [
+        (lambda: gs.Quiver(2, 5), r"^5 is not a sequence of arrow values$"),
+        (lambda: gs.Quiver.from_arrows(2, 5), r"^5 is not a sequence of arrow values$"),
+        (lambda: gs.ExtendedQuiver(1, 1, 5), r"^5 is not a sequence of matrix row values$"),
+    ], ids=["quiver", "from-arrows", "extended-quiver"])
+    def test_containers_that_are_not_sequences_are_refused(self, call, msg):
+        with pytest.raises(gs.QuiverError, match=msg):
+            call()
+
+    @pytest.mark.parametrize("call, msg", [
+        (lambda q, eq: gs.vertex_color(eq, 1.0), r"^vertex 1\.0 is not an integer$"),
+        (lambda q, eq: eq.entry(1.0, 1), r"^vertex 1\.0 is not an integer$"),
+        (lambda q, eq: gs.matrix_mutate(eq, 1.0), r"^mutation vertex 1\.0 is not an integer$"),
+        (lambda q, eq: gs.apply_sequence(eq, ["a"]), r"^mutation vertex 'a' is not an integer$"),
+        (lambda q, eq: gs.enumerate_mgs(q, max_len="x"), r"^max_len 'x' is not an integer$"),
+        (lambda q, eq: gs.exchange_graph(q, "x"), r"^max_nodes 'x' is not an integer$"),
+        (lambda q, eq: gs.stage_parts(gs.embed(gs.Quiver(3, ((1, 2, 1), (2, 3, 1), (3, 1, 1)))),
+                                      1.0), r"^stage 1\.0 is not an integer$"),
+    ], ids=["vertex-color", "entry", "matrix-mutate", "apply-sequence", "max-len", "max-nodes",
+            "stage-parts"])
+    def test_non_integer_arguments_are_refused(self, call, msg):
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(gs.QuiverError, match=msg):
+            call(path, gs.frame(path))
+
+    def test_direct_sum_refuses_a_gluing_end_that_is_not_a_number(self):
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        msg = r"^gluing source a is not a vertex of the first summand$"
+        with pytest.raises(gs.DirectSumError, match=msg):
+            gs.direct_sum(path, path, [("a", 5)])
+        msg = r"^gluing target None is not a shifted vertex of the second summand$"
+        with pytest.raises(gs.DirectSumError, match=msg):
+            gs.direct_sum(path, path, [(1, None)])
+
+    def test_concat_refuses_per_summand_sequences_that_are_not_a_sequence(self):
+        dec = gs.decompose(gs.Quiver(3, ((1, 2, 1), (2, 3, 1))))
+        msg = r"^5 is not a sequence of per-summand sequences$"
+        with pytest.raises(gs.DirectSumError, match=msg):
+            gs.concat_mgs(dec, 5)
+
     def test_extended_quiver_refuses_a_row_that_is_not_a_sequence(self):
         with pytest.raises(gs.QuiverError, match=r"^5 is not a sequence of matrix entry values$"):
             gs.ExtendedQuiver(1, 1, [5])
@@ -394,6 +434,11 @@ class TestRefusals:
             gs.ExtendedQuiver(2, 2, [[0, 1, 1, 0]])
         with pytest.raises(gs.QuiverError, match=r"^matrix is not 2 x 4$"):
             gs.ExtendedQuiver(2, 2, [[0, 1, 1, 0], [-1, 0, 0]])
+
+    def test_vertex_color_refuses_a_vertex_beyond_n(self):
+        eq = gs.frame(gs.Quiver(3, ((1, 2, 1), (2, 3, 1))))
+        with pytest.raises(gs.QuiverError, match=r"^vertex 4 out of range 1\.\.3$"):
+            gs.vertex_color(eq, 4)
 
     def test_extended_quiver_refuses_a_block_that_is_not_skew_symmetric(self):
         with pytest.raises(gs.QuiverError, match=r"^mutable block is not skew-symmetric$"):

@@ -24,6 +24,10 @@ class TestIsTypeA:
         cond = report.condition("i")
         assert not cond.passed and "cycle" in cond.witness
 
+    def test_unknown_condition_name_raises_key_error(self, a3cycle):
+        with pytest.raises(KeyError):
+            gs.is_type_a(a3cycle).condition("v")
+
     def test_non_oriented_triangle_fails(self):
         q = gs.Quiver.from_arrows(3, [(1, 2), (1, 3), (2, 3)])
         assert not gs.is_type_a(q).condition("i").passed
