@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Sized
 
 from .green import GreenTrace, _min_first_order, _successors, verify_green
-from .quiver import Quiver, QuiverError, _exact_ints, subquiver
+from .quiver import Quiver, QuiverError, _exact_ints, _sequence, subquiver
 
 
 class DirectSumError(QuiverError):
@@ -39,7 +39,7 @@ def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver
         counts[(s, d)] = m
     for s, d, m in q2.arrows:
         counts[(s + n1, d + n1)] = m
-    for pair in pairs:
+    for pair in _sequence(pairs, "gluing pair"):
         if not isinstance(pair, Sized) or len(pair) != 2:
             raise DirectSumError(f"gluing pair {pair!r} is not (source, target)")
         a, b = pair

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .quiver import Quiver, QuiverError
+from .quiver import Quiver, QuiverError, _exact_ints
 from .typea import cycle_tree, leaf_cycles
 
 
@@ -106,7 +106,7 @@ class EmbeddedQuiver:
     def cycle(self, k: int) -> EmbeddedCycle:
         try:
             return self._by_label[k]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: k is unhashable
             raise EmbeddingError(f"no cycle labelled T{k}") from None
 
     def child_at_y(self, k: int) -> int | None:
@@ -151,7 +151,7 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
     if root is None:
         root_tri = leaves[0]
     else:
-        root_tri = tuple(sorted(root))
+        root_tri = tuple(sorted(_exact_ints(root, "root vertex")))
         if len(root_tri) != 3:
             raise EmbeddingError(f"root must be a vertex triple, got {root_tri}")
     if root_tri not in leaves:
@@ -240,6 +240,8 @@ def branches(e: EmbeddedQuiver) -> tuple[Branch, ...]:
     the parent is a branching cycle.  Only the last cycle of a branch may be
     branching.
     """
+    if not e.cycles:
+        return ()
     starts = [1]
     for k in range(2, e.n_cycles + 1):
         c = e.cycle(k)
