@@ -34,8 +34,8 @@ from .quiver import (
     QuiverError,
     _exact_ints,
     _extended_lines,
-    _index,
     _frame_rows,
+    _index,
     _mutate_rows,
     _row_color,
     frame,
