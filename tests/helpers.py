@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -576,6 +577,14 @@ def reference_identities(e) -> gs.PermIdentityReport:
             for k in range(n + 1):
                 degree_2_y.expect(sigmas[k][yv - 1], yv, "y of T{}, sigma_{}", j, k)
     return gs.PermIdentityReport(tuple(t.result() for t in tallies))
+
+
+def with_cycle(e, label: int, **fields) -> gs.EmbeddedQuiver:
+    """``e`` built again by hand with the named fields of cycle ``label``
+    replaced."""
+    return gs.EmbeddedQuiver(e.quiver, [
+        dataclasses.replace(c, **fields) if c.label == label else c for c in e.cycles
+    ])
 
 
 def one_swaps(e):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 
@@ -20,6 +19,7 @@ from helpers import (
     walked_hanging_chain,
     walked_pending_set,
     walked_standard_order,
+    with_cycle,
 )
 
 
@@ -75,7 +75,8 @@ class TestEmbed:
             gs.embed(zigzag7, (3, 4, 5))
 
     def test_root_that_is_not_a_triple_rejected(self, zigzag7):
-        with pytest.raises(gs.EmbeddingError, match=r"^root must be a vertex triple, got \(1, 2\)$"):
+        message = r"^root must be a vertex triple, got \(1, 2\)$"
+        with pytest.raises(gs.EmbeddingError, match=message):
             gs.embed(zigzag7, (1, 2))
 
     def test_non_type_a_rejected(self):
@@ -471,17 +472,9 @@ class TestHandBuiltRefusals:
     """Hand-built embeddings the stage walks cannot read are refused as
     EmbeddingError, naming what is wrong."""
 
-    @staticmethod
-    def zigzag_with(zigzag7, label, **fields):
-        cycles = [
-            dataclasses.replace(c, **fields) if c.label == label else c
-            for c in gs.embed(zigzag7, (1, 2, 3)).cycles
-        ]
-        return gs.EmbeddedQuiver(zigzag7, cycles)
-
-    def test_parent_loop(self, zigzag7):
+    def test_parent_loop(self, ezig):
         # T2 hangs from T3 and T3 from T2: no climb reaches an upward cycle
-        loop = self.zigzag_with(zigzag7, 2, parent=3)
+        loop = with_cycle(ezig, 2, parent=3)
         for read in (
             lambda e: gs.base_cycle(e, 2), gs.associated_sequence, gs.verify_model,
             gs.check_permutation_identities,
@@ -489,15 +482,14 @@ class TestHandBuiltRefusals:
             with pytest.raises(gs.EmbeddingError, match="^the parents of T2 form a loop$"):
                 read(loop)
 
-    def test_stage_vertex_beyond_n(self, zigzag7):
-        bad = self.zigzag_with(zigzag7, 3, z=9)
+    def test_stage_vertex_beyond_n(self, ezig):
         message = r"^stage 3 order \(6, 9, 5, 3, 1\) does not permute vertices of 1\.\.7$"
         with pytest.raises(gs.EmbeddingError, match=message):
-            gs.check_permutation_identities(bad)
+            gs.check_permutation_identities(with_cycle(ezig, 3, z=9))
 
-    def test_vertex_on_no_cycle(self, zigzag7):
+    def test_vertex_on_no_cycle(self, ezig):
         # T3's y moved off the quiver leaves vertex 6 on no cycle
-        bad = self.zigzag_with(zigzag7, 3, y=9)
+        bad = with_cycle(ezig, 3, y=9)
         with pytest.raises(gs.EmbeddingError, match="^vertex 6 lies on no cycle$"):
             gs.verify_model(bad)
         with pytest.raises(gs.EmbeddingError, match=r"^stage 3 order \(9, 7, 5, 3, 1\)"):
