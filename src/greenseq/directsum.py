@@ -69,6 +69,7 @@ def color_count(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> int:
     Raises if some ordered pair (a_i, b_j) occurs with multiplicity >= 2,
     which disqualifies the sum from being t-colored.
     """
+    pairs = _sequence(pairs, "gluing pair")  # read once: it may be an iterator
     direct_sum(q1, q2, pairs)  # validate endpoints
     seen: dict[tuple[int, int], int] = {}
     for a, b in pairs:

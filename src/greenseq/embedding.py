@@ -55,13 +55,14 @@ class Branch:
 class EmbeddedQuiver:
     """Embedded irreducible type-A quiver: labelled, oriented 3-cycles.
 
-    Construction works out, once, the facts every stage reads: the
-    pending set (``pending``) and the stage that first mutates each vertex
-    (``first_stage``, keyed in standard order).  Each cycle's base cycle,
-    descent path, hanging chain and closing vertex come from one climb of
-    its parents, kept by the first call that asks for one of them, and the
-    stage fold by ``permmodel``'s first use of it, so ``embed`` alone pays
-    for neither; the outlet list is kept by the first
+    Construction keeps the cycles by label and each cycle's y- and
+    z-children, and works out no stage fact: the pending set and the stage
+    that first mutates each vertex belong to the stage-matrix walk
+    (``matrixmodel``), which derives them once per walk.  Each cycle's base
+    cycle, descent path, hanging chain and closing vertex come from one
+    climb of its parents, kept by the first call that asks for one of
+    them, and the stage fold by ``permmodel``'s first use of it, so
+    ``embed`` alone pays for neither; the outlet list is kept by the first
     ``validate_embedding`` that accepts the embedding.
     """
 
@@ -77,24 +78,8 @@ class EmbeddedQuiver:
                     self._child_y[c.parent] = c.label
                 else:
                     self._child_z[c.parent] = c.label
-
-        pending = []
-        for c in self.cycles:
-            if c.up:
-                continue
-            if c.parent is None:
+            elif not c.up:
                 raise EmbeddingError(f"downward T{c.label} has no parent")
-            # a parent label with no cycle is refused by the walks that read it
-            if c.parent_role == "z" and c.parent in self._by_label and self.is_branching(c.parent):
-                pending.append(c.label)
-        self.pending: tuple[int, ...] = tuple(sorted(pending))
-        # x1 is mutated at stage 0, y_k and z_k first at stage k, and every
-        # other x is the parent's y or z
-        self.first_stage: dict[int, int] = {}
-        for c in self.cycles:
-            self.first_stage.setdefault(c.x, c.parent or 0)
-            for v in (c.y, c.z) if c.up else (c.z, c.y):
-                self.first_stage.setdefault(v, c.label)
         self._geometry: dict[int, tuple[int, tuple[int, ...], tuple[int, ...], int]] = {}
         self._stage_fold = None
         self._outlets: tuple[int, ...] | None = None
@@ -160,7 +145,7 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
 
     # z1 is the vertex the root shares with its one neighbour; a lone
     # 3-cycle takes the one before its smallest vertex, which becomes x1
-    neighbors = tree.neighbors_of(root_idx)
+    neighbors = tree.adjacency[root_idx]
     shared = neighbors[0][1] if neighbors else tree.oriented[root_idx][2]
     _, x1, y1 = _rotated_to(tree.oriented[root_idx], shared)
     cycles: list[EmbeddedCycle] = [EmbeddedCycle(1, True, x1, y1, shared, None, None)]
@@ -176,7 +161,7 @@ def embed(q: Quiver, root: Iterable[int] | None = None) -> EmbeddedQuiver:
             EmbeddedCycle(label, parent_role == "y", attach_vertex, y, z, parent_label, parent_role)
         )
         # no third 3-cycle meets the entry vertex: it would have 6 neighbours (condition ii)
-        children = {v: other_idx for other_idx, v in tree.neighbors_of(tri_idx)}
+        children = {v: other_idx for other_idx, v in tree.adjacency[tri_idx]}
         # y-side subtree first (pushed last): building it keeps the z outlet
         # alive, while the reverse order would kill the y attachment point.
         for role, vertex in (("z", z), ("y", y)):

@@ -12,8 +12,11 @@ form.
 ``_kept_prediction`` is the one reading of this model: it keeps the
 prediction as the walk keeps the actual state, one list of sparse rows
 from the framing through every stage, with sigma_k streamed from
-``permmodel`` and the pending cycles worked out as their anchors are
-processed; a stage rebuilds only the rows whose role changes.  The
+``permmodel``.  It owns the stage facts the model needs: one pass over
+the cycles gives the stage that first mutates each vertex, the rows each
+stage rebuilds and the pending labels by the stage they enter at, and
+the pending cycles are worked out as their anchors are processed; a
+stage rebuilds only the rows whose role changes.  The
 composite entries are the rows' entries at frontier rows, and the
 c-vectors the frozen parts of those rows.  ``verify_model`` compares the
 rows at every stage with direct mutation of rows it owns.
@@ -122,27 +125,37 @@ def _kept_prediction(
     """
     q = e.quiver
     n = q.n
-    owner = e.first_stage
+    # one pass over the cycles: the stage that first mutates each vertex
+    # (x1 at stage 0, y_k and z_k first at stage k, every other x at its
+    # parent's), the rows each stage rebuilds, and the pending labels by
+    # the stage they enter at: a downward cycle at the z of a branching
+    # anchor, with a label above the anchor's (a parent label with no
+    # cycle is refused by the walks that read it)
+    owner: dict[int, int] = {}
+    roles: dict[int, set[int]] = {}
+    entering: dict[int, list[int]] = {}
+    for c in e.cycles:
+        roles.setdefault(c.label, set()).update((c.y - 1, c.z - 1))
+        for v, first in ((c.x, c.parent or 0), (c.y, c.label), (c.z, c.label)):
+            if v not in owner:
+                owner[v] = first
+                roles.setdefault(first, set()).add(v - 1)
+        anchor = c.parent
+        if (
+            not c.up and c.parent_role == "z" and anchor in e._by_label
+            and anchor < c.label and e.is_branching(anchor)
+        ):
+            entering.setdefault(anchor, []).append(c.label)
     # rows and columns are 0-based below, as in the sparse rows; a vertex
     # beyond n is refused by the stage fold
     try:
         own = [owner[v] for v in range(1, n + 1)]
     except KeyError as exc:
         raise EmbeddingError(f"vertex {exc.args[0]} lies on no cycle") from None
-    roles: dict[int, set[int]] = {c.label: {c.y - 1, c.z - 1} for c in e.cycles}
-    for v, first in owner.items():
-        roles.setdefault(first, set()).add(v - 1)
     b0: list[dict[int, int]] = [{} for _ in range(n)]
     for s, d, m in q.arrows:
         b0[s - 1][d - 1] = m
         b0[d - 1][s - 1] = -m
-    # pending labels by the stage they enter at; a label at or below its
-    # anchor's is never pending
-    entering: dict[int, list[int]] = {}
-    for m in e.pending:
-        anchor = e.cycle(m).parent
-        if anchor < m:
-            entering.setdefault(anchor, []).append(m)
     active: dict[int, PendingCycle] = {}
     rows = _frame_rows(q)
     for k, seq, tau, sigma, inv in _sigma_stream(e):
@@ -154,7 +167,7 @@ def _kept_prediction(
             if k in pc.chain:
                 active[m] = PendingCycle(m, pc.anchor, pc.chain, k)
                 changed.append(m)
-        for m in entering.get(k, ()):
+        for m in sorted(entering.get(k, ())):
             chain = hanging_chain(e, m)
             if not chain or chain[0] != k + 1:
                 raise EmbeddingError(f"pending T{m} has no chain starting at T{k + 1}")

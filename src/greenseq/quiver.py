@@ -468,6 +468,9 @@ class Permutation:
         return len(self.images)
 
     def apply(self, i: int) -> int:
+        i = _index(i, "vertex")
+        if not 1 <= i <= self.n:
+            raise QuiverError(f"vertex {i} out of range 1..{self.n}")
         return self.images[i - 1]
 
     def then(self, other: "Permutation") -> "Permutation":
@@ -482,18 +485,19 @@ class Permutation:
 
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Nontrivial cycles, each starting at its minimum, sorted by minimum."""
+        images = self.images
         seen: set[int] = set()
         out = []
         for start in range(1, self.n + 1):
-            if start in seen or self.apply(start) == start:
+            if start in seen or images[start - 1] == start:
                 continue
             cyc = [start]
             seen.add(start)
-            v = self.apply(start)
+            v = images[start - 1]
             while v != start:
                 cyc.append(v)
                 seen.add(v)
-                v = self.apply(v)
+                v = images[v - 1]
             out.append(tuple(cyc))
         return tuple(out)
 

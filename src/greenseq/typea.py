@@ -227,13 +227,6 @@ class CycleTree:
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     oriented: tuple[tuple[int, int, int], ...]
 
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
-
-    def neighbors_of(self, i: int) -> tuple[tuple[int, int], ...]:
-        """(other node index, shared vertex) pairs."""
-        return self.adjacency[i]
-
 
 def cycle_tree(q: Quiver) -> CycleTree:
     """Extract the tree of 3-cycles of an irreducible type-A quiver.

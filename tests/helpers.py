@@ -282,6 +282,17 @@ def walked_standard_order(e) -> tuple[int, ...]:
     return tuple(out)
 
 
+def walked_first_stage(e) -> dict[int, int]:
+    """The stage that first mutates each vertex, keyed in standard order:
+    x1 at stage 0, y_k and z_k at stage k, and every other x, its parent's
+    y or z, at its parent's stage."""
+    first: dict[int, int] = {}
+    for c in e.cycles:
+        for v, k in ((c.x, c.parent or 0), (c.y, c.label), (c.z, c.label)):
+            first.setdefault(v, k)
+    return {v: first[v] for v in walked_standard_order(e)}
+
+
 # Dense oracles: the engine keeps one sparse matrix format and one stage
 # fold; these dense forms and per-stage rebuilds are the references that
 # the sparse values are compared against.
@@ -339,11 +350,11 @@ class PredictedStage(NamedTuple):
 def predicted_stages(e) -> list[PredictedStage]:
     """Every stage k = 0..n of ``matrixmodel._kept_prediction``, read from
     one pass of the walk; each stage's rows are copied through the checked
-    dense constructor, and the split is read from ``e.first_stage`` and the
-    stage's pending labels."""
+    dense constructor, and the split is read from ``walked_first_stage``
+    and the stage's pending labels."""
     n = e.quiver.n
-    owner = e.first_stage
-    std = tuple(owner)  # first_stage is keyed in the standard ordering
+    owner = walked_first_stage(e)
+    std = tuple(owner)  # keyed in the standard ordering
     out = []
     for k, seq, pending, rows in gs.matrixmodel._kept_prediction(e):
         dense = [[row.get(j, 0) for j in range(2 * n)] for row in rows]
@@ -385,7 +396,7 @@ def reference_pending_cycles(e, k: int) -> tuple:
     processed, own y and z not.  The reference for the pending cycles the
     walk works out as their anchors are processed."""
     entries = []
-    for m in e.pending:
+    for m in walked_pending_set(e):
         anchor = e.cycle(m).parent
         if not anchor <= k < m:
             continue
@@ -447,7 +458,7 @@ def stage_rows(e, k: int, stage: Stage | None = None) -> list[dict[int, int]]:
     pending = reference_pending_cycles(e, k)
     n = e.quiver.n
     image, preimage = stage.sigma.images, stage.sigma_inv.images
-    owner = e.first_stage
+    owner = walked_first_stage(e)
     frontier_cycles = frontier_labels(e, k, pending)
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     for s, d, m in e.quiver.arrows:

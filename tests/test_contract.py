@@ -1,5 +1,6 @@
-"""The error contract: every callable the package exports, called with
-drawn values, returns or raises a QuiverError subclass.
+"""The error contract: every callable the package exports, and the public
+methods in ``METHODS``, called with drawn values, returns or raises a
+QuiverError subclass.
 
 Each parameter gets an out-of-range int, a bool, a float, a string, None, a
 huge int or a nested list of these; a parameter that names one of the
@@ -128,7 +129,15 @@ def _strategy(p: inspect.Parameter):
     return JUNK
 
 
-@pytest.mark.parametrize("name, obj", _exports(), ids=[name for name, _ in _exports()])
+# public methods of exported classes, each bound to a real record
+METHODS = {
+    "ExtendedQuiver.entry": gs.frame(A3).entry,
+    "Permutation.apply": gs.Permutation((2, 3, 1)).apply,
+}
+CALLABLES = _exports() + sorted(METHODS.items())
+
+
+@pytest.mark.parametrize("name, obj", CALLABLES, ids=[name for name, _ in CALLABLES])
 @settings(max_examples=12, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_every_export_returns_or_raises_a_quiver_error(name, obj, data):

@@ -75,6 +75,16 @@ class TestColorCount:
         with pytest.raises(gs.DirectSumError, match="double arrow"):
             gs.color_count(a1, a1, ((1, 2), (1, 2)))
 
+    def test_pairs_read_once(self):
+        # an iterator of pairs counts as the same pairs in a list: checking
+        # the ends must not use it up before the count
+        path = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        assert gs.color_count(path, path, iter([(1, 4), (2, 5)])) == 2
+        with pytest.raises(gs.DirectSumError, match="^junction pair 1 -> 4 carries a double arrow$"):
+            gs.color_count(path, path, iter([(1, 4), (1, 4)]))
+        with pytest.raises(gs.QuiverError, match="^5 is not a sequence of gluing pair values$"):
+            gs.color_count(path, path, 5)
+
 
 class TestNetArrows:
     def test_plain_quiver(self, a3cycle):

@@ -16,9 +16,9 @@ from helpers import (
     walked_base_cycle,
     walked_closing_vertex,
     walked_descent_path,
+    walked_first_stage,
     walked_hanging_chain,
     walked_pending_set,
-    walked_standard_order,
     with_cycle,
 )
 
@@ -354,7 +354,7 @@ class TestClosingVertex:
 
 
 class TestStoredGeometry:
-    """What an embedding works out when it is built agrees with the
+    """What an embedding and the stage walk work out agrees with the
     definitions by walking parents."""
 
     @staticmethod
@@ -364,8 +364,14 @@ class TestStoredGeometry:
             assert gs.base_cycle(e, k) == walked_base_cycle(e, k)
             assert gs.hanging_chain(e, k) == walked_hanging_chain(e, k)
             assert gs.closing_vertex(e, k) == walked_closing_vertex(e, k)
-        assert e.pending == walked_pending_set(e)
-        assert tuple(e.first_stage) == walked_standard_order(e)
+        # the stage walk's own facts: the pending cycles, and the stage that
+        # first mutates each vertex, from which on its predicted row is red
+        n, first, pending = e.quiver.n, walked_first_stage(e), set()
+        for k, _, stage_pending, rows in gs.matrixmodel._kept_prediction(e):
+            pending.update(pc.label for pc in stage_pending)
+            red = {r + 1 for r, row in enumerate(rows) if any(v < 0 for c, v in row.items() if c >= n)}
+            assert red == {v for v, s in first.items() if s <= k}, k
+        assert tuple(sorted(pending)) == walked_pending_set(e)
 
     def test_random_trees_every_root(self):
         rng = random.Random(41)

@@ -34,11 +34,15 @@ from helpers import (
 class TestPendingCycles:
     """The pending cycles the walk works out, stage by stage."""
 
+    @staticmethod
+    def _pending_labels(e) -> list[int]:
+        return sorted({pc.label for pending in walk_pending(e) for pc in pending})
+
     def test_pending_set_614(self, t16):
-        assert t16.pending == (11, 12, 16)
+        assert self._pending_labels(t16) == [11, 12, 16]
 
     def test_pending_set_needs_branching_anchor(self, zigzag7):
-        assert gs.embed(zigzag7, (1, 2, 3)).pending == ()
+        assert self._pending_labels(gs.embed(zigzag7, (1, 2, 3))) == []
 
     def test_stage_table_614(self, t16):
         expected = {
@@ -294,8 +298,9 @@ class TestVerifyModel:
             done += 1
 
     def test_pending_set_built_once(self, t16, monkeypatch):
-        # the pending set is worked out when the embedding is built: no
-        # stage tests a cycle for branching again
+        # embedding a quiver tests no cycle for branching; one walk
+        # tests the parent of each z-attached downward cycle once, before
+        # its first stage, and no stage tests it again
         calls = []
         original = gs.EmbeddedQuiver.is_branching
 
@@ -304,8 +309,17 @@ class TestVerifyModel:
             return original(e, k)
 
         monkeypatch.setattr(gs.EmbeddedQuiver, "is_branching", counted)
-        assert gs.verify_model(t16).ok
-        assert calls == []
+        e = gs.embed(t16.quiver, t16.cycle(1).triple)
+        assert e == t16 and calls == []
+        walk = gs.matrixmodel._kept_prediction(e)
+        next(walk)
+        anchors = [c.parent for c in e.cycles if not c.up and c.parent_role == "z"]
+        assert calls == anchors and len(set(anchors)) == len(anchors)
+        for _ in walk:
+            pass
+        assert calls == anchors
+        assert gs.verify_model(e).ok
+        assert calls == anchors * 2
 
     def test_stage_facts_built_once_per_model_check(self, monkeypatch):
         # one model-check --permutations run builds each stage's sequence

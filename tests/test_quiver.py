@@ -466,6 +466,16 @@ class TestPermutation:
         p = from_cycle(4, (3, 1))
         assert p.apply(3) == 1 and p.apply(1) == 3 and p.apply(2) == 2
 
+    @pytest.mark.parametrize("i, message", [
+        (0, "vertex 0 out of range 1..3"), (4, "vertex 4 out of range 1..3"),
+        (-1, "vertex -1 out of range 1..3"), (1.0, "vertex 1.0 is not an integer"),
+        ("1", "vertex '1' is not an integer"),
+    ])
+    def test_apply_refuses_a_vertex_outside_1_to_n(self, i, message):
+        # 0 must not read images[-1], the image of n
+        with pytest.raises(gs.QuiverError, match=f"^{re.escape(message)}$"):
+            gs.Permutation((2, 3, 1)).apply(i)
+
     def test_then_order(self):
         first = from_cycle(3, (1, 2))
         second = from_cycle(3, (2, 3))

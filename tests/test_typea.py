@@ -340,12 +340,12 @@ class TestCycleTree:
         assert tree.nodes == ((1, 2, 3), (3, 4, 5), (5, 6, 7))
         shared = sorted(v for _, _, v in tree.edges)
         assert shared == [3, 5]
-        assert [tree.degree(i) for i in range(3)] == [1, 2, 1]
+        assert [len(nb) for nb in tree.adjacency] == [1, 2, 1]
 
     def test_tree15_branching(self, tree15):
         tree = gs.cycle_tree(tree15)
         assert len(tree.nodes) == 15
-        assert sorted(tree.degree(i) for i in range(15)).count(3) == 2
+        assert [len(nb) for nb in tree.adjacency].count(3) == 2
 
     def test_vertex_count_identity(self, tree15, zigzag7):
         for q in (tree15, zigzag7):
@@ -389,8 +389,7 @@ class TestCycleTree:
             for i in range(len(tree.nodes)):
                 scan = [(b, v) for a, b, v in tree.edges if a == i]
                 scan += [(a, v) for a, b, v in tree.edges if b == i]
-                assert tree.neighbors_of(i) == tuple(sorted(scan))
-                assert tree.degree(i) == len(scan)
+                assert tree.adjacency[i] == tuple(sorted(scan))
             leaves = [
                 tri for i, tri in enumerate(tree.nodes)
                 if sum(i in (a, b) for a, b, _ in tree.edges) <= 1
@@ -411,7 +410,7 @@ class TestLeafCycles:
         # computed from tree degrees: the three chain ends and both stubs
         assert leaves == tuple(
             tree.nodes[i] for i in sorted(
-                (i for i in range(15) if tree.degree(i) <= 1),
+                (i for i in range(15) if len(tree.adjacency[i]) <= 1),
                 key=lambda i: min(tree.nodes[i]),
             )
         )
