@@ -224,8 +224,8 @@ def test_every_public_member_is_read_in_the_package():
             ]
             if len(owners[d.name]) > 1:
                 via_self = [
-                    hit for hit in found
-                    if hit[0] == home and hit[2] and cls.lineno <= hit[1] <= cls.end_lineno
+                    (name, line, is_self) for name, line, is_self in found
+                    if name == home and is_self and cls.lineno <= line <= cls.end_lineno
                 ]
                 if not via_self and found and member in SHARED_NAME_READS:
                     shared.append(member)
