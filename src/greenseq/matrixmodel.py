@@ -12,14 +12,12 @@ form.
 ``_kept_prediction`` is the one reading of this model: it keeps the
 prediction as the walk keeps the actual state, one list of sparse rows
 from the framing through every stage, with sigma_k streamed from
-``permmodel``.  It owns the stage facts the model needs: one pass over
-the cycles gives the stage that first mutates each vertex, the rows each
-stage rebuilds and the pending labels by the stage they enter at, and
-the pending cycles are worked out as their anchors are processed; a
-stage rebuilds only the rows whose role changes.  The
-composite entries are the rows' entries at frontier rows, and the
-c-vectors the frozen parts of those rows.  ``verify_model`` compares the
-rows at every stage with direct mutation of rows it owns.
+``permmodel``.  It derives the stage facts it reads in one pass over the
+cycles, and the pending cycles as their anchors are processed; a stage
+rebuilds only the rows whose role changes.  The composite entries are
+the rows' entries at frontier rows, and the c-vectors the frozen parts
+of those rows.  ``verify_model`` compares the rows at every stage with
+direct mutation of rows it owns.
 """
 
 from __future__ import annotations
@@ -125,12 +123,10 @@ def _kept_prediction(
     """
     q = e.quiver
     n = q.n
-    # one pass over the cycles: the stage that first mutates each vertex
-    # (x1 at stage 0, y_k and z_k first at stage k, every other x at its
-    # parent's), the rows each stage rebuilds, and the pending labels by
-    # the stage they enter at: a downward cycle at the z of a branching
-    # anchor, with a label above the anchor's (a parent label with no
-    # cycle is refused by the walks that read it)
+    # the stage facts, in one pass: the stage that first mutates each vertex
+    # (x1 at 0, y_k and z_k at k, any other x at its parent's), the rows
+    # each stage rebuilds, and the pending labels by entry stage (a parent
+    # label with no cycle is refused by the walks that read it)
     owner: dict[int, int] = {}
     roles: dict[int, set[int]] = {}
     entering: dict[int, list[int]] = {}

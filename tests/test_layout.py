@@ -21,7 +21,9 @@ rows, in ``green.py`` and ``matrixmodel.py``.  Every function or class the
 package exports is named somewhere in it outside its own definition, and
 every public method or property of an exported class is read as an
 attribute somewhere in it outside its own definition, or each has a stated
-reason to stay public.
+reason to stay public; a member whose name another class also defines
+counts as read only through ``self`` in its own class or by a stated
+reader.
 """
 
 from __future__ import annotations
@@ -217,20 +219,20 @@ def test_every_public_member_is_read_in_the_package():
             member = f"{cls.name}.{d.name}"
             start, end = _span(d)
             found = [
-                (name, line, via_self)
-                for name, found in reads.items()
-                for line, attr, via_self in found
+                (name, line, is_self)
+                for name, hits in reads.items()
+                for line, attr, is_self in hits
                 if attr == d.name and not (name == home and start <= line <= end)
             ]
             if len(owners[d.name]) > 1:
-                via_self = [
+                own_reads = [
                     (name, line, is_self) for name, line, is_self in found
                     if name == home and is_self and cls.lineno <= line <= cls.end_lineno
                 ]
-                if not via_self and found and member in SHARED_NAME_READS:
+                if not own_reads and found and member in SHARED_NAME_READS:
                     shared.append(member)
                 else:
-                    found = via_self
+                    found = own_reads
             if not found:
                 unread.append(member)
     assert sorted(unread) == sorted(UNREAD_MEMBERS)
