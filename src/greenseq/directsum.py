@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Sized
 
 from .green import GreenTrace, _min_first_order, _successors, verify_green
-from .quiver import Quiver, QuiverError, _exact_ints, _sequence, subquiver
+from .quiver import Quiver, QuiverError, _exact_ints, _index, _sequence, _vertices, subquiver
 
 
 class DirectSumError(QuiverError):
@@ -22,9 +22,6 @@ class DirectSumError(QuiverError):
 
 class SummandNotGreenError(QuiverError):
     """A per-summand sequence failed maximal-green verification."""
-
-
-GluingSpec = tuple[tuple[int, int], ...]
 
 
 def direct_sum(q1: Quiver, q2: Quiver, pairs: Sequence[Sequence[int]]) -> Quiver:
@@ -102,7 +99,10 @@ class Decomposition:
     irreducible: tuple[bool, ...]
 
     def part(self, p: int) -> tuple[Quiver, tuple[int, ...]]:
-        """Summand ``p`` as a quiver on 1..size, plus its global vertex ids."""
+        """Summand ``p`` (from 0) as a quiver on 1..size, plus its global vertex ids."""
+        p = _index(p, "summand index")
+        if not 0 <= p < len(self.summands):
+            raise DirectSumError(f"summand index {p} out of range 0..{len(self.summands) - 1}")
         return subquiver(self.quiver, self.summands[p])
 
 
@@ -231,13 +231,10 @@ def concat_mgs(dec: Decomposition, per_summand: Sequence[Sequence[int]]) -> Gree
         raise DirectSumError(
             f"expected {len(dec.summands)} sequences, got {len(per_summand)}"
         )
-    steps = [_exact_ints(seq, "vertex") for seq in per_summand]
+    steps = [_exact_ints(seq, "vertex") for seq in per_summand]  # all before any range check
     out = []
     for verts, seq in zip(dec.summands, steps):
-        for k in seq:
-            if not 1 <= k <= len(verts):
-                raise QuiverError(f"vertex {k} out of range 1..{len(verts)}")
-            out.append(verts[k - 1])
+        out += [verts[k - 1] for k in _vertices(seq, len(verts), "vertex")]
     whole = verify_green(dec.quiver, out)
     if whole.is_maximal:
         return whole

@@ -95,10 +95,16 @@ class EmbeddedQuiver:
             raise EmbeddingError(f"no cycle labelled T{k}") from None
 
     def child_at_y(self, k: int) -> int | None:
-        return self._child_y[k]
+        try:
+            return self._child_y[k]
+        except (KeyError, TypeError):
+            raise EmbeddingError(f"no cycle labelled T{k}") from None
 
     def child_at_z(self, k: int) -> int | None:
-        return self._child_z[k]
+        try:
+            return self._child_z[k]
+        except (KeyError, TypeError):
+            raise EmbeddingError(f"no cycle labelled T{k}") from None
 
     def is_branching(self, k: int) -> bool:
         c = self.cycle(k)

@@ -95,9 +95,10 @@ def verify_green(q: Quiver, seq: Sequence[int]) -> GreenTrace:
     """Apply ``seq`` to frame(q), checking each mutated vertex is green and,
     at the end, whether every vertex is red with its induced permutation.
 
-    A step that is not an integer, or a vertex outside 1..n, is refused as
-    ``vertex_color`` refuses it, before anything is mutated.  The walk's
-    rows are its own until wrapped.
+    A step that is not an integer is refused as ``vertex_color`` refuses
+    it, before anything is mutated.  A vertex outside 1..n is refused so
+    when the walk reaches it: a red step before it is reported instead,
+    and the green steps before it have changed only the walk's own rows.
     """
     seq = _exact_ints(seq, "vertex")
     n = q.n

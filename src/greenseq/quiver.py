@@ -80,6 +80,16 @@ def _exact_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
         raise
 
 
+def _vertices(values: Iterable[object], n: int, what: str) -> tuple[int, ...]:
+    """``values`` as ``_exact_ints`` takes them, all before any range check;
+    the first outside 1..n raises QuiverError naming it."""
+    vertices = _exact_ints(values, what)
+    for v in vertices:
+        if not 1 <= v <= n:
+            raise QuiverError(f"{what} {v} out of range 1..{n}")
+    return vertices
+
+
 # ---------------------------------------------------------------------------
 # Quiver
 
@@ -101,6 +111,8 @@ class Quiver:
         (n,) = _exact_ints((self.n,), "vertex count")
         if n < 1:
             raise QuiverError(f"vertex count must be positive, got {n}")
+        if n > MAX_VERTICES:  # before anything is allocated per vertex
+            raise QuiverError(f"vertex count {n} exceeds the limit {MAX_VERTICES}")
         mult: dict[tuple[int, int], int] = {}
         for arrow in _sequence(self.arrows, "arrow"):
             entry = _exact_ints(arrow, "arrow entry")
@@ -143,14 +155,8 @@ class Quiver:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbors of vertex v in the underlying graph."""
+        (v,) = _vertices((v,), self.n, "vertex")
         return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        """Number of distinct neighbors in the underlying graph."""
-        return len(self._adj[v])
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self.arrows)
 
 
 def _fill_quiver(q: Quiver, n: int, mult: dict[tuple[int, int], int]) -> Quiver:
@@ -183,9 +189,7 @@ def mutate(q: Quiver, k: int) -> Quiver:
     at k, (3) cancel any 2-cycles.  Implemented directly on arrow counts so
     it stays an independent cross-check of the matrix formula.
     """
-    k = _index(k, "mutation vertex")
-    if not (1 <= k <= q.n):
-        raise QuiverError(f"mutation vertex {k} out of range 1..{q.n}")
+    (k,) = _vertices((k,), q.n, "mutation vertex")
     net: dict[tuple[int, int], int] = {}
 
     def add(src: int, dst: int, mult: int) -> None:
@@ -218,11 +222,7 @@ def subquiver(q: Quiver, vertices: Sequence[int]) -> tuple[Quiver, tuple[int, ..
     Returns the subquiver and the tuple mapping new index -> old vertex.
     A vertex that is not an integer in 1..n is refused.
     """
-    vertices = _exact_ints(vertices, "vertex")
-    for v in vertices:
-        if not 1 <= v <= q.n:
-            raise QuiverError(f"vertex {v} out of range 1..{q.n}")
-    order = tuple(sorted(set(vertices)))
+    order = tuple(sorted(set(_vertices(vertices, q.n, "vertex"))))
     index = {v: i + 1 for i, v in enumerate(order)}
     arrows = [
         (index[s], index[d], m) for s, d, m in q.arrows if s in index and d in index
@@ -309,13 +309,9 @@ class ExtendedQuiver:
 
         Raises QuiverError for i outside 1..n or j outside 1..n (1..m if frozen).
         """
-        i, j = _exact_ints((i, j), "vertex")
-        if not 1 <= i <= self.n:
-            raise QuiverError(f"vertex {i} out of range 1..{self.n}")
-        if frozen and not 1 <= j <= self.m:
-            raise QuiverError(f"frozen vertex {j} out of range 1..{self.m}")
-        if not frozen and not 1 <= j <= self.n:
-            raise QuiverError(f"vertex {j} out of range 1..{self.n}")
+        i, j = _exact_ints((i, j), "vertex")  # both before either range check
+        _vertices((i,), self.n, "vertex")
+        _vertices((j,), self.m if frozen else self.n, "frozen vertex" if frozen else "vertex")
         return self.sparse_rows[i - 1].get(self.n + j - 1 if frozen else j - 1, 0)
 
     def quiver(self) -> Quiver:
@@ -407,9 +403,7 @@ def apply_sequence(eq: ExtendedQuiver, seq: Sequence[int]) -> ExtendedQuiver:
 
 def vertex_color(eq: ExtendedQuiver, i: int) -> str:
     """'green' or 'red' for mutable vertex i, from the sign of its frozen row."""
-    i = _index(i, "vertex")
-    if not (1 <= i <= eq.n):
-        raise QuiverError(f"vertex {i} out of range 1..{eq.n}")
+    (i,) = _vertices((i,), eq.n, "vertex")
     return _row_color(eq.sparse_rows[i - 1], eq.n, i)
 
 
@@ -468,13 +462,13 @@ class Permutation:
         return len(self.images)
 
     def apply(self, i: int) -> int:
-        i = _index(i, "vertex")
-        if not 1 <= i <= self.n:
-            raise QuiverError(f"vertex {i} out of range 1..{self.n}")
+        (i,) = _vertices((i,), self.n, "vertex")
         return self.images[i - 1]
 
-    def then(self, other: "Permutation") -> "Permutation":
-        """Apply self first, then ``other``."""
+    def then(self, other: Permutation) -> Permutation:
+        """Apply self first, then ``other``, a permutation of the same 1..n."""
+        if other.n != self.n:
+            raise QuiverError(f"cannot compose permutations of 1..{self.n} and 1..{other.n}")
         return Permutation(tuple(other.images[v - 1] for v in self.images))
 
     def inverse(self) -> "Permutation":

@@ -63,7 +63,7 @@ def _oriented_cycles(q: Quiver) -> list[tuple[tuple[int, int, int], tuple[int, i
     out = []
     for a, b, _ in q.arrows:
         if a < b:
-            for c in q.neighbors(b):
+            for c in q._adj[b]:  # unchecked: neighbors() range-checks each call
                 if c > a and arrow(b, c) and arrow(c, a):
                     cyc = (a, b, c)
                     out.append((cyc if b < c else (a, c, b), cyc))
@@ -170,12 +170,13 @@ def _recognise(q: Quiver) -> tuple[
     # non-cycle arrow.  Each witness is the first vertex failing its condition.
     witness_ii = witness_iii = witness_iv = None
     for v, owners in by_vertex.items():
-        deg = q.degree(v)
+        adjacent = q._adj[v]  # unchecked, as in _oriented_cycles
+        deg = len(adjacent)
         if deg > 4:
             witness_ii = witness_ii or f"vertex {v} has {deg} neighbors"
         elif deg == 4 and witness_iii is None:
             covered = {u for i in owners for u in tris[i] if u != v}
-            if len(owners) != 2 or covered != set(q.neighbors(v)):
+            if len(owners) != 2 or covered != set(adjacent):
                 witness_iii = f"vertex {v} has 4 neighbors but not two 3-cycles"
         elif deg == 3 and len(owners) != 1:
             witness_iv = witness_iv or f"vertex {v} has 3 neighbors but {len(owners)} 3-cycles"

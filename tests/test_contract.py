@@ -57,6 +57,7 @@ RECORDS = {
     "Decomposition": tuple(gs.decompose(q) for q in QUIVERS),
     "ExchangeGraphSlice": (gs.exchange_graph(PATH),),
     "TypeAReport": (gs.is_type_a(A3), gs.is_type_a(SQUARE)),
+    "Permutation": (gs.Permutation((2, 3, 1)), gs.Permutation((2, 1)), gs.Permutation((1,))),
     "CycleTree": (gs.cycle_tree(A3), gs.cycle_tree(load("zigzag7"))),
 }
 
@@ -129,10 +130,19 @@ def _strategy(p: inspect.Parameter):
     return JUNK
 
 
-# public methods of exported classes, each bound to a real record
+# public methods of exported classes that take a vertex, a label or an
+# index, each bound to a real record; TypeAReport.condition stays out, as
+# an unknown condition name is pinned to raise KeyError, as a mapping does
 METHODS = {
     "ExtendedQuiver.entry": gs.frame(A3).entry,
     "Permutation.apply": gs.Permutation((2, 3, 1)).apply,
+    "Permutation.then": gs.Permutation((2, 3, 1)).then,
+    "Quiver.neighbors": PATH.neighbors,
+    "Decomposition.part": gs.decompose(PATH).part,
+    "EmbeddedQuiver.cycle": ZIGZAG.cycle,
+    "EmbeddedQuiver.child_at_y": ZIGZAG.child_at_y,
+    "EmbeddedQuiver.child_at_z": ZIGZAG.child_at_z,
+    "EmbeddedQuiver.is_branching": ZIGZAG.is_branching,
 }
 CALLABLES = _exports() + sorted(METHODS.items())
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -124,6 +125,16 @@ class TestDecompose:
     def test_linear_a3_splits_to_singletons(self):
         dec = gs.decompose(load("a3linear"))
         assert dec.summands == ((1,), (2,), (3,))
+
+    @pytest.mark.parametrize("p, message", [
+        (-1, "summand index -1 out of range 0..2"), (3, "summand index 3 out of range 0..2"),
+        (1.0, "summand index 1.0 is not an integer"),
+    ])
+    def test_part_refuses_an_index_outside_the_summands(self, p, message):
+        # -1 must not read the last summand
+        dec = gs.decompose(load("a3linear"))
+        with pytest.raises(gs.QuiverError, match=f"^{re.escape(message)}$"):
+            dec.part(p)
 
     def test_cross_arrows_all_forward(self):
         rng = random.Random(21)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -51,6 +52,13 @@ class TestEmbed:
         e = gs.embed(zigzag7, (5, 6, 7))
         got = [(c.label, c.up, c.x, c.y, c.z) for c in e.cycles]
         assert got == [(1, True, 6, 7, 5), (2, False, 5, 3, 4), (3, True, 3, 1, 2)]
+
+    @pytest.mark.parametrize("k", [99, 0, -1, "T1", []])
+    def test_label_lookups_refuse_a_label_with_no_cycle(self, ezig, k):
+        # the child lookups refuse as cycle() does, not with a KeyError
+        for lookup in (ezig.cycle, ezig.child_at_y, ezig.child_at_z, ezig.is_branching):
+            with pytest.raises(gs.EmbeddingError, match=f"^{re.escape(f'no cycle labelled T{k}')}$"):
+                lookup(k)
 
     def test_single_cycle_pins_rotation(self, a3cycle):
         e = gs.embed(a3cycle)
@@ -155,8 +163,8 @@ class TestEmbed:
             q, root = random_tree_quiver(rng, 10)
             e = gs.embed(q, root)
             for c in e.cycles:
-                assert q.degree(c.y) in (2, 4)
-                assert q.degree(c.z) in (2, 4)
+                assert len(q.neighbors(c.y)) in (2, 4)
+                assert len(q.neighbors(c.z)) in (2, 4)
 
     def test_standard_labelling_is_unique(self):
         # among all label orders of a small tree, exactly the constructed
@@ -272,7 +280,7 @@ class TestOutlets:
             q, root = random_tree_quiver(rng, 9)
             e = gs.embed(q, root)
             for v in gs.validate_embedding(e):
-                assert q.degree(v) == 2
+                assert len(q.neighbors(v)) == 2
 
 
 class TestBranches:

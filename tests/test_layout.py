@@ -17,11 +17,13 @@ strips.  The quiver builder that skips the constructor's checks is reached
 only from the constructor, after them, and from the parser, which makes
 them line by line.  The one mutation kernel, which changes rows in place,
 is reached only from ``quiver.py`` and from the two walks that own their
-rows, in ``green.py`` and ``matrixmodel.py``.  Every function or class the
-package exports is named somewhere in it outside its own definition, and
-every public method or property of an exported class is read as an
-attribute somewhere in it outside its own definition, or each has a stated
-reason to stay public; a member whose name another class also defines
+rows, in ``green.py`` and ``matrixmodel.py``.  A vertex given to a public
+member is range-checked by one routine, ``quiver._vertices``; the message
+of a vertex outside 1..n is built elsewhere only at a few named sites.
+Every function or class the package exports is named somewhere in it
+outside its own definition, and every public method or property of an
+exported class is read as an attribute somewhere in it outside its own
+definition, or each has a stated reason to stay public; a member whose name another class also defines
 counts as read only through ``self`` in its own class or by a stated
 reader.
 """
@@ -76,6 +78,9 @@ UNREAD_MEMBERS = {
     "Permutation.apply": "the image of one vertex, range-checked, in the paper's "
                          "1-based names: a point of sigma_k or of an induced "
                          "permutation read without the 0-based images",
+    "Quiver.neighbors": "the sorted neighbors of one vertex, range-checked; the "
+                        "recogniser reads the adjacency unchecked, where a check "
+                        "at each of its calls would cost every recognition",
     "Permutation.identity": "the identity on 1..n, the induced permutation of a "
                             "maximal green sequence that returns every vertex home",
     "Permutation.then": "composition in the right-action order the paper writes "
@@ -119,6 +124,18 @@ KERNEL_CALLERS = {
     "quiver.py": {"matrix_mutate", "apply_sequence"},
     "green.py": {"<module>", "verify_green"},
     "matrixmodel.py": {"<module>", "verify_model"},
+}
+
+
+# the message of a vertex refused as outside 1..n, and the only scopes
+# that may build it: the shared vertex routine; the mutation kernel, which
+# the walks reach unchecked; verify_green, which checks each step as its
+# walk reaches it, so that a red step before a bad one is reported first;
+# the parser, which names the line; and the Quiver constructor's arrow check
+RANGE_MESSAGE = "out of range 1.."
+RANGE_SITES = {
+    ("quiver.py", "_vertices"), ("quiver.py", "_mutate_rows"), ("quiver.py", "parse_quiver"),
+    ("quiver.py", "Quiver.__post_init__"), ("green.py", "verify_green"),
 }
 
 
@@ -290,27 +307,35 @@ def test_no_assert_statements(path):
     assert not hits, f"{path.name} has assert statements at lines {hits}"
 
 
-def _uses(tree: ast.AST, name: str) -> list[tuple[str, int]]:
-    """(enclosing def or class path, line) of every mention of ``name``,
-    other than its own definition at module level."""
-    hits = []
+def _scoped(tree: ast.AST):
+    """(enclosing def or class path, node) for every node below ``tree``;
+    the path is "" at module level and excludes the node's own name."""
     work = [(tree, "")]
     while work:
         node, scope = work.pop()
         for child in ast.iter_child_nodes(node):
+            yield scope, child
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-                if child.name == name and scope:
-                    hits.append((scope, child.lineno))
-            elif (
-                isinstance(child, ast.Name) and child.id == name
-                or isinstance(child, ast.Attribute) and child.attr == name
-                or isinstance(child, ast.alias) and name in (child.name, child.asname)
-                or isinstance(child, ast.Constant) and child.value == name
-            ):
-                hits.append((scope or "<module>", child.lineno))
             work.append((child, inner))
+
+
+def _uses(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing def or class path, line) of every mention of ``name``,
+    other than its own definition at module level."""
+    hits = []
+    for scope, child in _scoped(tree):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if child.name == name and scope:
+                hits.append((scope, child.lineno))
+        elif (
+            isinstance(child, ast.Name) and child.id == name
+            or isinstance(child, ast.Attribute) and child.attr == name
+            or isinstance(child, ast.alias) and name in (child.name, child.asname)
+            or isinstance(child, ast.Constant) and child.value == name
+        ):
+            hits.append((scope or "<module>", child.lineno))
     return sorted(hits, key=lambda hit: hit[1])
 
 
@@ -333,3 +358,15 @@ def test_only_the_walks_reach_the_kernel(path):
         assert {scope for scope, _ in uses} == KERNEL_CALLERS[path.name], uses
     else:
         assert not uses, f"{path.name} reaches {KERNEL}: {uses}"
+
+
+def test_one_routine_checks_a_vertex_range():
+    # a public member takes its vertices through quiver._vertices, so no
+    # copy of its range check comes back
+    sites = {
+        (path.name, scope) for path in MODULES for scope, node in _scoped(_tree(path))
+        if isinstance(node, ast.JoinedStr) and any(
+            isinstance(part, ast.Constant) and RANGE_MESSAGE in part.value for part in node.values
+        )
+    }
+    assert sites == RANGE_SITES

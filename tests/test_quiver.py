@@ -79,7 +79,7 @@ class TestQuiverBasics:
             q = random_quiver(rng, max_n=9)
             for v in range(1, q.n + 1):
                 scan = {d for s, d, _ in q.arrows if s == v} | {s for s, d, _ in q.arrows if d == v}
-                assert q.neighbors(v) == tuple(sorted(scan)) and q.degree(v) == len(scan)
+                assert q.neighbors(v) == tuple(sorted(scan))
                 for w in range(1, q.n + 1):
                     mult = sum(m for s, d, m in q.arrows if (s, d) == (v, w))
                     assert q.multiplicity(v, w) == mult
@@ -440,6 +440,44 @@ class TestRefusals:
         with pytest.raises(gs.QuiverError, match=r"^vertex 4 out of range 1\.\.3$"):
             gs.vertex_color(eq, 4)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda q, eq: gs.subquiver(q, [9, "a"]), "vertex 'a' is not an integer"),
+        (lambda q, eq: eq.entry(99, "x"), "vertex 'x' is not an integer"),
+        (lambda q, eq: eq.entry(99, "x", frozen=True), "vertex 'x' is not an integer"),
+        (lambda q, eq: eq.entry(99, 4, frozen=True), "vertex 99 out of range 1..3"),
+        (lambda q, eq: eq.entry(1, 4, frozen=True), "frozen vertex 4 out of range 1..3"),
+        (lambda q, eq: eq.entry(1, 4), "vertex 4 out of range 1..3"),
+        (lambda q, eq: gs.mutate(q, 4), "mutation vertex 4 out of range 1..3"),
+        (lambda q, eq: gs.matrix_mutate(eq, 4),
+         "mutation vertex 4 is frozen or out of range 1..3"),
+        (lambda q, eq: gs.apply_sequence(eq, [1, 9]),
+         "mutation vertex 9 is frozen or out of range 1..3"),
+    ], ids=["subquiver", "entry", "entry-frozen", "entry-row-first", "entry-frozen-column",
+            "entry-column", "mutate", "matrix-mutate", "apply-sequence"])
+    def test_every_value_is_an_integer_before_any_is_range_checked(self, call, message):
+        # a non-integer anywhere is named ahead of an out-of-range value
+        # before it, and the row ahead of the column
+        q = gs.Quiver(3, ((1, 2, 1), (2, 3, 1)))
+        with pytest.raises(gs.QuiverError, match=f"^{re.escape(message)}$"):
+            call(q, gs.frame(q))
+
+    @pytest.mark.parametrize("v, message", [
+        (-1, "vertex -1 out of range 1..3"), (0, "vertex 0 out of range 1..3"),
+        (4, "vertex 4 out of range 1..3"), (1.0, "vertex 1.0 is not an integer"),
+    ])
+    def test_neighbors_refuses_a_vertex_outside_1_to_n(self, v, message):
+        # -1 must not read the neighbors of n, nor 0 the empty slot
+        with pytest.raises(gs.QuiverError, match=f"^{re.escape(message)}$"):
+            gs.Quiver(3, ((1, 2, 1), (2, 3, 1))).neighbors(v)
+
+    def test_quiver_refuses_a_vertex_count_above_the_limit(self):
+        # refused before anything is allocated per vertex, in the parser's words
+        limit = gs.quiver.MAX_VERTICES
+        message = rf"^vertex count {limit + 1} exceeds the limit {limit}$"
+        with pytest.raises(gs.QuiverError, match=message):
+            gs.Quiver(limit + 1, ())
+        assert gs.Quiver(limit, ()).n == limit
+
     def test_extended_quiver_refuses_a_block_that_is_not_skew_symmetric(self):
         with pytest.raises(gs.QuiverError, match=r"^mutable block is not skew-symmetric$"):
             gs.ExtendedQuiver(2, 0, [[0, 1], [1, 0]])
@@ -480,6 +518,13 @@ class TestPermutation:
         first = from_cycle(3, (1, 2))
         second = from_cycle(3, (2, 3))
         assert first.then(second).apply(1) == 3  # 1 -> 2 -> 3
+
+    def test_then_refuses_a_permutation_of_another_size(self):
+        # neither a silent (2, 1) nor an IndexError
+        short, long = gs.Permutation((2, 1)), gs.Permutation((1, 2, 3))
+        for first, second, sizes in ((short, long, "1..2 and 1..3"), (long, short, "1..3 and 1..2")):
+            with pytest.raises(gs.QuiverError, match=f"^cannot compose permutations of {sizes}$"):
+                first.then(second)
 
     def test_inverse_roundtrip(self):
         rng = random.Random(0)

@@ -96,7 +96,7 @@ class TestIsTypeA:
                 bad = gs.Quiver.from_arrows(q.n, list(q.arrows) + [(s, d)])
             elif mode < 0.67:
                 # fifth neighbor at a degree-4 vertex via a fresh vertex
-                victims = [v for v in range(1, q.n + 1) if q.degree(v) == 4]
+                victims = [v for v in range(1, q.n + 1) if len(q.neighbors(v)) == 4]
                 if not victims:
                     continue
                 v = victims[rng.randrange(len(victims))]
@@ -176,13 +176,14 @@ class TestConditionOneOracle:
             want = {"ii": None, "iii": None, "iv": None}
             for v in range(q.n, 0, -1):
                 mine = [t for t in tris if v in t]
-                if q.degree(v) > 4:
-                    want["ii"] = f"vertex {v} has {q.degree(v)} neighbors"
-                elif q.degree(v) == 4 and not (
+                deg = len(q.neighbors(v))
+                if deg > 4:
+                    want["ii"] = f"vertex {v} has {deg} neighbors"
+                elif deg == 4 and not (
                     len(mine) == 2 and set.union(*mine) - {v} == set(q.neighbors(v))
                 ):
                     want["iii"] = f"vertex {v} has 4 neighbors but not two 3-cycles"
-                elif q.degree(v) == 3 and len(mine) != 1:
+                elif deg == 3 and len(mine) != 1:
                     want["iv"] = f"vertex {v} has 3 neighbors but {len(mine)} 3-cycles"
             report = gs.is_type_a(q)
             for name, witness in want.items():
@@ -246,19 +247,20 @@ def _cycle_tree_oracle(q: gs.Quiver):
     cycles = _simple_cycles(q)
     triangles = tuple(sorted(tuple(sorted(c)) for c in cycles if _is_oriented_triangle(q, c)))
     through = {v: sum(v in t for t in triangles) for v in range(1, q.n + 1)}
+    deg = {v: len(q.neighbors(v)) for v in through}
     type_a = (
         all(m == 1 for _, _, m in q.arrows)
         and len(triangles) == len(cycles)
-        and all(q.degree(v) <= 4 for v in through)
-        and all(through[v] == 2 for v in through if q.degree(v) == 4)
-        and all(through[v] == 1 for v in through if q.degree(v) == 3)
+        and all(deg[v] <= 4 for v in through)
+        and all(through[v] == 2 for v in through if deg[v] == 4)
+        and all(through[v] == 1 for v in through if deg[v] == 3)
     )
     if not type_a:
         return gs.NotTypeAError, triangles
     if not triangles:
         return gs.NoCyclesError, triangles
     on_no_cycle = any(not any({s, d} <= set(t) for t in triangles) for s, d, _ in q.arrows)
-    isolated = any(q.degree(v) == 0 for v in through)
+    isolated = any(deg[v] == 0 for v in through)
     disconnected = any(_distance(q, 1, v) == 10**6 for v in through)
     if on_no_cycle or isolated or disconnected:
         return gs.NotIrreducibleError, triangles
@@ -375,7 +377,7 @@ class TestCycleTree:
             assert q.n == 2 * n_cycles + 1
             assert len(tree.edges) == n_cycles - 1
             for v in range(1, q.n + 1):
-                assert q.degree(v) in (2, 4)
+                assert len(q.neighbors(v)) in (2, 4)
 
 
     def test_adjacency_matches_edge_scan(self):
