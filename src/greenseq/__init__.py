@@ -60,6 +60,7 @@ from .embedding import (
     EmbeddedCycle,
     EmbeddedQuiver,
     EmbeddingError,
+    StageParts,
     base_cycle,
     branches,
     closing_vertex,
@@ -68,9 +69,10 @@ from .embedding import (
     embedding_report,
     hanging_chain,
     northeast_region,
+    stage_parts,
     validate_embedding,
 )
-from .assocseq import PipelineResult, StageParts, associated_sequence, mgs_for_type_a, stage_parts
+from .assocseq import PipelineResult, associated_sequence, mgs_for_type_a
 from .permmodel import PermIdentityReport, check_permutation_identities
 from .matrixmodel import ModelReport, verify_model
 

@@ -4,8 +4,8 @@ Stage 0 mutates x1.  Stage k >= 1 runs four parts, applied in order D, C,
 B, A: D mutates y_k then z_k; C walks the descent path's x vertices (empty
 for an upward cycle); B mutates the closing vertex of the cycle just below
 the base cycle (empty when the base cycle is T1); A mutates the closing
-vertex of T_k.  Concatenating stages 0..n gives a maximal green sequence
-of the whole quiver.
+vertex of T_k.  The parts are ``embedding.stage_parts``; concatenating
+stages 0..n gives a maximal green sequence of the whole quiver.
 
 For a general type-A quiver the pipeline decomposes into irreducible
 summands, handles each (embedded construction when it has a 3-cycle,
@@ -17,47 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .directsum import Decomposition, concat_mgs, decompose
-from .embedding import (
-    EmbeddedQuiver,
-    EmbeddingError,
-    base_cycle,
-    closing_vertex,
-    descent_path,
-    embed,
-)
+from .embedding import EmbeddedQuiver, embed, stage_parts
 from .green import GreenTrace, NotAcyclicError, acyclic_mgs
-from .quiver import Quiver, _index
+from .quiver import Quiver
 from .typea import NotTypeAError
-
-
-@dataclass(frozen=True)
-class StageParts:
-    """The four sub-sequences of one stage, each in application order."""
-
-    k: int
-    d: tuple[int, ...]
-    c: tuple[int, ...]
-    b: tuple[int, ...]
-    a: tuple[int, ...]
-
-    def sequence(self) -> tuple[int, ...]:
-        return self.d + self.c + self.b + self.a
-
-
-def stage_parts(e: EmbeddedQuiver, k: int) -> StageParts:
-    """Parts of stage k; stage 0 is the single mutation at x1."""
-    k = _index(k, "stage")
-    if not 0 <= k <= e.n_cycles:
-        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
-    if k == 0:
-        return StageParts(0, (), (), (), (e.cycle(1).x,))
-    cyc = e.cycle(k)
-    d = (cyc.y, cyc.z)
-    c = tuple(e.cycle(j).x for j in descent_path(e, k))
-    r = base_cycle(e, k)
-    b = () if r == 1 else (closing_vertex(e, r - 1),)
-    a = (closing_vertex(e, k),)
-    return StageParts(k, d, c, b, a)
 
 
 def associated_sequence(e: EmbeddedQuiver) -> tuple[int, ...]:

@@ -16,14 +16,19 @@ The outlet list tracks where further cycles may legally attach while
 replaying the construction: attaching downward at an outlet other than the
 last cycle's free pair starts a new branch and removes every outlet
 northeast of it.
+
+Stage k is defined by the embedding alone, so its parts (``stage_parts``),
+its mutation order and tau_k (``_stage_fold``) and sigma_k
+(``_sigma_stream``) are worked out here, for the stage models to read.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .quiver import Quiver, QuiverError, _exact_ints
+from .quiver import Quiver, QuiverError, _exact_ints, _index
 from .typea import cycle_tree, leaf_cycles
 
 
@@ -61,9 +66,9 @@ class EmbeddedQuiver:
     (``matrixmodel``), which derives them once per walk.  Each cycle's base
     cycle, descent path, hanging chain and closing vertex come from one
     climb of its parents, kept by the first call that asks for one of
-    them, and the stage fold by ``permmodel``'s first use of it, so
-    ``embed`` alone pays for neither; the outlet list is kept by the first
-    ``validate_embedding`` that accepts the embedding.
+    them, and the stage fold by its first use, so ``embed`` alone pays for
+    neither; the outlet list is kept by the first ``validate_embedding``
+    that accepts the embedding.
     """
 
     def __init__(self, quiver: Quiver, cycles: Sequence[EmbeddedCycle]):
@@ -89,29 +94,27 @@ class EmbeddedQuiver:
         return len(self.cycles)
 
     def cycle(self, k: int) -> EmbeddedCycle:
+        """The cycle labelled T_k: the one checked read of a label, which the
+        child lookups share.  It takes an int, in one class test and one
+        dict read, or a value ``operator.index`` takes; anything else, and a
+        label with no cycle, is refused."""
         try:
-            return self._by_label[k]
-        except (KeyError, TypeError):  # TypeError: k is unhashable
+            return self._by_label[k if k.__class__ is int else operator.index(k)]
+        except (KeyError, TypeError):  # TypeError: k is no index
             raise EmbeddingError(f"no cycle labelled T{k}") from None
 
     def child_at_y(self, k: int) -> int | None:
-        try:
-            return self._child_y[k]
-        except (KeyError, TypeError):
-            raise EmbeddingError(f"no cycle labelled T{k}") from None
+        return self._child_y[self.cycle(k).label]
 
     def child_at_z(self, k: int) -> int | None:
-        try:
-            return self._child_z[k]
-        except (KeyError, TypeError):
-            raise EmbeddingError(f"no cycle labelled T{k}") from None
+        return self._child_z[self.cycle(k).label]
 
     def is_branching(self, k: int) -> bool:
         c = self.cycle(k)
         return (
             c.parent is not None
-            and self.child_at_y(k) is not None
-            and self.child_at_z(k) is not None
+            and self._child_y[c.label] is not None
+            and self._child_z[c.label] is not None
         )
 
     def __eq__(self, other: object) -> bool:
@@ -357,3 +360,77 @@ def embedding_report(e: EmbeddedQuiver) -> str:
         span = f"T{lo}" if lo == hi else f"T{lo}..T{hi}"
         lines.append(f"branch S({i}): {span}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Stages
+
+
+@dataclass(frozen=True)
+class StageParts:
+    """The four sub-sequences of one stage, each in application order."""
+
+    k: int
+    d: tuple[int, ...]
+    c: tuple[int, ...]
+    b: tuple[int, ...]
+    a: tuple[int, ...]
+
+    def sequence(self) -> tuple[int, ...]:
+        return self.d + self.c + self.b + self.a
+
+
+def stage_parts(e: EmbeddedQuiver, k: int) -> StageParts:
+    """Parts of stage k; stage 0 is the single mutation at x1."""
+    k = _index(k, "stage")
+    if not 0 <= k <= e.n_cycles:
+        raise EmbeddingError(f"stage {k} out of range 0..{e.n_cycles}")
+    if k == 0:
+        return StageParts(0, (), (), (), (e.cycle(1).x,))
+    cyc = e.cycle(k)
+    d = (cyc.y, cyc.z)
+    c = tuple(e.cycle(j).x for j in descent_path(e, k))
+    r = base_cycle(e, k)
+    b = () if r == 1 else (closing_vertex(e, r - 1),)
+    a = (closing_vertex(e, k),)
+    return StageParts(k, d, c, b, a)
+
+
+def _stage_fold(e: EmbeddedQuiver) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
+    """(mutation order, tau_k) for every stage k = 0..n, worked out on first
+    use and kept on ``e``.  tau_k cycles the order with its first step
+    dropped (the identity for stage 0, the single mutation at x1), kept as
+    the map of the points it moves to their images; a vertex named twice
+    takes its last image.  An order that names a vertex outside 1..n, or
+    whose cycle is not a permutation, is refused."""
+    fold = e._stage_fold
+    if fold is None:
+        n = e.quiver.n
+        stages = []
+        for k in range(e.n_cycles + 1):
+            seq = stage_parts(e, k).sequence()
+            cycle = seq[1:]
+            tau = dict(zip(cycle, cycle[1:] + cycle[:1]))
+            if not (1 <= min(seq) and max(seq) <= n and tau.keys() == set(tau.values())):
+                raise EmbeddingError(f"stage {k} order {seq} does not permute vertices of 1..{n}")
+            stages.append((seq, {v: w for v, w in tau.items() if v != w}))
+        # racing threads build equal folds, so either may be kept
+        fold = e._stage_fold = tuple(stages)
+    return fold
+
+
+def _sigma_stream(
+    e: EmbeddedQuiver,
+) -> Iterator[tuple[int, tuple[int, ...], dict[int, int], list[int], list[int]]]:
+    """Yield ``(k, sequence, tau, sigma, sigma_inv)`` for k = 0..n, the last
+    two listing the images of 1..n under sigma_k and its inverse: one pair
+    of lists, changed at each stage only where tau_k moves a point."""
+    n = e.quiver.n
+    sigma = list(range(1, n + 1))
+    inv = list(range(1, n + 1))
+    for k, (seq, tau) in enumerate(_stage_fold(e)):
+        moved = [sigma[w - 1] for w in tau.values()]
+        for v, image in zip(tau, moved):
+            sigma[v - 1] = image
+            inv[image - 1] = v
+        yield k, seq, tau, sigma, inv

@@ -12,12 +12,12 @@ form.
 ``_kept_prediction`` is the one reading of this model: it keeps the
 prediction as the walk keeps the actual state, one list of sparse rows
 from the framing through every stage, with sigma_k streamed from
-``permmodel``.  It derives the stage facts it reads in one pass over the
-cycles, and the pending cycles as their anchors are processed; a stage
-rebuilds only the rows whose role changes.  The composite entries are
-the rows' entries at frontier rows, and the c-vectors the frozen parts
-of those rows.  ``verify_model`` compares the rows at every stage with
-direct mutation of rows it owns.
+``embedding``, which owns the stages.  It derives the stage facts it
+reads in one pass over the cycles, and the pending cycles as their
+anchors are processed; a stage rebuilds only the rows whose role
+changes.  The composite entries are the rows' entries at frontier rows,
+and the c-vectors the frozen parts of those rows.  ``verify_model``
+compares the rows at every stage with direct mutation of rows it owns.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from typing import Iterator
 from .embedding import (
     EmbeddedQuiver,
     EmbeddingError,
+    _sigma_stream,
     base_cycle,
     closing_vertex,
     descent_path,
     hanging_chain,
 )
-from .permmodel import _sigma_stream
 from .quiver import _frame_rows, _mutate_rows
 
 
@@ -127,6 +127,7 @@ def _kept_prediction(
     # (x1 at 0, y_k and z_k at k, any other x at its parent's), the rows
     # each stage rebuilds, and the pending labels by entry stage (a parent
     # label with no cycle is refused by the walks that read it)
+    labels = {c.label for c in e.cycles}
     owner: dict[int, int] = {}
     roles: dict[int, set[int]] = {}
     entering: dict[int, list[int]] = {}
@@ -138,7 +139,7 @@ def _kept_prediction(
                 roles.setdefault(first, set()).add(v - 1)
         anchor = c.parent
         if (
-            not c.up and c.parent_role == "z" and anchor in e._by_label
+            not c.up and c.parent_role == "z" and anchor in labels
             and anchor < c.label and e.is_branching(anchor)
         ):
             entering.setdefault(anchor, []).append(c.label)
@@ -148,12 +149,10 @@ def _kept_prediction(
         own = [owner[v] for v in range(1, n + 1)]
     except KeyError as exc:
         raise EmbeddingError(f"vertex {exc.args[0]} lies on no cycle") from None
-    b0: list[dict[int, int]] = [{} for _ in range(n)]
-    for s, d, m in q.arrows:
-        b0[s - 1][d - 1] = m
-        b0[d - 1][s - 1] = -m
-    active: dict[int, PendingCycle] = {}
     rows = _frame_rows(q)
+    # Q's mutable block, kept apart from the rows changed in place
+    b0 = [{c: m for c, m in row.items() if c < n} for row in rows]
+    active: dict[int, PendingCycle] = {}
     for k, seq, tau, sigma, inv in _sigma_stream(e):
         # a pending cycle's label and progress fix its entries; one that
         # leaves is T_k, whose rows are rebuilt anyway

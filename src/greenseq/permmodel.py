@@ -7,68 +7,25 @@ first, then tau_{k-1}, and so on down to tau_1; after the last stage it
 equals the permutation induced by the whole sequence, which is checked
 against ground truth in the test suite.
 
-``_stage_fold`` is the one fold of the stages, kept per embedding: each
-stage's mutation order and tau_k.  ``_sigma_stream`` walks it, changing
-sigma_k and its inverse in place in time linear in the stage, for
-``matrixmodel`` and for ``check_permutation_identities``, which evaluates
-the fixed-point and action identities these permutations satisfy on a
-concrete embedding and reports any violation with a witness.
+``check_permutation_identities`` streams sigma_k and its inverse from
+``embedding``, which owns the stages, to evaluate the fixed-point and
+action identities these permutations satisfy on a concrete embedding,
+and reports any violation with a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .assocseq import stage_parts
 from .embedding import (
     EmbeddedQuiver,
-    EmbeddingError,
+    _sigma_stream,
+    _stage_fold,
     base_cycle,
     closing_vertex,
     descent_path,
     northeast_region,
 )
-
-
-def _stage_fold(e: EmbeddedQuiver) -> tuple[tuple[tuple[int, ...], dict[int, int]], ...]:
-    """(mutation order, tau_k) for every stage k = 0..n, worked out on first
-    use and kept on ``e``.  tau_k cycles the order with its first step
-    dropped (the identity for stage 0, the single mutation at x1), kept as
-    the map of the points it moves to their images; a vertex named twice
-    takes its last image.  An order that names a vertex outside 1..n, or
-    whose cycle is not a permutation, is refused."""
-    fold = e._stage_fold
-    if fold is None:
-        n = e.quiver.n
-        stages = []
-        for k in range(e.n_cycles + 1):
-            seq = stage_parts(e, k).sequence()
-            cycle = seq[1:]
-            tau = dict(zip(cycle, cycle[1:] + cycle[:1]))
-            if not (1 <= min(seq) and max(seq) <= n and tau.keys() == set(tau.values())):
-                raise EmbeddingError(f"stage {k} order {seq} does not permute vertices of 1..{n}")
-            stages.append((seq, {v: w for v, w in tau.items() if v != w}))
-        # racing threads build equal folds, so either may be kept
-        fold = e._stage_fold = tuple(stages)
-    return fold
-
-
-def _sigma_stream(
-    e: EmbeddedQuiver,
-) -> Iterator[tuple[int, tuple[int, ...], dict[int, int], list[int], list[int]]]:
-    """Yield ``(k, sequence, tau, sigma, sigma_inv)`` for k = 0..n, the last
-    two listing the images of 1..n under sigma_k and its inverse: one pair
-    of lists, changed at each stage only where tau_k moves a point."""
-    n = e.quiver.n
-    sigma = list(range(1, n + 1))
-    inv = list(range(1, n + 1))
-    for k, (seq, tau) in enumerate(_stage_fold(e)):
-        moved = [sigma[w - 1] for w in tau.values()]
-        for v, image in zip(tau, moved):
-            sigma[v - 1] = image
-            inv[image - 1] = v
-        yield k, seq, tau, sigma, inv
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import re
@@ -21,6 +22,12 @@ from helpers import (
     walked_hanging_chain,
     walked_pending_set,
     with_cycle,
+)
+
+
+# the public reads of a cycle's geometry, each taking a label
+GEOMETRY_READS = (
+    gs.base_cycle, gs.descent_path, gs.hanging_chain, gs.closing_vertex, gs.northeast_region,
 )
 
 
@@ -53,12 +60,34 @@ class TestEmbed:
         got = [(c.label, c.up, c.x, c.y, c.z) for c in e.cycles]
         assert got == [(1, True, 6, 7, 5), (2, False, 5, 3, 4), (3, True, 3, 1, 2)]
 
-    @pytest.mark.parametrize("k", [99, 0, -1, "T1", []])
+    @pytest.mark.parametrize("k", [99, 0, -1, "T1", [], 1.0, 2.0])
     def test_label_lookups_refuse_a_label_with_no_cycle(self, ezig, k):
-        # the child lookups refuse as cycle() does, not with a KeyError
-        for lookup in (ezig.cycle, ezig.child_at_y, ezig.child_at_z, ezig.is_branching):
+        # the child lookups and the geometry refuse as cycle() does, not
+        # with a KeyError; a float equal to a label is not an index
+        for lookup in (
+            ezig.cycle, ezig.child_at_y, ezig.child_at_z, ezig.is_branching,
+            *(functools.partial(read, ezig) for read in GEOMETRY_READS),
+        ):
             with pytest.raises(gs.EmbeddingError, match=f"^{re.escape(f'no cycle labelled T{k}')}$"):
                 lookup(k)
+
+    def test_parent_label_with_no_cycle_is_refused(self, ezig):
+        # T3 names parent 99 by hand: the child lookups refuse the label
+        # 99 as cycle() does, though T3 hangs at its z
+        bad = with_cycle(ezig, 3, parent=99)
+        for lookup in (bad.cycle, bad.child_at_y, bad.child_at_z, bad.is_branching):
+            with pytest.raises(gs.EmbeddingError, match="^no cycle labelled T99$"):
+                lookup(99)
+
+    def test_bool_label_reads_t1(self, ezig):
+        # True is an index, as it is for a vertex, and 1.0 is not
+        with pytest.raises(gs.EmbeddingError, match=r"^no cycle labelled T1\.0$"):
+            ezig.cycle(1.0)
+        assert ezig.cycle(True) is ezig.cycle(1)
+        assert ezig.child_at_y(True) is None and ezig.child_at_z(True) == 2
+        assert not ezig.is_branching(True)
+        for read in GEOMETRY_READS:
+            assert read(ezig, True) == read(ezig, 1)
 
     def test_single_cycle_pins_rotation(self, a3cycle):
         e = gs.embed(a3cycle)
@@ -110,6 +139,10 @@ class TestEmbed:
             e = gs.embed(q, root)
             assert gs.embed(q, root) == e
             gs.validate_embedding(e)
+
+    def test_equal_only_to_an_embedding(self, ezig):
+        assert ezig.__eq__(ezig.quiver) is NotImplemented
+        assert ezig != ezig.quiver and ezig != ezig.cycles
 
     def test_long_chain_past_recursion_limit(self, tmp_path, capsys):
         # 1,200 3-cycles, each hung on the newest vertex of the one before:
@@ -296,6 +329,9 @@ class TestBranches:
 
     def test_single_branch(self, ezig):
         assert [b.labels for b in gs.branches(ezig)] == [(1, 2, 3)]
+
+    def test_no_cycles_no_branches(self, a3cycle):
+        assert gs.branches(gs.EmbeddedQuiver(a3cycle, ())) == ()
 
     def test_partition(self):
         rng = random.Random(27)

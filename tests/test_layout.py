@@ -20,6 +20,11 @@ is reached only from ``quiver.py`` and from the two walks that own their
 rows, in ``green.py`` and ``matrixmodel.py``.  A vertex given to a public
 member is range-checked by one routine, ``quiver._vertices``; the message
 of a vertex outside 1..n is built elsewhere only at a few named sites.
+One module owns the stages: the stage parts, the fold and the sigma stream
+live in ``embedding.py`` beside the geometry, and the stage models import
+them from there, neither from the other nor from the pipeline.  No other
+module names an embedding's private state, and a cycle label is read, and
+its refusal built, in ``EmbeddedQuiver.cycle`` alone.
 Every function or class the package exports is named somewhere in it
 outside its own definition, and every public method or property of an
 exported class is read as an attribute somewhere in it outside its own
@@ -109,7 +114,7 @@ SHARED_NAME_READS = {
     "ModelReport.text": "model-check in cli.py prints verify_model's report",
     "PermIdentityReport.text": "model-check --permutations in cli.py prints "
                                "check_permutation_identities' report",
-    "StageParts.sequence": "associated_sequence and the stage fold in permmodel.py "
+    "StageParts.sequence": "associated_sequence and the stage fold in embedding.py "
                            "read stage_parts(e, k).sequence()",
 }
 
@@ -137,6 +142,21 @@ RANGE_SITES = {
     ("quiver.py", "_vertices"), ("quiver.py", "_mutate_rows"), ("quiver.py", "parse_quiver"),
     ("quiver.py", "Quiver.__post_init__"), ("green.py", "verify_green"),
 }
+
+# the message of a label with no cycle, built only in the one checked read
+LABEL_MESSAGE = "no cycle labelled"
+LABEL_SITES = {("embedding.py", "EmbeddedQuiver.cycle")}
+
+# an embedding's kept state, which only embedding.py reads or writes as an
+# attribute: the cycles by label, the children, the geometry, the stage
+# fold and the outlet list (the functions that keep the geometry and the
+# fold share their names, and the stage models import the fold)
+EMBEDDING_PRIVATE = ("_by_label", "_child_y", "_child_z", "_geometry", "_stage_fold", "_outlets")
+
+# the package modules each stage model may import from: the stage facts
+# come from embedding alone, so neither model imports the other, nor the
+# pipeline in assocseq and what it pulls in
+MODEL_IMPORTS = {"permmodel.py": {"embedding"}, "matrixmodel.py": {"embedding", "quiver"}}
 
 
 def _tree(path: Path) -> ast.AST:
@@ -360,13 +380,41 @@ def test_only_the_walks_reach_the_kernel(path):
         assert not uses, f"{path.name} reaches {KERNEL}: {uses}"
 
 
+def _message_sites(message: str) -> set[tuple[str, str]]:
+    """(module file, enclosing scope) of every f-string that builds ``message``."""
+    return {
+        (path.name, scope) for path in MODULES for scope, node in _scoped(_tree(path))
+        if isinstance(node, ast.JoinedStr) and any(
+            isinstance(part, ast.Constant) and message in part.value for part in node.values
+        )
+    }
+
+
 def test_one_routine_checks_a_vertex_range():
     # a public member takes its vertices through quiver._vertices, so no
     # copy of its range check comes back
-    sites = {
-        (path.name, scope) for path in MODULES for scope, node in _scoped(_tree(path))
-        if isinstance(node, ast.JoinedStr) and any(
-            isinstance(part, ast.Constant) and RANGE_MESSAGE in part.value for part in node.values
-        )
+    assert _message_sites(RANGE_MESSAGE) == RANGE_SITES
+
+
+def test_one_read_checks_a_cycle_label():
+    # the child lookups and the geometry read a label through
+    # EmbeddedQuiver.cycle, so no copy of its refusal comes back
+    assert _message_sites(LABEL_MESSAGE) == LABEL_SITES
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "embedding.py"], ids=lambda p: p.name)
+def test_embedding_state_named_only_in_embedding(path):
+    hits = [
+        f"line {node.lineno}: .{node.attr}" for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Attribute) and node.attr in EMBEDDING_PRIVATE
+    ]
+    assert not hits, f"{path.name} names an embedding's private state: {hits}"
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_IMPORTS))
+def test_stage_models_import_the_stages_from_embedding(name):
+    imported = {
+        node.module for node in ast.walk(_tree(SRC / name))
+        if isinstance(node, ast.ImportFrom) and node.level
     }
-    assert sites == RANGE_SITES
+    assert imported <= MODEL_IMPORTS[name], f"{name} imports {sorted(imported)}"

@@ -334,12 +334,12 @@ class TestVerifyModel:
             return counted
 
         monkeypatch.setattr(
-            gs.permmodel, "stage_parts", counting(parts, gs.permmodel.stage_parts)
+            gs.embedding, "stage_parts", counting(parts, gs.embedding.stage_parts)
         )
         monkeypatch.setattr(
             gs.matrixmodel, "hanging_chain", counting(chains, gs.matrixmodel.hanging_chain)
         )
-        stream = counting(streams, gs.permmodel._sigma_stream)
+        stream = counting(streams, gs.embedding._sigma_stream)
         monkeypatch.setattr(gs.permmodel, "_sigma_stream", stream)
         monkeypatch.setattr(gs.matrixmodel, "_sigma_stream", stream)
         out = io.StringIO()
@@ -462,7 +462,7 @@ class TestStreamedModel:
             c1, gs.EmbeddedCycle(2, True, c1.x, c2.y, c2.z, 1, "y"), c3,
         ])
         assert gs.stage_parts(bad, 2).sequence() == (4, 5, 1, 1)
-        assert gs.permmodel._stage_fold(bad)[2][1] == {5: 1, 1: 5}
+        assert gs.embedding._stage_fold(bad)[2][1] == {5: 1, 1: 5}
         assert self._same_as_references(bad) == (False, False)
 
     def test_crafted_stages_match_references(self, t16, monkeypatch):
@@ -478,7 +478,7 @@ class TestStreamedModel:
                 return gs.StageParts(k, (), (), (), (t16.cycle(k).y, v, w))
             return real(e, k)
 
-        monkeypatch.setattr(gs.permmodel, "stage_parts", crafted)
+        monkeypatch.setattr(gs.embedding, "stage_parts", crafted)
         monkeypatch.setattr(gs, "stage_parts", crafted)
         e = gs.EmbeddedQuiver(t16.quiver, t16.cycles)
         assert self._same_as_references(e) == (False, False)

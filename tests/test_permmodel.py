@@ -86,24 +86,24 @@ class TestStagePermutation:
             tau = stage_rotation(t16, k)
             sigma = tau.then(sigma)
             assert table[k] == (gs.stage_parts(t16, k).sequence(), tau, sigma, sigma.inverse())
-        fold = gs.permmodel._stage_fold(t16)
+        fold = gs.embedding._stage_fold(t16)
         for (seq, tau), stage in zip(fold, table, strict=True):
             assert seq == stage.sequence
             assert tau == {v: w for v, w in enumerate(stage.tau.images, 1) if v != w}
-        for k, seq, tau, sigma, inv in gs.permmodel._sigma_stream(t16):
+        for k, seq, tau, sigma, inv in gs.embedding._sigma_stream(t16):
             assert (tuple(sigma), tuple(inv)) == (table[k].sigma.images, table[k].sigma_inv.images)
 
     def test_stage_fold_built_once(self, t16, monkeypatch):
         # the stage models and the identity check, and a second walk of
         # the prediction, fold the stages once, for the fold kept on t16
         calls = []
-        original = gs.permmodel.stage_parts
+        original = gs.embedding.stage_parts
 
         def counted(e, k):
             calls.append(k)
             return original(e, k)
 
-        monkeypatch.setattr(gs.permmodel, "stage_parts", counted)
+        monkeypatch.setattr(gs.embedding, "stage_parts", counted)
         gs.verify_model(t16)
         gs.check_permutation_identities(t16)
         assert len(walk_pending(t16)) == 17
@@ -112,7 +112,7 @@ class TestStagePermutation:
     def test_out_of_range_stage_rejected(self, t15):
         # sigma_k exists for k = 0..n only: the walk yields those stages,
         # and with the fold built, -1 must still not read as the last stage
-        assert [k for k, *_ in gs.permmodel._sigma_stream(t15)] == list(range(16))
+        assert [k for k, *_ in gs.embedding._sigma_stream(t15)] == list(range(16))
         for k in (-1, t15.n_cycles + 1):
             with pytest.raises(gs.EmbeddingError, match=rf"^stage {k} out of range 0\.\.15$"):
                 gs.stage_parts(t15, k)

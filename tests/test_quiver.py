@@ -7,6 +7,7 @@ import hashlib
 import pickle
 import random
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,13 @@ class TestExtended:
         assert gs.vertex_color(eq, 3) == "green"
         # frozen block: row 1 negated, rows 2 and 3 by the formula
         assert extended_part(eq) == ((-1, 0, 0), (0, 1, 0), (1, 0, 1))
+
+    def test_state_is_frozen_compared_and_shown(self):
+        eq = gs.ExtendedQuiver(1, 1, [[0, 1]])
+        with pytest.raises(FrozenInstanceError, match=r"^cannot delete field 'n'$"):
+            del eq.n
+        assert eq.__eq__(eq.rows) is NotImplemented and eq != eq.rows
+        assert repr(eq) == "ExtendedQuiver(n=1, m=1, rows=((0, 1),))"
 
     def test_mutating_frozen_rejected(self, a3cycle):
         with pytest.raises(gs.QuiverError, match="frozen or out of range"):
