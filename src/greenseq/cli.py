@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import assocseq, directsum, embedding, green, matrixmodel, permmodel, quiver, typea
 from .quiver import QuiverError, QuiverParseError
@@ -162,15 +161,15 @@ def cmd_enumerate(args) -> int:
 def cmd_graph(args) -> int:
     q = _load(args.quiver)
     slice_ = green.exchange_graph(q, args.max_nodes)
-    dot = green.exchange_graph_dot(slice_)
     if args.dot:
         try:
-            Path(args.dot).write_text(dot, encoding="utf-8")
+            with open(args.dot, "w", encoding="utf-8") as f:
+                f.writelines(green._dot_lines(slice_))
         except OSError as exc:
             sys.stderr.write(f"error: cannot write {args.dot}: {exc}\n")
             return 2
     else:
-        sys.stdout.write(dot)
+        sys.stdout.writelines(green._dot_lines(slice_))
     sys.stdout.write(
         f"nodes={len(slice_.nodes)} edges={len(slice_.edges)} "
         f"sinks={len(slice_.sinks)} chains={slice_.maximal_chain_count()}\n"

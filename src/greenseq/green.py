@@ -12,11 +12,13 @@ at the end, or at the violating step.
 The census search and the exchange graph walk one store of green states,
 ``_GreenStates``: every state a call reaches from the framing, held once and
 keyed by its c-vectors, each interned to a small id whose colour is read
-once.  A mutation re-keys only the rows whose c-vector it changes, and a
-state is mutated, through ``matrix_mutate``, at most once per green vertex:
+once.  A mutation re-keys only the rows whose c-vector it changes, taking
+each new id from ids, and a state is mutated at most once per green vertex:
 the search walks the store depth first, ``exchange_graph`` breadth first.
-States whose keys meet must have equal rows, so deduplication stays exact.
-The DOT names hash each state's rows through one int64 buffer.
+The states the store keeps hold each distinct row as one dict.  States
+whose keys meet must have equal rows, so deduplication stays exact.  The
+DOT names hash each state's rows through one int64 buffer, and the DOT text
+is produced line by line, so the ``graph`` command streams it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import hashlib
 import heapq
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .quiver import (
@@ -38,8 +41,6 @@ from .quiver import (
     _index,
     _mutate_rows,
     _row_color,
-    frame,
-    matrix_mutate,
 )
 from .typea import NotTypeAError, is_type_a
 
@@ -199,23 +200,36 @@ class _GreenStates:
     distinct c-vector's colour is read once, when it is interned, so a
     mixed-sign one still raises ``SignCoherenceError``, and a state's green
     vertices are read from its key.  ``move(s, idx)`` mutates state s at its
-    idx-th green vertex through ``matrix_mutate`` and records the result in
-    ``moves``; each walk asks for a move once, so every state is mutated at
-    most once per green vertex.  States are numbered in the order they are
-    first reached; state 0 is the framing.  Two states meet only when their keys do, and
-    then their rows must be equal too, or the store raises QuiverError:
-    deduplication stays exact on the matrix.
+    idx-th green vertex, copying the rows it changes, and records the result
+    in ``moves``; each walk asks for a move once, so every state is mutated
+    at most once per green vertex.  A move takes the id of each changed
+    c-vector from the ids it is summed from, and interns a mutated row only
+    when that sum is new to the store.  A new state's changed rows, like the
+    framing's, are swapped for the one dict the store holds with equal
+    content, so kept states share equal rows.  States are numbered in the
+    order they are first reached; state 0 is the framing.  Two states meet
+    only when their keys do, and then their rows must be equal too, or the
+    store raises QuiverError: deduplication stays exact on the matrix.
     """
 
-    __slots__ = ("n", "states", "keys", "greens", "moves", "_index", "_ids", "_green", "_neg")
+    __slots__ = (
+        "n", "states", "keys", "greens", "moves", "_index", "_ids", "_green", "_neg", "_sums",
+        "_rows",
+    )
 
     def __init__(self, q: Quiver) -> None:
-        self.n = q.n
-        root = frame(q)
+        n = self.n = q.n
+        # row content -> the one dict with it that the kept states hold
+        self._rows: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
+        root = ExtendedQuiver._trusted(n, n, tuple([
+            self._rows.setdefault(frozenset(row.items()), row) for row in _frame_rows(q)
+        ]))
         self._ids: dict[frozenset[tuple[int, int]], int] = {}
         self._green: list[bool] = []  # by c-vector id
         # measured and kept: without this memo a census-small pass ran x0.91
         self._neg: dict[int, int] = {}  # c-vector id -> id of its negative
+        # (id of c_i, b_ki, id of c_k) -> id of c_i + |b_ki| c_k
+        self._sums: dict[tuple[int, int, int], int] = {}
         key = tuple([self._intern(row, i) for i, row in enumerate(root.sparse_rows)])
         greens = tuple([i for i, c in enumerate(key, 1) if self._green[c]])
         self.states = [root]
@@ -235,18 +249,26 @@ class _GreenStates:
 
     def move(self, s: int, idx: int) -> int:
         """The state reached from state s at its idx-th green vertex; each move is asked once."""
+        n = self.n
         eq = self.states[s]
         k = self.greens[s][idx]
-        nxt = matrix_mutate(eq, k)
-        rows = nxt.sparse_rows
+        pivot = eq.sparse_rows[k - 1]
+        rows = list(eq.sparse_rows)
+        _mutate_rows(rows, n, k, True)
         key = list(self.keys[s])
-        # k is green, so its c-vector is positive: mutation negates it, and
-        # adds |b_ki| times it to the c-vector of each row i with b_ki < 0;
+        # k is green, so its c-vector c_k is positive: mutation negates it,
+        # and turns the c-vector c_i of each row i with b_ki < 0 into
+        # c_i + |b_ki| c_k, whose id follows from the ids of c_i and c_k;
         # every other c-vector stays as it was
-        for i, u in eq.sparse_rows[k - 1].items():
-            if u < 0 and i < self.n:
-                key[i] = self._intern(rows[i], i)
         c = key[k - 1]
+        sums = self._sums
+        for i, u in pivot.items():
+            if u < 0 and i < n:
+                ids = (key[i], u, c)
+                cid = sums.get(ids)
+                if cid is None:
+                    cid = sums[ids] = self._intern(rows[i], i)
+                key[i] = cid
         neg = self._neg.get(c)
         if neg is None:
             neg = self._neg[c] = self._intern(rows[k - 1], k - 1)
@@ -256,13 +278,20 @@ class _GreenStates:
         t = self._index.get(key)
         if t is None:
             t = self._index[key] = len(self.states)
+            # mutation changed row k and each row i with b_ki != 0: each
+            # becomes the dict the store holds with its content
+            share = self._rows.setdefault
+            for i in [k - 1, *pivot]:
+                if i < n:
+                    row = rows[i]
+                    rows[i] = share(frozenset(row.items()), row)
             green = self._green
             greens = tuple([i for i, c in enumerate(key, 1) if green[c]])
-            self.states.append(nxt)
+            self.states.append(ExtendedQuiver._trusted(n, eq.m, tuple(rows)))
             self.keys.append(key)
             self.greens.append(greens)
             self.moves.append([-1] * len(greens))
-        elif self.states[t].sparse_rows != rows:
+        elif list(self.states[t].sparse_rows) != rows:
             raise QuiverError("two green states share their c-vectors but not their matrix")
         self.moves[s][idx] = t
         return t
@@ -462,17 +491,29 @@ def _matrix_hashes(states: Iterable[ExtendedQuiver]) -> list[str]:
 
 def exchange_graph_dot(slice_: ExchangeGraphSlice) -> str:
     """DOT text for the slice; nodes named by content hash, edges by vertex."""
+    return "".join(_dot_lines(slice_))
+
+
+def _dot_lines(slice_: ExchangeGraphSlice) -> Iterator[str]:
+    """The lines of ``exchange_graph_dot(slice_)``, each with its newline.
+
+    Nodes go in name order, and edges in (name of src, vertex, name of dst)
+    order, reached by stable sorts on dst's name, the vertex and src's
+    name, so that no edge needs a key tuple.
+    """
     names = _matrix_hashes(slice_.nodes)
     sink_set = set(slice_.sinks)
-    lines = ["digraph exchange {"]
+    yield "digraph exchange {\n"
     for i in sorted(range(len(names)), key=lambda i: names[i]):
         marks = ""
         if i == slice_.source:
             marks = ', role="source"'
         elif i in sink_set:
             marks = ', role="sink"'
-        lines.append(f'  "{names[i]}" [label="{names[i]}"{marks}];')
-    for src, k, dst in sorted(slice_.edges, key=lambda e: (names[e[0]], e[1], names[e[2]])):
-        lines.append(f'  "{names[src]}" -> "{names[dst]}" [label="{k}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  "{names[i]}" [label="{names[i]}"{marks}];\n'
+    edges = sorted(slice_.edges, key=lambda edge: names[edge[2]])
+    edges.sort(key=itemgetter(1))
+    edges.sort(key=lambda edge: names[edge[0]])
+    for src, k, dst in edges:
+        yield f'  "{names[src]}" -> "{names[dst]}" [label="{k}"];\n'
+    yield "}\n"

@@ -157,7 +157,7 @@ def _recognise(q: Quiver) -> tuple[
     if witness_i is None:
         cycle = _non_triangle_cycle(q, tris, tri_edges)
         if cycle is not None:
-            witness_i = f"non-oriented cycle through {cycle}"
+            witness_i = f"cycle through {cycle} is not an oriented 3-cycle"
     cond_i = ConditionResult("i", witness_i is None, witness_i)
 
     by_vertex: dict[int, list[int]] = {v: [] for v in range(1, q.n + 1)}

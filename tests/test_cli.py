@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import contextlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -230,7 +231,10 @@ class TestExitCodes:
         f.write_text("quiver 4\narrow 1 2\narrow 2 3\narrow 3 4\narrow 4 1\n")
         code, out, err = run("mgs", f)
         assert code == 2 and out == ""
-        assert err == "error: summand 1 fails condition i: non-oriented cycle through [1, 2, 3, 4]\n"
+        assert err == (
+            "error: summand 1 fails condition i: "
+            "cycle through [1, 2, 3, 4] is not an oriented 3-cycle\n"
+        )
 
     def test_mgs_names_failing_condition_of_second_summand(self, tmp_path):
         # the 3-cycle 1 -> 2 -> 3 glued by 3 -> 4 to three 3-cycles at vertex
@@ -314,6 +318,25 @@ class TestBehavior:
         text = dot.read_text()
         assert text.startswith("digraph exchange {")
         assert text.count('role="sink"') == 4
+
+    @pytest.mark.parametrize(
+        "name", ["a1", "a2linear", "a3cycle", "a3linear", "fork3", "spread3", "zig5"])
+    def test_graph_streams_the_library_dot(self, name, tmp_path):
+        q = gs.parse_quiver((FIXTURES / f"{name}.quiver").read_text())
+        assert q.n <= 6
+        slice_ = gs.exchange_graph(q)
+        dot = gs.exchange_graph_dot(slice_)
+        summary = (f"nodes={len(slice_.nodes)} edges={len(slice_.edges)} "
+                   f"sinks={len(slice_.sinks)} chains={slice_.maximal_chain_count()}\n")
+        assert run("graph", FIXTURES / f"{name}.quiver") == (0, dot + summary, "")
+        path = tmp_path / "g.dot"
+        assert run("graph", FIXTURES / f"{name}.quiver", "--dot", path) == (0, summary, "")
+        assert path.read_bytes() == dot.encode()
+        # nodes by name, edges by (name of src, vertex, name of dst)
+        nodes = re.findall(r'^  "(\w+)" \[label=', dot, re.M)
+        edges = re.findall(r'^  "(\w+)" -> "(\w+)" \[label="(\d+)"\];$', dot, re.M)
+        assert nodes == sorted(nodes) and len(edges) == len(slice_.edges)
+        assert edges == sorted(edges, key=lambda e: (e[0], int(e[2]), e[1]))
 
     def test_graph_node_bound_exits_two(self):
         code, _, err = run("graph", FIXTURES / "a3cycle.quiver", "--max-nodes", "3")

@@ -16,8 +16,10 @@ the recursion limit, and no check is an ``assert``, which ``python -O``
 strips.  The quiver builder that skips the constructor's checks is reached
 only from the constructor, after them, and from the parser, which makes
 them line by line.  The one mutation kernel, which changes rows in place,
-is reached only from ``quiver.py`` and from the two walks that own their
-rows, in ``green.py`` and ``matrixmodel.py``.  A vertex given to a public
+is reached only from ``quiver.py``, from the two walks that own their
+rows, in ``green.py`` and ``matrixmodel.py``, from the green-state store,
+which copies each row it changes, and from the one test fixture that
+counts the store's mutations.  A vertex given to a public
 member is range-checked by one routine, ``quiver._vertices``; the message
 of a vertex outside 1..n is built elsewhere only at a few named sites.
 One module owns the stages: the stage parts, the fold and the sigma stream
@@ -123,13 +125,16 @@ BUILDER = "_fill_quiver"
 BUILDER_CALLERS = {"Quiver.__post_init__", "parse_quiver"}
 
 # the in-place mutation kernel and the only scopes allowed to name it
-# ("<module>" is an import): the state-keeping wrapper and the walks
+# ("<module>" is an import): the state-keeping wrapper, the walks and the
+# green-state store, which keeps the states it makes; among the tests, only
+# the fixture that counts the store's mutations
 KERNEL = "_mutate_rows"
 KERNEL_CALLERS = {
     "quiver.py": {"matrix_mutate", "apply_sequence"},
-    "green.py": {"<module>", "verify_green"},
+    "green.py": {"<module>", "verify_green", "_GreenStates.move"},
     "matrixmodel.py": {"<module>", "verify_model"},
 }
+KERNEL_COUNTERS = {"test_green_states.py": {"mutations"}}
 
 
 # the message of a vertex refused as outside 1..n, and the only scopes
@@ -376,6 +381,8 @@ def test_only_the_walks_reach_the_kernel(path):
     uses = _uses(_tree(path), KERNEL)
     if path.parent == SRC and path.name in KERNEL_CALLERS:
         assert {scope for scope, _ in uses} == KERNEL_CALLERS[path.name], uses
+    elif path.parent != SRC and path.name in KERNEL_COUNTERS:
+        assert {scope for scope, _ in uses} == KERNEL_COUNTERS[path.name], uses
     else:
         assert not uses, f"{path.name} reaches {KERNEL}: {uses}"
 

@@ -161,9 +161,10 @@ class TestConditionOneOracle:
             cond = gs.is_type_a(q).condition("i")
             assert cond.passed == expected, (q, cond)
             verdicts[expected] += 1
-            prefix = "non-oriented cycle through "
+            prefix, suffix = "cycle through ", " is not an oriented 3-cycle"
             if cond.witness is not None and cond.witness.startswith(prefix):
-                named = set(ast.literal_eval(cond.witness[len(prefix):]))
+                assert cond.witness.endswith(suffix), (q, cond)
+                named = set(ast.literal_eval(cond.witness[len(prefix):-len(suffix)]))
                 assert any(set(c) == named for c in bad), (q, cond)
         assert min(verdicts.values()) >= 300
 
